@@ -32,10 +32,10 @@ namespace {
 constexpr size_t kTldCount = 120;
 constexpr size_t kRsaModulusBits = 768;
 // Clean transfers per audit call, besides the 66 fault-plan units. The cold
-// audit runs the fault plan alone: its serials are fixed by the spec, while
-// each clean sample adds a seed-drawn serial (~60 ms of signing) and with it
-// seed-to-seed variance. The warm audit adds clean samples, which only cost
-// transfer and validation there.
+// audit runs the fault plan alone (16 serials fixed by the spec): with the
+// paper-sized 400 clean samples (228 serials) one cold call takes 20-28 s at
+// 4 workers, too long for a run to hold several calls. The warm audit adds
+// clean samples, which only cost transfer and validation there.
 constexpr size_t kColdCleanSamples = 0;
 constexpr size_t kWarmCleanSamples = 20;
 // Calls per run: at least kMinCalls, then until --seconds of timed work.
@@ -197,20 +197,31 @@ void run_untraced(const RunOptions& options, bool warm, Report& report) {
   };
 
   // A round is one set-up and its calls. audit-cold: one call per round,
-  // each on a fresh campaign, until --seconds of timed calls. audit-warm:
-  // kWarmRounds rounds, each a fresh campaign whose caches the set-up fills,
-  // then called for its share of --seconds. Pooling the calls of several
-  // campaigns averages out how one instance's zone-lock contention settles.
+  // each on a fresh campaign, until --seconds of timed calls; setup_s is
+  // timed over the set-up seed family, a batch before each of the first
+  // kMinCalls rounds. audit-warm: kWarmRounds rounds, each a fresh campaign
+  // whose caches the set-up fills (setup_s is their median), then called for
+  // its share of --seconds. Pooling the calls of several campaigns averages
+  // out how one instance settles.
   const size_t rounds = warm ? kWarmRounds : kMaxCalls;
   const double round_seconds = options.seconds / static_cast<double>(kWarmRounds);
   double timed = 0;
   for (size_t round = 0; round < rounds; ++round) {
     if (!warm && round >= kMinCalls && timed >= options.seconds) break;
     setup = AuditSetup{};  // drop the previous set-up first
+    if (!warm && round < kMinCalls) {
+      time_setup_batch(options.seed, round, kMinCalls, [](uint64_t seed) {
+        const Clock::time_point start = Clock::now();
+        const AuditSetup family = set_up(seed, false, false);
+        return seconds_since(start);
+      }, report);
+    }
     const Clock::time_point start = Clock::now();
     setup = set_up(options.seed, warm, false);
-    if (warm) audit_call(setup, options.workers);  // fills the zone and AXFR caches
-    report.setup_samples.push_back(seconds_since(start));
+    if (warm) {
+      audit_call(setup, options.workers);  // fills the zone and AXFR caches
+      report.setup_samples.push_back(seconds_since(start));
+    }
     if (round == 0) {
       setup_rss = current_rss_mb();
       prepare_units();
@@ -228,6 +239,146 @@ void run_untraced(const RunOptions& options, bool warm, Report& report) {
     timed += round_timed;
   }
   add_end_to_end(report, static_cast<double>(units.size()), setup_rss);
+}
+
+using Serials = std::map<uint32_t, util::UnixTime>;
+
+/// The distinct serials the units transfer, each with the first instant that
+/// serves it: the transfer time, or a stale server's frozen instant.
+Serials distinct_serials(const rss::ZoneAuthority& authority,
+                         const std::vector<AuditUnit>& units) {
+  Serials serials;
+  for (const AuditUnit& unit : units) {
+    const util::UnixTime served =
+        unit.knobs.server_frozen_at ? *unit.knobs.server_frozen_at : unit.when;
+    serials.emplace(authority.serial_at(served), served);
+  }
+  return serials;
+}
+
+/// A replay root span and the wall time of the calls under it, read from an
+/// outer clock so it is comparable between a traced and an untraced pass.
+struct ReplayRoot {
+  uint32_t id = 0;
+  double seconds = 0;
+};
+
+struct ZoneBuildReplay {
+  ReplayRoot root;
+  double zone_at_ms = 0;  ///< the builds alone, without the encodes
+};
+
+/// The zone builds of `serials`, serially on a fresh cold authority, then
+/// their AXFR encodes, under `<prefix>replay.zone_builds`.
+ZoneBuildReplay replay_zone_builds(const measure::Campaign& campaign,
+                              const Serials& serials, const std::string& prefix,
+                              SpanLog& log, Report& report) {
+  rss::ZoneAuthority cold(campaign.catalog(), campaign.authority().config());
+  ZoneBuildReplay replay;
+  ReplayRoot& root = replay.root;
+  double& zone_at_ms = replay.zone_at_ms;
+  double axfr_encode_ms = 0;
+  const Clock::time_point start = Clock::now();
+  root.id = log.open(prefix + "replay.zone_builds", 0);
+  for (const auto& [serial, when] : serials) {
+    const uint32_t span = log.open("rss.zone_at", root.id);
+    cold.zone_at(when);
+    log.close(span);
+    zone_at_ms += log.duration_ms(span);
+  }
+  for (const auto& [serial, when] : serials) {
+    const uint32_t span = log.open("dns.axfr_encode", root.id);
+    cold.axfr_stream_at(when);
+    log.close(span);
+    axfr_encode_ms += log.duration_ms(span);
+  }
+  log.close(root.id);
+  root.seconds = seconds_since(start);
+  report.add("rss.zone_at_ms", zone_at_ms, "ms");
+  report.add("dns.axfr_encode_ms", axfr_encode_ms, "ms");
+  return replay;
+}
+
+struct TransferReplay {
+  ReplayRoot root;
+  std::vector<dnssec::ValidationStatus> verdicts;  ///< unit order
+  std::vector<obs::SloSample> samples;
+  /// (root, family) each transfer was routed as.
+  std::vector<std::pair<uint32_t, util::IpFamily>> routes;
+};
+
+/// Per unit, on `campaign` with the zone and AXFR caches of `serials` filled
+/// first: Prober::probe, Zone::from_axfr and validate_zone, under
+/// `<prefix>replay.transfers`.
+TransferReplay replay_transfers(const measure::Campaign& campaign,
+                                const std::vector<AuditUnit>& units,
+                                const Serials& serials, const std::string& prefix,
+                                SpanLog& log, Report& report) {
+  const rss::ZoneAuthority& authority = campaign.authority();
+  for (const auto& [serial, when] : serials) {
+    authority.zone_at(when);
+    authority.axfr_stream_at(when);
+  }
+  const measure::Prober prober(authority, campaign.catalog(), campaign.router(),
+                               campaign.config().transport);
+  const dnssec::TrustAnchors anchors = authority.trust_anchors();
+  std::vector<double> probe_us, from_axfr_us, validate_ms;
+  TransferReplay replay;
+  const Clock::time_point start = Clock::now();
+  replay.root.id = log.open(prefix + "replay.transfers", 0);
+  for (const AuditUnit& unit : units) {
+    uint32_t span = log.open("measure.probe", replay.root.id);
+    const measure::ProbeRecord probe =
+        prober.probe(unit.vp, unit.address, unit.when, unit.round, unit.knobs);
+    log.close(span);
+    probe_us.push_back(log.duration_ms(span) * 1e3);
+
+    dnssec::ValidationStatus verdict = dnssec::ValidationStatus::Valid;
+    const bool transferred = probe.axfr && !probe.axfr->refused;
+    if (transferred) {
+      span = log.open("dns.zone_from_axfr", replay.root.id);
+      const std::optional<dns::Zone> zone =
+          dns::Zone::from_axfr(probe.axfr->records, dns::Name());
+      log.close(span);
+      from_axfr_us.push_back(log.duration_ms(span) * 1e3);
+      if (!zone) {
+        verdict = dnssec::ValidationStatus::BogusSignature;
+      } else {
+        span = log.open("dnssec.validate_zone", replay.root.id);
+        verdict = dnssec::validate_zone(*zone, anchors, probe.vp_time)
+                      .dominant_failure();
+        log.close(span);
+        validate_ms.push_back(log.duration_ms(span));
+      }
+    }
+    replay.verdicts.push_back(verdict);
+    replay.routes.emplace_back(static_cast<uint32_t>(std::max(0, probe.root_index)),
+                               probe.family);
+
+    obs::SloSample sample;
+    sample.root = static_cast<uint8_t>(std::max(0, probe.root_index));
+    sample.v6 = probe.family == util::IpFamily::V6;
+    sample.when = unit.when;
+    sample.ok = transferred;
+    replay.samples.push_back(sample);
+    if (transferred) {
+      sample.kind = obs::SloSample::Kind::Latency;
+      sample.value = probe.rtt_ms;
+      replay.samples.push_back(sample);
+    }
+  }
+  log.close(replay.root.id);
+  replay.root.seconds = seconds_since(start);
+  report.add("measure.probe_us.p50", quantile(probe_us, 0.5), "us");
+  report.add("measure.probe_us.p99", quantile(probe_us, 0.99), "us");
+  report.add("dns.zone_from_axfr_us", median(from_axfr_us), "us");
+  report.add("dnssec.validate_zone_ms.p50", quantile(validate_ms, 0.5), "ms");
+  report.add("dnssec.validate_zone_ms.p99", quantile(validate_ms, 0.99), "ms");
+  if (log.enabled()) {
+    percentile_note(report, "measure.probe_us", probe_us);
+    percentile_note(report, "dnssec.validate_zone_ms", validate_ms);
+  }
+  return replay;
 }
 
 void run_traced(const RunOptions& options, bool warm, Report& report) {
@@ -253,9 +404,19 @@ void run_traced(const RunOptions& options, bool warm, Report& report) {
   }
   const std::vector<size_t> order = observation_order(units);
 
-  // One untimed call first, so both timed calls below run in a warmed-up
-  // process (heap grown, code paged in); audit-warm's fill already is one.
-  if (!warm) audit_call(set_up(options.seed, warm, false), options.workers);
+  // Untimed calls first, so both timed calls below run in a warmed-up
+  // process (heap grown, code paged in): one on a fresh campaign for
+  // audit-cold; kMinCalls on the filled campaign for audit-warm, whose first
+  // calls after the fill run several times slower than the settled ones
+  // (0.43-0.48 s against 0.11-0.14 s on seed 42).
+  const auto warm_up = [&](const AuditSetup& setup) {
+    for (size_t call = 0; warm && call < kMinCalls; ++call)
+      audit_call(setup, options.workers);
+  };
+  if (warm)
+    warm_up(plain);
+  else
+    audit_call(set_up(options.seed, warm, false), options.workers);
 
   // The untraced call (null obs sink), with the process CPU it burns.
   double untraced_s = 0;
@@ -269,37 +430,63 @@ void run_traced(const RunOptions& options, bool warm, Report& report) {
   }
   plain = AuditSetup{};
 
-  // The same call on a campaign recording into an obs::Recorder: counters
-  // for the per-layer metrics, and the tracing overhead against the above.
-  AuditSetup traced = set_up(options.seed, warm, true);
-  if (warm) audit_call(traced, options.workers);
-  const CounterSnapshot before = CounterSnapshot::take(traced.recorder->metrics());
+  // The same call on a campaign recording into an obs::Recorder: the
+  // program's own counters for the per-layer metrics, and what that
+  // recording costs against the call above.
+  AuditSetup recorded = set_up(options.seed, warm, true);
+  if (warm) audit_call(recorded, options.workers);  // the cache fill
+  warm_up(recorded);
+  const CounterSnapshot before = CounterSnapshot::take(recorded.recorder->metrics());
   std::vector<measure::ZoneAuditObservation> observations;
-  double traced_s = 0;
+  double recorded_s = 0;
   {
-    const uint32_t root = log.open("run.traced", 0);
-    traced_s = timed_audit(traced, options, units, order, report, &observations);
+    const uint32_t root = log.open("run.recorded", 0);
+    recorded_s = timed_audit(recorded, options, units, order, report, &observations);
     log.close(root);
   }
-  CounterSnapshot::take(traced.recorder->metrics()).minus(before).report(report);
-  report.add("trace.run_s", traced_s, "s");
-  report.add("trace.untraced_run_s", untraced_s, "s");
-  report.add("trace.overhead_s", traced_s - untraced_s, "s");
+  CounterSnapshot::take(recorded.recorder->metrics()).minus(before).report(report);
+  report.add("trace.recorder_overhead_s", recorded_s - untraced_s, "s");
   report.add("exec.busy_ratio",
              cpu_s / (untraced_s * static_cast<double>(options.workers)),
              "ratio");
+  const measure::Campaign& campaign = *recorded.campaign;
+
+  // The tracing overhead: the replay's workload roots (a cold call builds
+  // its zones and transfers them, a warm one only transfers) with spans and
+  // call timers off, then traced. A first untraced pass warms the replay's
+  // code and heap, so the timed passes both run warm.
+  const Serials serials = distinct_serials(campaign.authority(), units);
+  const auto replay_untraced = [&] {
+    SpanLog off(false);
+    Report discarded;
+    double seconds = 0;
+    if (!warm)
+      seconds += replay_zone_builds(campaign, serials, "", off, discarded).root.seconds;
+    return seconds +
+           replay_transfers(campaign, units, serials, "", off, discarded).root.seconds;
+  };
+  replay_untraced();
+  const double replay_untraced_s = replay_untraced();
 
   // Layer replay over the same units; its verdicts must match the audit's.
-  AuditPathTrace path = trace_audit_path(*traced.campaign, units,
-                                         options.workers, true, "", log, report);
+  AuditPathTrace path =
+      trace_audit_path(campaign, units, options.workers, true, "", log, report);
   for (size_t k = 0; k < observations.size() && k < order.size(); ++k) {
     if (path.verdicts[order[k]] != observations[k].verdict) {
       report.fail(util::format("replayed verdict of unit %zu differs", order[k]));
       break;
     }
   }
-  report.note(util::format("replay: %zu transfers, %zu distinct serials",
-                           units.size(), path.serials));
+  const double replay_traced_s =
+      path.transfers_s + (warm ? 0.0 : path.zone_builds_s);
+  report.add("trace.run_s", replay_traced_s, "s");
+  report.add("trace.untraced_run_s", replay_untraced_s, "s");
+  report.add("trace.overhead_s", replay_traced_s - replay_untraced_s, "s");
+  report.note(util::format(
+      "replay: %zu transfers, %zu distinct serials; serial replay %.3f s traced, "
+      "%.3f s untraced; the call at %zu workers: %.3f s",
+      units.size(), path.serials, replay_traced_s, replay_untraced_s,
+      options.workers, untraced_s));
 
   // The audit never touches the SLO plane: the obs layer is measured on a
   // bypass probe of the replay's own transfer samples.
@@ -310,7 +497,6 @@ void run_traced(const RunOptions& options, bool warm, Report& report) {
     slo.finish(obs::SloThresholds{}, {}, "", report);
     log.close(root);
   }
-  // A cold call builds its zones; a warm one only transfers them.
   std::vector<uint32_t> workload_roots{path.transfers_root};
   if (!warm) workload_roots.push_back(path.zone_builds_root);
   write_trace(options, log, workload_roots, report);
@@ -385,16 +571,8 @@ AuditPathTrace trace_audit_path(const measure::Campaign& campaign,
                                 const std::string& prefix, SpanLog& log,
                                 Report& report) {
   const rss::ZoneAuthority& authority = campaign.authority();
+  const Serials serials = distinct_serials(authority, units);
   AuditPathTrace trace;
-
-  // The distinct serials the units transfer, each with the first instant
-  // that serves it: the transfer time, or a stale server's frozen instant.
-  std::map<uint32_t, util::UnixTime> serials;
-  for (const AuditUnit& unit : units) {
-    const util::UnixTime served =
-        unit.knobs.server_frozen_at ? *unit.knobs.server_frozen_at : unit.when;
-    serials.emplace(authority.serial_at(served), served);
-  }
   trace.serials = serials.size();
 
   // Stand-alone layer probes: the zone builds fanned over the exec pool on a
@@ -418,7 +596,7 @@ AuditPathTrace trace_audit_path(const measure::Campaign& campaign,
     const dnssec::SigningKey key =
         dnssec::make_zsk(rng, authority.config().rsa_modulus_bits);
     const crypto::RsaSignContext context(key.rsa);
-    CallTimer signs("crypto.rsa_sign");
+    CallTimer signs(log, "crypto.rsa_sign");
     std::vector<uint8_t> message(128);
     for (size_t i = 0; i < kSignProbes; ++i) {
       for (uint8_t& byte : message) byte = static_cast<uint8_t>(rng.next());
@@ -427,111 +605,31 @@ AuditPathTrace trace_audit_path(const measure::Campaign& campaign,
     signs.flush(log, probe_root);
     report.add("crypto.rsa_sign_us", median(signs.samples_us()), "us");
   }
-
   log.close(probe_root);
 
-  // The workload's own calls. Zone builds, serially, on a cold authority,
-  // then their AXFR encodes; then per transfer, on the campaign with its
-  // caches filled, the probe, the AXFR decode and the validation.
-  double zone_at_ms = 0;
-  double axfr_encode_ms = 0;
-  {
-    rss::ZoneAuthority cold(campaign.catalog(), authority.config());
-    trace.zone_builds_root = log.open(prefix + "replay.zone_builds", 0);
-    for (const auto& [serial, when] : serials) {
-      const uint32_t span = log.open("rss.zone_at", trace.zone_builds_root);
-      cold.zone_at(when);
-      log.close(span);
-      zone_at_ms += log.duration_ms(span);
-    }
-    for (const auto& [serial, when] : serials) {
-      const uint32_t span = log.open("dns.axfr_encode", trace.zone_builds_root);
-      cold.axfr_stream_at(when);
-      log.close(span);
-      axfr_encode_ms += log.duration_ms(span);
-    }
-    log.close(trace.zone_builds_root);
-  }
-  report.add("rss.zone_at_ms", zone_at_ms, "ms");
-  report.add("rss.zone_at_parallel_speedup", zone_at_ms / parallel_ms, "x");
-  report.add("dns.axfr_encode_ms", axfr_encode_ms, "ms");
+  // The workload's own calls: the zone builds and encodes on a cold
+  // authority, then the transfers on the campaign with its caches filled.
+  const ZoneBuildReplay builds =
+      replay_zone_builds(campaign, serials, prefix, log, report);
+  trace.zone_builds_root = builds.root.id;
+  trace.zone_builds_s = builds.root.seconds;
+  report.add("rss.zone_at_parallel_speedup", builds.zone_at_ms / parallel_ms, "x");
+  TransferReplay transfers =
+      replay_transfers(campaign, units, serials, prefix, log, report);
+  trace.transfers_root = transfers.root.id;
+  trace.transfers_s = transfers.root.seconds;
+  trace.verdicts = std::move(transfers.verdicts);
+  trace.samples = std::move(transfers.samples);
 
-  for (const auto& [serial, when] : serials) {
-    authority.zone_at(when);
-    authority.axfr_stream_at(when);
-  }
-
-  const measure::Prober prober(authority, campaign.catalog(), campaign.router(),
-                               campaign.config().transport);
-  const dnssec::TrustAnchors anchors = authority.trust_anchors();
-  std::vector<double> probe_us, from_axfr_us, validate_ms;
-  const uint32_t replay_root = log.open(prefix + "replay.transfers", 0);
-  trace.transfers_root = replay_root;
-  // (root, family) each transfer was routed as.
-  std::vector<std::pair<uint32_t, util::IpFamily>> routes;
-  for (const AuditUnit& unit : units) {
-    Clock::time_point start = Clock::now();
-    measure::ProbeRecord probe;
-    {
-      ScopedSpan span(&log, "measure.probe", replay_root);
-      probe = prober.probe(unit.vp, unit.address, unit.when, unit.round,
-                           unit.knobs);
-    }
-    probe_us.push_back(nanos_between(start, Clock::now()) / 1e3);
-
-    dnssec::ValidationStatus verdict = dnssec::ValidationStatus::Valid;
-    const bool transferred = probe.axfr && !probe.axfr->refused;
-    if (transferred) {
-      std::optional<dns::Zone> zone;
-      start = Clock::now();
-      {
-        ScopedSpan span(&log, "dns.zone_from_axfr", replay_root);
-        zone = dns::Zone::from_axfr(probe.axfr->records, dns::Name());
-      }
-      from_axfr_us.push_back(nanos_between(start, Clock::now()) / 1e3);
-      if (!zone) {
-        verdict = dnssec::ValidationStatus::BogusSignature;
-      } else {
-        start = Clock::now();
-        ScopedSpan span(&log, "dnssec.validate_zone", replay_root);
-        verdict = dnssec::validate_zone(*zone, anchors, probe.vp_time)
-                      .dominant_failure();
-        validate_ms.push_back(nanos_between(start, Clock::now()) / 1e6);
-      }
-    }
-    trace.verdicts.push_back(verdict);
-    routes.emplace_back(static_cast<uint32_t>(std::max(0, probe.root_index)),
-                        probe.family);
-
-    obs::SloSample sample;
-    sample.root = static_cast<uint8_t>(std::max(0, probe.root_index));
-    sample.v6 = probe.family == util::IpFamily::V6;
-    sample.when = unit.when;
-    sample.ok = transferred;
-    trace.samples.push_back(sample);
-    if (transferred) {
-      sample.kind = obs::SloSample::Kind::Latency;
-      sample.value = probe.rtt_ms;
-      trace.samples.push_back(sample);
-    }
-  }
-  log.close(replay_root);
-  report.add("measure.probe_us.p50", quantile(probe_us, 0.5), "us");
-  report.add("measure.probe_us.p99", quantile(probe_us, 0.99), "us");
-  report.add("dns.zone_from_axfr_us", median(from_axfr_us), "us");
-  report.add("dnssec.validate_zone_ms.p50", quantile(validate_ms, 0.5), "ms");
-  report.add("dnssec.validate_zone_ms.p99", quantile(validate_ms, 0.99), "ms");
-  percentile_note(report, "measure.probe_us", probe_us);
-  percentile_note(report, "dnssec.validate_zone_ms", validate_ms);
   if (netsim_metrics) {
     // The route selection each transfer made, and the fallback lookup the
     // SLO monitor would make for it (the audit itself never does).
-    CallTimer route_at("netsim.route_at");
-    CallTimer announced("netsim.announced_routes");
+    CallTimer route_at(log, "netsim.route_at");
+    CallTimer announced(log, "netsim.announced_routes");
     const uint32_t root_span = log.open(prefix + "netsim-probes", 0);
     for (size_t i = 0; i < units.size(); ++i) {
       const AuditUnit& unit = units[i];
-      const auto [root, family] = routes[i];
+      const auto [root, family] = transfers.routes[i];
       route_at.time([&] {
         return campaign.router().route_at(unit.vp.view, root, family, unit.round);
       });

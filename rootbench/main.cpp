@@ -47,7 +47,8 @@ const std::vector<std::string> kPerLayer = {
     "obs.slo_windows_ms",          "obs.slo_cells",
     "obs.slo_bytes_per_cell",      "obs.incident_observe_ms",
     "exec.busy_ratio",             "trace.run_s",
-    "trace.untraced_run_s",        "trace.overhead_s"};
+    "trace.untraced_run_s",        "trace.overhead_s",
+    "trace.recorder_overhead_s"};
 
 // Environment knobs that would silently change what runs.
 const char* const kClearedEnv[] = {"ROOTSIM_WORKERS", "ROOTSIM_SCHED",

@@ -21,7 +21,6 @@ namespace rootbench {
 
 namespace {
 
-constexpr size_t kSetups = 5;
 constexpr size_t kMinCalls = 3;
 constexpr size_t kMaxCalls = 100;
 // Clean transfers of the bypass probe that measures the audit-path layers on
@@ -93,13 +92,9 @@ double timed_slo(const SloSetup& setup, const RunOptions& options,
 }
 
 void run_untraced(const RunOptions& options, Report& report) {
-  SloSetup setup;
-  for (size_t i = 0; i < kSetups; ++i) {
-    setup = SloSetup{};
-    const Clock::time_point start = Clock::now();
-    setup = set_up(options, false);
-    report.setup_samples.push_back(seconds_since(start));
-  }
+  // setup_s: the median over the set-up seed family, a batch before each of
+  // the first kMinCalls calls; the calls' own campaign is set up untimed.
+  const SloSetup setup = set_up(options, false);
   trim_heap();
   const double setup_rss = current_rss_mb();
   const double probes = static_cast<double>(bucket_count(*setup.campaign) *
@@ -108,6 +103,15 @@ void run_untraced(const RunOptions& options, Report& report) {
   double timed = 0;
   for (size_t call = 0; call < kMaxCalls; ++call) {
     if (call >= kMinCalls && timed >= options.seconds) break;
+    if (call < kMinCalls) {
+      time_setup_batch(options.seed, call, kMinCalls, [&](uint64_t seed) {
+        RunOptions family = options;
+        family.seed = seed;
+        const Clock::time_point start = Clock::now();
+        const SloSetup timed = set_up(family, false);
+        return seconds_since(start);
+      }, report);
+    }
     reset_peak_rss();
     const double wall = timed_slo(setup, options, report);
     report.peak_samples.push_back(peak_rss_mb());
@@ -150,9 +154,9 @@ std::pair<std::string, std::string> replay_slo(
   std::vector<rss::ScriptedOutage> scripted = campaign.config().scripted_outages;
   scripted.insert(scripted.end(), options.scripted_outages.begin(),
                   options.scripted_outages.end());
-  CallTimer route_at("netsim.route_at");
-  CallTimer announced("netsim.announced_routes");
-  CallTimer outage_model("rss.site_available_at", false);
+  CallTimer route_at(log, "netsim.route_at");
+  CallTimer announced(log, "netsim.announced_routes");
+  CallTimer outage_model(log, "rss.site_available_at", false);
   const auto available = [&](uint32_t site_id, uint32_t root, util::UnixTime t) {
     return outage_model.time([&] {
       int region = -1;
@@ -279,13 +283,15 @@ std::pair<std::string, std::string> replay_slo(
   report.add("netsim.route_at_us.p50", quantile(route_at.samples_us(), 0.5), "us");
   report.add("netsim.route_at_us.p99", quantile(route_at.samples_us(), 0.99), "us");
   report.add("netsim.announced_routes_us", median(announced.samples_us()), "us");
-  report.note(util::format(
-      "netsim.route_at: %llu calls, %.1f ms; announced_routes: %llu calls, "
-      "%.1f ms; rss.site_available_at: %llu calls, %.1f ms",
-      static_cast<unsigned long long>(route_at.total_calls()), route_at.total_ms(),
-      static_cast<unsigned long long>(announced.total_calls()), announced.total_ms(),
-      static_cast<unsigned long long>(outage_model.total_calls()),
-      outage_model.total_ms()));
+  if (log.enabled())
+    report.note(util::format(
+        "netsim.route_at: %llu calls, %.1f ms; announced_routes: %llu calls, "
+        "%.1f ms; rss.site_available_at: %llu calls, %.1f ms",
+        static_cast<unsigned long long>(route_at.total_calls()), route_at.total_ms(),
+        static_cast<unsigned long long>(announced.total_calls()),
+        announced.total_ms(),
+        static_cast<unsigned long long>(outage_model.total_calls()),
+        outage_model.total_ms()));
   return exports;
 }
 
@@ -311,33 +317,57 @@ void run_traced(const RunOptions& options, Report& report) {
     log.close(root);
   }
 
-  measure::SloTimelineResult traced_result;
-  double traced_s = 0;
+  // The same call recording into an obs::Recorder: the program's own
+  // counters, and what that recording costs against the call above.
+  measure::SloTimelineResult recorded_result;
+  double recorded_s = 0;
   {
-    SloSetup traced = set_up(options, true);
-    const uint32_t root = log.open("run.traced", 0);
-    traced_s = timed_slo(traced, options, report, &traced_result);
+    SloSetup recorded = set_up(options, true);
+    const uint32_t root = log.open("run.recorded", 0);
+    recorded_s = timed_slo(recorded, options, report, &recorded_result);
     log.close(root);
-    CounterSnapshot::take(traced.recorder->metrics()).report(report);
+    CounterSnapshot::take(recorded.recorder->metrics()).report(report);
   }
-  report.add("trace.run_s", traced_s, "s");
-  report.add("trace.untraced_run_s", untraced_s, "s");
-  report.add("trace.overhead_s", traced_s - untraced_s, "s");
+  report.add("trace.recorder_overhead_s", recorded_s - untraced_s, "s");
   report.add("exec.busy_ratio",
              cpu_s / (untraced_s * static_cast<double>(options.workers)), "ratio");
 
-  // The replay must reproduce the call's exports byte for byte.
+  // The replay must reproduce the call's exports byte for byte. It runs
+  // with spans and call timers off, then traced; the difference is the
+  // tracing overhead. Unlike the audits' short replays it gets no warm-up
+  // pass: the calls above ran the same code, and a ~20 s pass would push the
+  // traced run toward its time limit. The untraced pass pays the first
+  // page-in of the collector's heap, well under a second of it.
   const std::string expected =
-      slo_digest(traced_result.slo_jsonl, traced_result.incidents_jsonl);
-  const std::vector<obs::CauseHint> hints = traced_result.hints;
-  traced_result = measure::SloTimelineResult{};
-  trim_heap();
+      slo_digest(recorded_result.slo_jsonl, recorded_result.incidents_jsonl);
+  const std::vector<obs::CauseHint> hints = recorded_result.hints;
+  recorded_result = measure::SloTimelineResult{};
+  double replay_untraced_s = 0;
+  {
+    SpanLog off(false);
+    Report discarded;
+    const Clock::time_point start = Clock::now();
+    const auto [slo_jsonl, incidents_jsonl] =
+        replay_slo(plain, hints, off, 0, discarded);
+    replay_untraced_s = seconds_since(start);
+    if (slo_digest(slo_jsonl, incidents_jsonl) != expected)
+      report.fail("the untraced replay's slo/incidents exports differ from the call's");
+  }
+  const Clock::time_point start = Clock::now();
   const uint32_t replay_root = log.open("replay", 0);
   const auto [slo_jsonl, incidents_jsonl] =
       replay_slo(plain, hints, log, replay_root, report);
   log.close(replay_root);
+  const double replay_traced_s = seconds_since(start);
   if (slo_digest(slo_jsonl, incidents_jsonl) != expected)
-    report.fail("the serial replay's slo/incidents exports differ from the call's");
+    report.fail("the traced replay's slo/incidents exports differ from the call's");
+  report.add("trace.run_s", replay_traced_s, "s");
+  report.add("trace.untraced_run_s", replay_untraced_s, "s");
+  report.add("trace.overhead_s", replay_traced_s - replay_untraced_s, "s");
+  report.note(util::format(
+      "serial replay %.3f s traced, %.3f s untraced; the call at %zu workers: "
+      "%.3f s",
+      replay_traced_s, replay_untraced_s, options.workers, untraced_s));
 
   // The SLO call never transfers a zone: the audit-path layers are measured
   // on a bypass probe of a few clean transfers on this campaign.
@@ -352,21 +382,23 @@ void run_traced(const RunOptions& options, Report& report) {
 }  // namespace
 
 SloReplay::SloReplay(SpanLog& log, uint32_t parent)
-    : log_(log), parent_(parent), rss_before_mb_(current_rss_mb()) {}
+    : log_(log), parent_(parent), main_(std::make_unique<obs::SloCollector>()) {}
 
 void SloReplay::add_bucket(const std::vector<obs::SloSample>& samples,
                            uint32_t parent) {
   obs::SloCollector shard;
+  if (!log_.enabled()) {
+    for (const obs::SloSample& sample : samples) shard.record(sample);
+    main_->merge_from(shard);
+    return;
+  }
   const Clock::time_point start = Clock::now();
   for (const obs::SloSample& sample : samples) shard.record(sample);
   const Clock::time_point recorded = Clock::now();
-  const double heap_before = heap_in_use_bytes();
-  const Clock::time_point merge_start = Clock::now();
-  main_.merge_from(shard);
+  main_->merge_from(shard);
   const Clock::time_point merged = Clock::now();
-  merged_bytes_ += heap_in_use_bytes() - heap_before;
   const int64_t record_ns = nanos_between(start, recorded);
-  const int64_t merge_ns = nanos_between(merge_start, merged);
+  const int64_t merge_ns = nanos_between(recorded, merged);
   record_ns_ += record_ns;
   records_ += samples.size();
   merge_ns_ += merge_ns;
@@ -378,11 +410,10 @@ std::pair<std::string, std::string> SloReplay::finish(
     const obs::SloThresholds& thresholds,
     const std::vector<obs::CauseHint>& hints, const std::string& scenario,
     Report& report) {
-  const double rss_growth_mb = current_rss_mb() - rss_before_mb_;
-  const size_t cells = main_.cell_count();
+  const size_t cells = main_->cell_count();
   std::vector<obs::SloWindow> windows;
   const uint32_t sweep = log_.open("obs.slo_windows", parent_);
-  windows = main_.windows(thresholds);
+  windows = main_->windows(thresholds);
   log_.close(sweep);
   std::vector<obs::Incident> incidents;
   const uint32_t tracking = log_.open("obs.incident_observe", parent_);
@@ -394,7 +425,11 @@ std::pair<std::string, std::string> SloReplay::finish(
   }
   log_.close(tracking);
 
-  const double bytes_per_cell = cells ? merged_bytes_ / static_cast<double>(cells) : 0;
+  // The heap the collector holds is what freeing it gives back.
+  const double heap_before = heap_in_use_bytes();
+  main_.reset();
+  const double collector_bytes = heap_before - heap_in_use_bytes();
+  const double bytes_per_cell = cells ? collector_bytes / static_cast<double>(cells) : 0;
   report.add("obs.slo_record_ns",
              records_ ? static_cast<double>(record_ns_) / static_cast<double>(records_)
                       : 0,
@@ -404,12 +439,13 @@ std::pair<std::string, std::string> SloReplay::finish(
   report.add("obs.slo_cells", static_cast<double>(cells), "count");
   report.add("obs.slo_bytes_per_cell", bytes_per_cell, "bytes");
   report.add("obs.incident_observe_ms", log_.duration_ms(tracking), "ms");
-  report.note(util::format(
-      "obs: %llu records, %zu cells holding %.1f MiB of heap (%.0f B/cell); "
-      "RSS grew %.1f MiB over the fill; %zu windows, %zu incidents",
-      static_cast<unsigned long long>(records_), cells,
-      merged_bytes_ / 1048576.0, bytes_per_cell, rss_growth_mb, windows.size(),
-      incidents.size()));
+  if (log_.enabled())
+    report.note(util::format(
+        "obs: %llu records, %zu cells holding %.1f MiB of heap (%.0f B/cell); "
+        "%zu windows, %zu incidents",
+        static_cast<unsigned long long>(records_), cells,
+        collector_bytes / 1048576.0, bytes_per_cell, windows.size(),
+        incidents.size()));
   return {obs::SloCollector::windows_to_jsonl(windows, scenario),
           obs::IncidentTracker::incidents_to_jsonl(incidents, scenario)};
 }

@@ -97,9 +97,10 @@ std::string Digest::hex() const {
   return buffer;
 }
 
-SpanLog::SpanLog() : origin_(Clock::now()) {}
+SpanLog::SpanLog(bool enabled) : enabled_(enabled), origin_(Clock::now()) {}
 
 uint32_t SpanLog::open(std::string name, uint32_t parent) {
+  if (!enabled_) return 0;
   const int64_t start = nanos_between(origin_, Clock::now());
   std::lock_guard<std::mutex> lock(mu_);
   Span span;
@@ -112,6 +113,7 @@ uint32_t SpanLog::open(std::string name, uint32_t parent) {
 }
 
 void SpanLog::close(uint32_t id) {
+  if (id == 0) return;
   const int64_t end = nanos_between(origin_, Clock::now());
   std::lock_guard<std::mutex> lock(mu_);
   Span& span = spans_.at(id - 1);
@@ -120,7 +122,7 @@ void SpanLog::close(uint32_t id) {
 
 void SpanLog::add_aggregate(std::string name, uint32_t parent,
                             int64_t total_ns, uint64_t calls) {
-  if (calls == 0) return;
+  if (!enabled_ || calls == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   Span span;
   span.name = std::move(name);
@@ -133,6 +135,7 @@ void SpanLog::add_aggregate(std::string name, uint32_t parent,
 }
 
 double SpanLog::duration_ms(uint32_t id) const {
+  if (id == 0) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<double>(spans_.at(id - 1).duration_ns) / 1e6;
 }

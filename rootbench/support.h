@@ -97,6 +97,10 @@ class Digest {
 /// time is its duration minus the union of its interval children, minus the
 /// summed duration of its aggregate children. A span's layer is its name up
 /// to the first '.', e.g. "rss" for "rss.zone_at".
+///
+/// A disabled log records nothing and reads no clock: open() returns 0,
+/// close(0) and add_aggregate() do nothing, duration_ms(0) is 0. Running a
+/// replay against one gives the wall time of the same calls untraced.
 class SpanLog {
  public:
   struct Span {
@@ -109,7 +113,8 @@ class SpanLog {
     bool aggregate = false;
   };
 
-  SpanLog();
+  explicit SpanLog(bool enabled = true);
+  bool enabled() const { return enabled_; }
   uint32_t open(std::string name, uint32_t parent);
   void close(uint32_t id);
   void add_aggregate(std::string name, uint32_t parent, int64_t total_ns,
@@ -125,6 +130,7 @@ class SpanLog {
   std::string to_json() const;
 
  private:
+  bool enabled_;
   mutable std::mutex mu_;
   Clock::time_point origin_;
   std::vector<Span> spans_;  // spans_[id - 1]
@@ -145,13 +151,15 @@ class ScopedSpan {
 
 /// Accumulates the durations of many short calls of one kind; flush() turns
 /// the calls since the last flush into one aggregate span. Per-call samples
-/// (µs) are kept for percentiles unless `keep_samples` is false.
+/// (µs) are kept for percentiles unless `keep_samples` is false. On a
+/// disabled log it only makes the calls.
 class CallTimer {
  public:
-  explicit CallTimer(std::string name, bool keep_samples = true)
-      : name_(std::move(name)), keep_samples_(keep_samples) {}
+  CallTimer(const SpanLog& log, std::string name, bool keep_samples = true)
+      : name_(std::move(name)), enabled_(log.enabled()), keep_samples_(keep_samples) {}
   template <typename Fn>
   decltype(auto) time(Fn&& fn) {
+    if (!enabled_) return fn();
     const Clock::time_point start = Clock::now();
     struct Stop {
       CallTimer* self;
@@ -169,6 +177,7 @@ class CallTimer {
 
  private:
   std::string name_;
+  bool enabled_;
   bool keep_samples_;
   std::vector<double> samples_us_;
   uint64_t total_calls_ = 0;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 
+#include "util/rng.h"
 #include "util/strings.h"
 #include "workloads.h"
 
@@ -51,6 +52,20 @@ void CounterSnapshot::report(Report& report) const {
              "count");
   report.add("netsim.queries", static_cast<double>(exchanges), "count");
   report.add("netsim.wire_bytes", static_cast<double>(wire_bytes), "bytes");
+}
+
+uint64_t setup_seed(uint64_t seed, size_t index) {
+  if (index == 0) return seed;
+  return util::Rng(seed).fork(util::format("setup-%zu", index)).next();
+}
+
+void time_setup_batch(uint64_t seed, size_t batch, size_t batches,
+                      const std::function<double(uint64_t)>& timed_set_up,
+                      Report& report) {
+  const size_t per_batch = (kSetupSeeds + batches - 1) / batches;
+  const size_t end = std::min(kSetupSeeds, (batch + 1) * per_batch);
+  for (size_t i = batch * per_batch; i < end; ++i)
+    report.setup_samples.push_back(timed_set_up(setup_seed(seed, i)));
 }
 
 void add_end_to_end(Report& report, double work_per_call, double setup_rss_mb) {

@@ -7,6 +7,8 @@
 // measured from outside the program.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,9 @@ struct AuditPathTrace {
   size_t serials = 0;
   uint32_t zone_builds_root = 0;
   uint32_t transfers_root = 0;
+  /// Wall time of the calls under each of the two replay roots (s).
+  double zone_builds_s = 0;
+  double transfers_s = 0;
 };
 AuditPathTrace trace_audit_path(const measure::Campaign& campaign,
                                 const std::vector<AuditUnit>& units,
@@ -70,15 +75,16 @@ AuditPathTrace trace_audit_path(const measure::Campaign& campaign,
 /// time, are recorded into a fresh per-bucket SloCollector shard and folded
 /// into the main collector (as exec::ObsShards does), then the windows are
 /// swept and the incident tracker run. The main collector's memory is the
-/// heap it gains across the merges (RSS growth is noted beside it).
+/// heap freeing it gives back.
 class SloReplay {
  public:
   /// Window-sweep and tracker spans go under `parent`.
   SloReplay(SpanLog& log, uint32_t parent);
   /// Record and merge spans go under `parent`.
   void add_bucket(const std::vector<obs::SloSample>& samples, uint32_t parent);
-  /// Sweeps windows, runs the tracker and adds the obs.* metrics. Returns
-  /// the slo.jsonl + incidents.jsonl exports the replay produced.
+  /// Sweeps windows, runs the tracker, frees the collector and adds the obs.*
+  /// metrics. Returns the slo.jsonl + incidents.jsonl exports the replay
+  /// produced. Call once, after the last add_bucket().
   std::pair<std::string, std::string> finish(
       const obs::SloThresholds& thresholds,
       const std::vector<obs::CauseHint>& hints, const std::string& scenario,
@@ -87,9 +93,7 @@ class SloReplay {
  private:
   SpanLog& log_;
   uint32_t parent_;
-  obs::SloCollector main_;
-  double rss_before_mb_ = 0;
-  double merged_bytes_ = 0;  ///< heap growth of main_ across the merges
+  std::unique_ptr<obs::SloCollector> main_;  // not movable: holds a mutex
   int64_t record_ns_ = 0;
   uint64_t records_ = 0;
   int64_t merge_ns_ = 0;
@@ -114,6 +118,22 @@ struct CounterSnapshot {
   CounterSnapshot minus(const CounterSnapshot& before) const;
   void report(Report& report) const;
 };
+
+/// Set-ups (scenario::apply + Campaign constructor) whose median is setup_s
+/// on audit-cold and slo-froot, one on each seed of setup_seed(). RSA key
+/// generation makes a set-up's time depend on its seed (0.02-0.15 s across
+/// seeds 1-9), so a median over one seed would move with the seed.
+constexpr size_t kSetupSeeds = 64;
+/// The index-th seed of the set-up family of `seed`; index 0 is `seed`.
+uint64_t setup_seed(uint64_t seed, size_t index);
+/// Times batch `batch` of `batches` of the set-up family of `seed` into
+/// report.setup_samples; `timed_set_up(seed)` makes one set-up and returns
+/// its time. Called before each of a run's first `batches` calls, it spreads
+/// the set-ups over the run, so their median does not rest on one moment of
+/// a noisy host.
+void time_setup_batch(uint64_t seed, size_t batch, size_t batches,
+                      const std::function<double(uint64_t)>& timed_set_up,
+                      Report& report);
 
 /// The end-to-end metrics every workload reports, from its per-call samples.
 void add_end_to_end(Report& report, double work_per_call, double setup_rss_mb);
