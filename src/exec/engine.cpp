@@ -222,7 +222,7 @@ void ObsShards::merge() {
     if (main_.metrics) main_.metrics->merge_from(shard->metrics());
     if (main_.tracer) main_.tracer->absorb(std::move(shard->tracer()));
     if (main_.rssac002) main_.rssac002->merge_from(shard->rssac002());
-    if (main_.slo) main_.slo->merge_from(shard->slo());
+    if (main_.slo) main_.slo->merge_from(std::move(shard->slo()));
   }
   shards_.clear();
 }

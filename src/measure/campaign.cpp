@@ -125,7 +125,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
   std::unordered_map<uint32_t, size_t> fallback_base;
   {
     std::vector<uint32_t> missing;
-    for (const FaultEvent& event : faults_)
+    for (const FaultEvent& event : faults)
       if (!vp_index.count(event.vp_id)) missing.push_back(event.vp_id);
     std::sort(missing.begin(), missing.end());
     missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
@@ -203,7 +203,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
   // same for every worker count; per-unit obs shards merged in unit order
   // keep the metric/trace exports byte-identical too — no matter which
   // worker the scheduler hands a unit to, or in what order.
-  const size_t fault_count = faults_.size();
+  const size_t fault_count = faults.size();
   const size_t total_units = fault_count + clean_samples;
   workers = std::max<size_t>(1, std::min(exec::resolve_workers(workers),
                                          std::max<size_t>(total_units, 1)));
@@ -246,7 +246,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
     prober.rebind_obs(sink);
     if (unit < fault_count) {
       // Planned fault event: full-fidelity probe with the fault knobs set.
-      const FaultEvent& event = faults_[unit];
+      const FaultEvent& event = faults[unit];
       if (sink.metrics)
         sink.count("campaign.fault_events",
                    {{"kind", fault_kind_name(event.kind)}});

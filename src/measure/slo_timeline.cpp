@@ -7,11 +7,16 @@
 // is the whole determinism argument: the same cells exist with the same
 // contents no matter how many workers ran or who stole what.
 //
+// Before the units run, the call prepares every VP's catchment per (letter,
+// family) into one flat table (a Selection depends only on the VP, the
+// letter, the family and the static topology; see DESIGN.md §10). Probes
+// then only make the round's churn draw on their row.
+//
 // What a unit samples, per (letter, family):
-//   * availability/latency probes: VP drawn per probe, routed through the
-//     anycast router at the probe's schedule round; the chosen site answers
-//     unless the Poisson outage model or a scripted event window has it
-//     dark. Answered probes contribute the transport's effective RTT.
+//   * availability/latency probes: VP drawn per probe, its catchment picked
+//     at the probe's schedule round; the chosen site answers unless the
+//     Poisson outage model or a scripted event window has it dark.
+//     Answered probes contribute the transport's effective RTT.
 //   * zone staleness: the probed site serves the previous serial until its
 //     deterministic per-(site, serial) refresh delay elapses; the sample is
 //     the served serial's age behind the master.
@@ -108,6 +113,24 @@ SloTimelineResult Campaign::run_slo_timeline(
                                   type);
   };
 
+  // The catchment table, [vp][letter][family]. Built per call rather than
+  // with the campaign, so callers that never run the monitor do not pay
+  // for it at construction.
+  std::vector<netsim::AnycastRouter::Selection> catchments(
+      vps_.size() * obs::kSloRoots * 2);
+  exec::parallel_for(vps_.size(), workers, [&](size_t vp, size_t) {
+    for (uint32_t root = 0; root < obs::kSloRoots; ++root)
+      for (int fam = 0; fam < 2; ++fam)
+        catchments[(vp * obs::kSloRoots + root) * 2 + fam] =
+            router_->prepare_selection(
+                vps_[vp].view, root,
+                fam == 1 ? util::IpFamily::V6 : util::IpFamily::V4);
+  });
+  const auto catchment = [&](size_t vp, uint32_t root, int fam)
+      -> const netsim::AnycastRouter::Selection& {
+    return catchments[(vp * obs::kSloRoots + root) * 2 + fam];
+  };
+
   exec::parallel_for(total_units, workers, [&](size_t unit, size_t worker) {
     obs::Obs sink = shards.shard(unit);
     obs::SloCollector* slo = sink.slo;
@@ -131,10 +154,11 @@ SloTimelineResult Campaign::run_slo_timeline(
                                  rng.uniform(static_cast<uint64_t>(
                                      kBucketSeconds)));
           t = std::clamp<util::UnixTime>(t, start, end - 1);
-          const VantagePoint& vp = vps_[rng.uniform(vps_.size())];
+          const size_t vp_index = rng.uniform(vps_.size());
+          const VantagePoint& vp = vps_[vp_index];
           const uint64_t round = schedule_.round_at(t);
           const netsim::RouteResult route =
-              router_->route_at(vp.view, root, family, round);
+              router_->pick(catchment(vp_index, root, fam), family, round);
           uint32_t serving_site = route.site_id;
           bool up = available(serving_site, root, t);
           double rtt_ms = up ? transport.effective_rtt_ms(route,
@@ -236,9 +260,8 @@ SloTimelineResult Campaign::run_slo_timeline(
           if (publish < start || publish >= end) continue;
           const uint64_t round = schedule_.round_at(publish);
           for (size_t s = 0; s < options.publication_samples; ++s) {
-            const VantagePoint& vp = vps_[rng.uniform(vps_.size())];
-            const netsim::RouteResult route =
-                router_->route_at(vp.view, root, family, round);
+            const netsim::RouteResult route = router_->pick(
+                catchment(rng.uniform(vps_.size()), root, fam), family, round);
             obs::SloSample sample;
             sample.root = static_cast<uint8_t>(root);
             sample.v6 = v6;

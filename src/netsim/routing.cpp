@@ -23,6 +23,24 @@ uint64_t family_tag(util::IpFamily family) {
   return family == util::IpFamily::V4 ? 4 : 6;
 }
 
+// The churn draw: at `round` the selection sits on its secondary candidate.
+bool churned(const AnycastRouter::Selection& selection, uint64_t round) {
+  return unit_from_hash(mix(selection.flip_stream, round, 1, 2)) <
+         selection.flip_probability;
+}
+
+RouteResult chosen_route(const AnycastRouter::Selection& selection,
+                         bool use_secondary) {
+  RouteResult route;
+  route.site_id =
+      use_secondary ? selection.secondary_site : selection.primary_site;
+  route.rtt_ms =
+      use_secondary ? selection.secondary_rtt_ms : selection.primary_rtt_ms;
+  route.via_detour = selection.via_detour;
+  route.detour_as = selection.detour_as;
+  return route;
+}
+
 }  // namespace
 
 std::array<ChurnSpec, 13> default_churn_specs() {
@@ -79,61 +97,11 @@ const AnycastSite& AnycastRouter::closest_global_site(const VantageView& vp,
   return *best;
 }
 
-AnycastRouter::Candidates AnycastRouter::candidates_for(
+std::vector<AnycastRouter::RankedSite> AnycastRouter::ranked_sites(
     const VantageView& vp, uint32_t root_index, util::IpFamily family) const {
-  // Detour rules first: a matching rule hijacks this VP's routes for this
-  // (root, family) with the configured probability (stable per VP).
-  for (const DetourRule& rule : topology_->detours) {
-    if (rule.root_index != root_index || rule.region != vp.region ||
-        rule.family != family)
-      continue;
-    uint64_t h = mix(seed_mix_, vp.vp_id, root_index * 131 + family_tag(family),
-                     rule.via_as);
-    if (unit_from_hash(h) < rule.vp_fraction) {
-      // Select the replica the detour delivers to: the best site as seen from
-      // the transit AS (out-of-region rules pick a remote one).
-      Candidates c;
-      c.via_detour = true;
-      c.detour_as = rule.via_as;
-      uint32_t chosen = 0;
-      double best = 1e18;
-      for (uint32_t site_id : topology_->sites_by_root[root_index]) {
-        const AnycastSite& site = topology_->sites[site_id];
-        if (site.type != SiteType::Global) continue;
-        bool remote = site.region != vp.region;
-        if (rule.out_of_region != remote) continue;
-        double d = util::haversine_km(vp.location, site.location);
-        // Deterministic tie-break noise per site.
-        d *= 1.0 + 0.2 * unit_from_hash(mix(seed_mix_, site_id, rule.via_as, 7));
-        if (d < best) {
-          best = d;
-          chosen = site_id;
-        }
-      }
-      if (best < 1e18) {
-        c.primary = chosen;
-        c.secondary = chosen;
-        double u = unit_from_hash(mix(seed_mix_, vp.vp_id, chosen, 99));
-        // Lognormal RTT around the rule's calibrated mean.
-        double z = std::sqrt(-2.0 * std::log(std::max(u, 1e-12))) *
-                   std::cos(6.283185307179586 *
-                            unit_from_hash(mix(seed_mix_, vp.vp_id, chosen, 100)));
-        double mu = std::log(rule.mean_rtt_ms) - rule.rtt_sigma * rule.rtt_sigma / 2;
-        c.primary_rtt = std::exp(mu + rule.rtt_sigma * z);
-        c.secondary_rtt = c.primary_rtt;
-        return c;
-      }
-    }
-  }
-
-  // Normal BGP-proxy selection: rank by perturbed distance.
-  struct Scored {
-    uint32_t site_id;
-    double cost;
-    double distance;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(topology_->sites_by_root[root_index].size());
+  const uint64_t ftag = family_tag(family);
+  std::vector<RankedSite> ranked;
+  ranked.reserve(topology_->sites_by_root[root_index].size());
   for (uint32_t site_id : topology_->sites_by_root[root_index]) {
     const AnycastSite& site = topology_->sites[site_id];
     if (site.type == SiteType::Local) {
@@ -153,75 +121,32 @@ AnycastRouter::Candidates AnycastRouter::candidates_for(
     double distance = util::haversine_km(vp.location, site.location);
     // Per-(VP, site, family) policy perturbation: BGP path choice is not
     // geographic. Lognormal multiplier, median 1.
-    double u1 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id,
-                                   family_tag(family)));
-    double u2 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id,
-                                   family_tag(family) + 100));
-    double z = std::sqrt(-2.0 * std::log(std::max(u1, 1e-12))) *
-               std::cos(6.283185307179586 * u2);
-    double cost = (distance + 200.0) * std::exp(config_.policy_noise_sigma * z);
-    // Local sites are preferred when visible (shorter AS path).
-    if (site.type == SiteType::Local) cost *= 0.5;
-    scored.push_back({site_id, cost, distance});
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const Scored& a, const Scored& b) { return a.cost < b.cost; });
-
-  Candidates c;
-  c.primary = scored[0].site_id;
-  c.secondary = scored.size() > 1 ? scored[1].site_id : scored[0].site_id;
-  auto rtt_of = [&](const Scored& s) {
-    // Fiber RTT + access network constant + per-path jitter.
-    double base = util::fiber_rtt_ms(s.distance) + 2.0;
-    double jitter =
-        1.0 + 0.5 * unit_from_hash(mix(seed_mix_, vp.vp_id, s.site_id, 55));
-    return base * jitter;
-  };
-  c.primary_rtt = rtt_of(scored[0]);
-  c.secondary_rtt = scored.size() > 1 ? rtt_of(scored[1]) : c.primary_rtt;
-  return c;
-}
-
-std::vector<AnycastRouter::AnnouncedRoute> AnycastRouter::announced_routes(
-    const VantageView& vp, uint32_t root_index, util::IpFamily family,
-    size_t max_routes) const {
-  // Re-run the selection scan but keep the whole ranking — the control-plane
-  // table a route collector at the VP would export.
-  struct Scored {
-    uint32_t site_id;
-    double cost;
-  };
-  std::vector<Scored> scored;
-  uint64_t ftag = family_tag(family);
-  for (uint32_t site_id : topology_->sites_by_root[root_index]) {
-    const AnycastSite& site = topology_->sites[site_id];
-    if (site.type == SiteType::Local) {
-      if (site.local_scope == LocalScope::AsLocal) {
-        bool insider =
-            unit_from_hash(mix(seed_mix_, vp.asn, site_id, 0xA5)) < 0.01;
-        if (!insider) continue;
-      } else {
-        bool visible = std::find(vp.connectivity.begin(), vp.connectivity.end(),
-                                 site.facility) != vp.connectivity.end();
-        if (!visible) continue;
-      }
-    }
-    double distance = util::haversine_km(vp.location, site.location);
     double u1 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag));
     double u2 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag + 100));
     double z = std::sqrt(-2.0 * std::log(std::max(u1, 1e-12))) *
                std::cos(6.283185307179586 * u2);
     double cost = (distance + 200.0) * std::exp(config_.policy_noise_sigma * z);
+    // Local sites are preferred when visible (shorter AS path).
     if (site.type == SiteType::Local) cost *= 0.5;
-    scored.push_back({site_id, cost});
+    ranked.push_back({site_id, cost, distance});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const Scored& a, const Scored& b) { return a.cost < b.cost; });
-  if (scored.size() > max_routes) scored.resize(max_routes);
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankedSite& a, const RankedSite& b) { return a.cost < b.cost; });
+  return ranked;
+}
 
+std::vector<AnycastRouter::AnnouncedRoute> AnycastRouter::announced_routes(
+    const VantageView& vp, uint32_t root_index, util::IpFamily family,
+    size_t max_routes) const {
+  // The selection's ranking, kept whole — the control-plane table a route
+  // collector at the VP would export.
+  std::vector<RankedSite> ranked = ranked_sites(vp, root_index, family);
+  if (ranked.size() > max_routes) ranked.resize(max_routes);
+
+  const uint64_t ftag = family_tag(family);
   std::vector<AnnouncedRoute> routes;
-  routes.reserve(scored.size());
-  for (const Scored& s : scored) {
+  routes.reserve(ranked.size());
+  for (const RankedSite& s : ranked) {
     AnnouncedRoute route;
     route.site_id = s.site_id;
     route.path_cost = s.cost;
@@ -253,26 +178,110 @@ double AnycastRouter::flip_probability(const VantageView& vp, uint32_t root_inde
   return std::min(0.5, p * vp.churn_multiplier);
 }
 
-RouteResult AnycastRouter::finish(const VantageView& vp, uint32_t root_index,
-                                  util::IpFamily family, const Candidates& c,
-                                  bool use_secondary) const {
-  RouteResult result;
-  result.site_id = use_secondary ? c.secondary : c.primary;
-  result.rtt_ms = use_secondary ? c.secondary_rtt : c.primary_rtt;
-  result.via_detour = c.via_detour;
-  result.detour_as = c.detour_as;
+AnycastRouter::Selection AnycastRouter::prepare_selection(
+    const VantageView& vp, uint32_t root_index, util::IpFamily family) const {
+  Selection s;
+  s.flip_probability = flip_probability(vp, root_index, family);
+  s.flip_stream = mix(seed_mix_ ^ 0x5151515151515151ULL, vp.vp_id,
+                      root_index * 131 + family_tag(family), 0xABCD);
 
-  const AnycastSite& site = topology_->sites[result.site_id];
+  // Detour rules first: a matching rule hijacks this VP's routes for this
+  // (root, family) with the configured probability (stable per VP).
+  for (const DetourRule& rule : topology_->detours) {
+    if (rule.root_index != root_index || rule.region != vp.region ||
+        rule.family != family)
+      continue;
+    uint64_t h = mix(seed_mix_, vp.vp_id, root_index * 131 + family_tag(family),
+                     rule.via_as);
+    if (unit_from_hash(h) < rule.vp_fraction) {
+      // Select the replica the detour delivers to: the best site as seen from
+      // the transit AS (out-of-region rules pick a remote one).
+      uint32_t chosen = 0;
+      double best = 1e18;
+      for (uint32_t site_id : topology_->sites_by_root[root_index]) {
+        const AnycastSite& site = topology_->sites[site_id];
+        if (site.type != SiteType::Global) continue;
+        bool remote = site.region != vp.region;
+        if (rule.out_of_region != remote) continue;
+        double d = util::haversine_km(vp.location, site.location);
+        // Deterministic tie-break noise per site.
+        d *= 1.0 + 0.2 * unit_from_hash(mix(seed_mix_, site_id, rule.via_as, 7));
+        if (d < best) {
+          best = d;
+          chosen = site_id;
+        }
+      }
+      if (best < 1e18) {
+        s.via_detour = true;
+        s.detour_as = rule.via_as;
+        s.primary_site = chosen;
+        s.secondary_site = chosen;
+        double u = unit_from_hash(mix(seed_mix_, vp.vp_id, chosen, 99));
+        // Lognormal RTT around the rule's calibrated mean.
+        double z = std::sqrt(-2.0 * std::log(std::max(u, 1e-12))) *
+                   std::cos(6.283185307179586 *
+                            unit_from_hash(mix(seed_mix_, vp.vp_id, chosen, 100)));
+        double mu = std::log(rule.mean_rtt_ms) - rule.rtt_sigma * rule.rtt_sigma / 2;
+        s.primary_rtt_ms = std::exp(mu + rule.rtt_sigma * z);
+        s.secondary_rtt_ms = s.primary_rtt_ms;
+        return s;
+      }
+    }
+  }
+
+  // Normal BGP-proxy selection: the two cheapest paths.
+  const std::vector<RankedSite> ranked = ranked_sites(vp, root_index, family);
+  const RankedSite& primary = ranked[0];
+  const RankedSite& secondary = ranked.size() > 1 ? ranked[1] : ranked[0];
+  auto rtt_of = [&](const RankedSite& site) {
+    // Fiber RTT + access network constant + per-path jitter.
+    double base = util::fiber_rtt_ms(site.distance_km) + 2.0;
+    double jitter =
+        1.0 + 0.5 * unit_from_hash(mix(seed_mix_, vp.vp_id, site.site_id, 55));
+    return base * jitter;
+  };
+  s.primary_site = primary.site_id;
+  s.secondary_site = secondary.site_id;
+  s.primary_rtt_ms = rtt_of(primary);
+  s.secondary_rtt_ms = rtt_of(secondary);
+  return s;
+}
+
+RouteResult AnycastRouter::pick(const Selection& selection,
+                                util::IpFamily family, uint64_t round) const {
+  const bool use_secondary = churned(selection, round);
+  const size_t f = family == util::IpFamily::V4 ? 0 : 1;
+  obs::inc(selections_[f]);
+  if (selection.primary_site != selection.secondary_site) {
+    if (use_secondary) obs::inc(site_flips_[f]);
+    // A churn event is a round-over-round site change — the unit Fig. 3
+    // counts. The previous round's pick replays the same hash stream, so
+    // this costs one mix() and stays deterministic.
+    if (round > 0 && churn_events_[f] &&
+        churned(selection, round - 1) != use_secondary)
+      obs::inc(churn_events_[f]);
+  }
+  return chosen_route(selection, use_secondary);
+}
+
+uint32_t AnycastRouter::site_at_round(const Selection& selection, uint64_t round) {
+  return churned(selection, round) ? selection.secondary_site
+                                   : selection.primary_site;
+}
+
+void AnycastRouter::finish(const VantageView& vp, uint32_t root_index,
+                           util::IpFamily family, RouteResult& route) const {
+  const AnycastSite& site = topology_->sites[route.site_id];
   uint64_t ftag = family_tag(family);
 
   // Second-to-last hop identity.
   RouterId hop;
-  if (c.via_detour) {
+  if (route.via_detour) {
     // The detour transit AS's edge router serves several roots' traffic from
     // this VP — shared infrastructure observed via a shared hop (paper §5's
     // AS6939/AS12956 note). Keyed by AS and family only: every root carried
     // by the AS from this region funnels through the same edge.
-    hop = mix(0xD0u, c.detour_as, ftag, static_cast<uint64_t>(vp.region));
+    hop = mix(0xD0u, route.detour_as, ftag, static_cast<uint64_t>(vp.region));
   } else {
     double dedicated_prob = family == util::IpFamily::V4
                                 ? config_.dedicated_router_prob_v4
@@ -291,68 +300,37 @@ RouteResult AnycastRouter::finish(const VantageView& vp, uint32_t root_index,
   }
   // Traceroute may miss the hop entirely; analysis then must treat it as
   // unique (0 is the "no answer" marker).
-  bool lost = unit_from_hash(mix(seed_mix_, vp.vp_id, result.site_id,
+  bool lost = unit_from_hash(mix(seed_mix_, vp.vp_id, route.site_id,
                                  ftag + 777)) < config_.hop_loss_probability;
-  result.second_to_last_hop = lost ? 0 : hop;
+  route.second_to_last_hop = lost ? 0 : hop;
 
   // Synthesized full path: VP gateway, VP AS core, 1-3 transit hops,
   // facility router (the second-to-last hop), then the instance.
-  result.hops.push_back(mix(0xA0u, vp.vp_id, 0, ftag));
-  result.hops.push_back(mix(0xA1u, vp.asn, 0, ftag));
+  route.hops.push_back(mix(0xA0u, vp.vp_id, 0, ftag));
+  route.hops.push_back(mix(0xA1u, vp.asn, 0, ftag));
   size_t transit_hops =
-      1 + mix(seed_mix_, vp.vp_id, result.site_id, ftag + 3) % 3;
+      1 + mix(seed_mix_, vp.vp_id, route.site_id, ftag + 3) % 3;
   for (size_t i = 0; i < transit_hops; ++i)
-    result.hops.push_back(mix(0xB0u + i, vp.vp_id ^ (site.facility << 8), i, ftag));
-  result.hops.push_back(result.second_to_last_hop);
-  result.hops.push_back(mix(0xC0u, site.id, root_index, ftag));
-  return result;
+    route.hops.push_back(mix(0xB0u + i, vp.vp_id ^ (site.facility << 8), i, ftag));
+  route.hops.push_back(route.second_to_last_hop);
+  route.hops.push_back(mix(0xC0u, site.id, root_index, ftag));
 }
 
 RouteResult AnycastRouter::route(const VantageView& vp, uint32_t root_index,
                                  util::IpFamily family) const {
-  Candidates c = candidates_for(vp, root_index, family);
+  RouteResult result = chosen_route(prepare_selection(vp, root_index, family),
+                                    /*use_secondary=*/false);
   obs::inc(selections_[family == util::IpFamily::V4 ? 0 : 1]);
-  return finish(vp, root_index, family, c, /*use_secondary=*/false);
+  finish(vp, root_index, family, result);
+  return result;
 }
 
 RouteResult AnycastRouter::route_at(const VantageView& vp, uint32_t root_index,
                                     util::IpFamily family, uint64_t round) const {
-  Candidates c = candidates_for(vp, root_index, family);
-  double p = flip_probability(vp, root_index, family);
-  uint64_t stream = mix(seed_mix_ ^ 0x5151515151515151ULL, vp.vp_id,
-                        root_index * 131 + family_tag(family), 0xABCD);
-  bool use_secondary = unit_from_hash(mix(stream, round, 1, 2)) < p;
-  size_t f = family == util::IpFamily::V4 ? 0 : 1;
-  obs::inc(selections_[f]);
-  if (c.primary != c.secondary) {
-    if (use_secondary) obs::inc(site_flips_[f]);
-    // A churn event is a round-over-round site change — the unit Fig. 3
-    // counts. The previous round's pick replays the same hash stream, so
-    // this costs one mix() and stays deterministic.
-    if (round > 0 && churn_events_[f]) {
-      bool prev_secondary = unit_from_hash(mix(stream, round - 1, 1, 2)) < p;
-      if (prev_secondary != use_secondary) obs::inc(churn_events_[f]);
-    }
-  }
-  return finish(vp, root_index, family, c, use_secondary);
-}
-
-AnycastRouter::Selection AnycastRouter::prepare_selection(
-    const VantageView& vp, uint32_t root_index, util::IpFamily family) const {
-  Candidates c = candidates_for(vp, root_index, family);
-  Selection s;
-  s.primary_site = c.primary;
-  s.secondary_site = c.secondary;
-  s.flip_probability = flip_probability(vp, root_index, family);
-  s.flip_stream = mix(seed_mix_ ^ 0x5151515151515151ULL, vp.vp_id,
-                      root_index * 131 + family_tag(family), 0xABCD);
-  return s;
-}
-
-uint32_t AnycastRouter::site_at_round(const Selection& selection, uint64_t round) {
-  uint64_t h = mix(selection.flip_stream, round, 1, 2);
-  return unit_from_hash(h) < selection.flip_probability ? selection.secondary_site
-                                                        : selection.primary_site;
+  RouteResult result =
+      pick(prepare_selection(vp, root_index, family), family, round);
+  finish(vp, root_index, family, result);
+  return result;
 }
 
 }  // namespace rootsim::netsim

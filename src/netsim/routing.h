@@ -99,20 +99,36 @@ class AnycastRouter {
 
   /// Selection at a specific measurement round; flips between the top
   /// candidates per the churn process. round in [0, campaign_rounds).
+  /// Equivalent to pick(prepare_selection(...), family, round) plus the
+  /// traceroute hops.
   RouteResult route_at(const VantageView& vp, uint32_t root_index,
                        util::IpFamily family, uint64_t round) const;
 
-  /// Precomputed candidate state for tight per-round loops (the stability
-  /// analysis calls this ~180M times; recomputing candidates would dominate).
+  /// One VP's catchment for one (root, family): the two candidates the
+  /// churn process flips between, with their RTTs and any detour override,
+  /// plus the churn parameters. It depends only on (VP, root, family) and
+  /// the static topology, never on the round, so loops that route the same
+  /// VP many times prepare it once and pick per round: the stability
+  /// analysis makes ~180M such lookups, the SLO timeline one per probe.
   struct Selection {
     uint32_t primary_site = 0;
-    uint32_t secondary_site = 0;
+    uint32_t secondary_site = 0;  // flip target (== primary if one candidate)
+    double primary_rtt_ms = 0;
+    double secondary_rtt_ms = 0;
+    bool via_detour = false;
+    AsId detour_as = 0;
     double flip_probability = 0;
     uint64_t flip_stream = 0;  // hash stream key for per-round decisions
   };
   Selection prepare_selection(const VantageView& vp, uint32_t root_index,
                               util::IpFamily family) const;
-  /// The site chosen at `round` given a prepared selection. O(1).
+  /// The route at `round` from a selection prepared for `family`: the churn
+  /// draw picks the site and its RTT, and the selection, flip and churn
+  /// counters advance exactly as route_at's do. No traceroute hops are
+  /// synthesized (second_to_last_hop = 0, hops empty). O(1).
+  RouteResult pick(const Selection& selection, util::IpFamily family,
+                   uint64_t round) const;
+  /// The site pick() chooses at `round`, without touching the counters. O(1).
   static uint32_t site_at_round(const Selection& selection, uint64_t round);
 
   /// Geographically closest *global* site of a root to this VP (the Fig. 5
@@ -142,19 +158,19 @@ class AnycastRouter {
   const RouterConfig& config() const { return config_; }
 
  private:
-  struct Candidates {
-    uint32_t primary = 0;    // site id
-    uint32_t secondary = 0;  // flip target (== primary if only one candidate)
-    double primary_rtt = 0;
-    double secondary_rtt = 0;
-    bool via_detour = false;
-    AsId detour_as = 0;
+  struct RankedSite {
+    uint32_t site_id = 0;
+    double cost = 0;
+    double distance_km = 0;
   };
-  Candidates candidates_for(const VantageView& vp, uint32_t root_index,
-                            util::IpFamily family) const;
-  RouteResult finish(const VantageView& vp, uint32_t root_index,
-                     util::IpFamily family, const Candidates& c,
-                     bool use_secondary) const;
+  /// Every site of the root the VP can reach (global sites plus the local
+  /// sites visible to it), cheapest BGP-proxy path cost first.
+  std::vector<RankedSite> ranked_sites(const VantageView& vp,
+                                       uint32_t root_index,
+                                       util::IpFamily family) const;
+  /// Synthesizes the traceroute hops of a picked route.
+  void finish(const VantageView& vp, uint32_t root_index,
+              util::IpFamily family, RouteResult& route) const;
   double flip_probability(const VantageView& vp, uint32_t root_index,
                           util::IpFamily family) const;
 

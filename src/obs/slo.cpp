@@ -82,6 +82,18 @@ void SloCollector::merge_from(const SloCollector& other) {
   for (auto& [key, cell] : cells) cells_[key].merge_from(cell);
 }
 
+void SloCollector::merge_from(SloCollector&& other) {
+  std::map<CellKey, Cell> cells;
+  {
+    std::lock_guard<std::mutex> lock(other.mu_);
+    cells.swap(other.cells_);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  // map::merge leaves behind exactly the nodes whose keys collide.
+  cells_.merge(cells);
+  for (auto& [key, cell] : cells) cells_[key].merge_from(cell);
+}
+
 void SloCollector::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   cells_.clear();
@@ -119,38 +131,41 @@ SloCollector::Cell SloCollector::totals(uint8_t root, bool v6) const {
 
 std::vector<SloWindow> SloCollector::windows(
     const SloThresholds& thresholds) const {
-  const auto cells = snapshot();
+  // The sweep reads the cells in place, in key order, under the lock.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<const std::pair<const CellKey, Cell>*> cells;
+  cells.reserve(cells_.size());
+  for (const auto& entry : cells_) cells.push_back(&entry);
   std::vector<SloWindow> out;
   const size_t window = std::max<size_t>(1, thresholds.window_buckets);
 
   size_t i = 0;
   while (i < cells.size()) {
-    // One contiguous run of the snapshot is one (root, family) stream.
-    const auto [root, family, first_bucket] = cells[i].first;
+    // One contiguous run of the cells is one (root, family) stream.
+    const auto [root, family, first_bucket] = cells[i]->first;
     size_t j = i;
-    while (j < cells.size() && std::get<0>(cells[j].first) == root &&
-           std::get<1>(cells[j].first) == family)
+    while (j < cells.size() && std::get<0>(cells[j]->first) == root &&
+           std::get<1>(cells[j]->first) == family)
       ++j;
-    const int64_t last_bucket = std::get<2>(cells[j - 1].first);
+    const int64_t last_bucket = std::get<2>(cells[j - 1]->first);
 
     const double band =
         thresholds.rtt_p95_letter_ms[root] > 0
             ? thresholds.rtt_p95_letter_ms[root]
             : thresholds.rtt_p95_max_ms;
 
-    size_t cursor = i;  // next stream cell at or above the swept bucket
+    // The stream's cells inside the trailing window [bucket - window + 1,
+    // bucket] are the run [front, back); cells are sparse, so both ends
+    // slide by key, not by count.
+    size_t front = i;
+    size_t back = i;
     for (int64_t bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-      // Aggregate the trailing window. Cells are sparse; scan back over the
-      // stream's cells inside [bucket - window + 1, bucket].
+      while (back < j && std::get<2>(cells[back]->first) <= bucket) ++back;
+      while (front < back && std::get<2>(cells[front]->first) <=
+                                 bucket - static_cast<int64_t>(window))
+        ++front;
       Cell agg;
-      size_t back = cursor;
-      if (back < j && std::get<2>(cells[back].first) == bucket) ++cursor;
-      while (back < j && std::get<2>(cells[back].first) <= bucket) ++back;
-      for (size_t k = i; k < back; ++k) {
-        const int64_t b = std::get<2>(cells[k].first);
-        if (b > bucket - static_cast<int64_t>(window) && b <= bucket)
-          agg.merge_from(cells[k].second);
-      }
+      for (size_t k = front; k < back; ++k) agg.merge_from(cells[k]->second);
 
       SloWindow w;
       w.root = root;

@@ -167,6 +167,10 @@ class SloCollector {
 
   void record(const SloSample& sample);
   void merge_from(const SloCollector& other);
+  /// Same result as the copying overload, but moves `other`'s cells in: a
+  /// cell whose key is new here is spliced over as a map node, and only
+  /// keys present on both sides are folded. Leaves `other` empty.
+  void merge_from(SloCollector&& other);
   void clear();
 
   bool empty() const;

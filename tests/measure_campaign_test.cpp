@@ -8,16 +8,20 @@
 
 #include "netsim/flight_recorder.h"
 #include "scenario/apply.h"
+#include "scenario/library.h"
 
 namespace rootsim::measure {
 namespace {
 
-CampaignConfig fast_config() {
-  CampaignConfig config = scenario::paper_campaign_config();
+CampaignConfig scaled_down(CampaignConfig config) {
   config.zone.tld_count = 25;
   config.zone.rsa_modulus_bits = 512;
   config.vp_scale = 0.05;
   return config;
+}
+
+CampaignConfig fast_config() {
+  return scaled_down(scenario::paper_campaign_config());
 }
 
 TEST(Campaign, AssemblesAllComponents) {
@@ -170,6 +174,41 @@ TEST(Campaign, LossyAuditIsIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(parallel[i].zonemd, serial[i].zonemd) << workers << ":" << i;
       EXPECT_EQ(parallel[i].note, serial[i].note) << workers << ":" << i;
     }
+  }
+}
+
+TEST(Campaign, ScenarioAuditRunsTheSpecsFaultsNotTheCampaignsPlan) {
+  // The campaign carries the paper's full Table 2 plan; the spec handed to
+  // the audit keeps only its clock-skew rows.
+  scenario::ScenarioSpec spec = scenario::paper_2023();
+  std::vector<scenario::FaultSpec> skews;
+  for (const scenario::FaultSpec& fault : spec.faults)
+    if (fault.kind == scenario::FaultSpec::Kind::ClockSkew)
+      skews.push_back(fault);
+  spec.faults = skews;
+  Campaign campaign(fast_config());
+  ASSERT_FALSE(spec.faults.empty());
+  ASSERT_LT(spec.faults.size(), campaign.fault_plan().size());
+  auto observations = campaign.run_zone_audit(spec, /*clean_samples=*/0, 2);
+
+  // The audit must follow the spec: it observes exactly what a campaign
+  // whose own plan is the spec's faults observes.
+  Campaign planned(scaled_down(scenario::apply(spec).campaign));
+  ASSERT_EQ(planned.fault_plan().size(), spec.faults.size());
+  auto expected = planned.run_zone_audit(/*clean_samples=*/0, 2);
+  ASSERT_EQ(observations.size(), spec.faults.size());
+  ASSERT_EQ(observations.size(), expected.size());
+  for (size_t i = 0; i < observations.size(); ++i) {
+    EXPECT_EQ(observations[i].vp_id, expected[i].vp_id) << i;
+    EXPECT_EQ(observations[i].table2_vp_id, expected[i].table2_vp_id) << i;
+    EXPECT_EQ(observations[i].root_index, expected[i].root_index) << i;
+    EXPECT_EQ(observations[i].when, expected[i].when) << i;
+    EXPECT_EQ(observations[i].soa_serial, expected[i].soa_serial) << i;
+    EXPECT_EQ(observations[i].verdict, expected[i].verdict) << i;
+    EXPECT_EQ(observations[i].note, expected[i].note) << i;
+    EXPECT_EQ(observations[i].verdict,
+              dnssec::ValidationStatus::SignatureNotIncepted)
+        << i;
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <map>
 #include <set>
 
+#include "obs/metrics.h"
 #include "rss/catalog.h"
 #include "util/stats.h"
 
@@ -144,14 +147,102 @@ TEST(Routing, ChurnFlipsBetweenPreparedCandidates) {
     EXPECT_TRUE(site == selection.primary_site || site == selection.secondary_site);
 }
 
-TEST(Routing, RouteAtAgreesWithPreparedSelection) {
+// Property: routing a VP through a prepared selection is routing it with
+// route_at, for VPs in every region, detoured VPs and VPs that see a local
+// site, over every letter, both families and rounds 0..500: the same site,
+// a bit-equal RTT, and the same selection, flip and churn counters.
+TEST(Routing, PickFromPreparedSelectionAgreesWithRouteAt) {
   Fixture f;
-  VantageView vp = f.vp_at(6, util::Region::Asia, 1.3, 103.8);
-  vp.churn_multiplier = 20;
-  auto selection = f.router->prepare_selection(vp, 6, util::IpFamily::V4);
-  for (uint64_t round = 0; round < 500; ++round) {
-    RouteResult route = f.router->route_at(vp, 6, util::IpFamily::V4, round);
-    EXPECT_EQ(route.site_id, AnycastRouter::site_at_round(selection, round));
+  std::vector<VantageView> vps;
+  const std::array<std::pair<double, double>, util::kRegionCount> anchors = {{
+      {-1.3, 36.8},    // Africa
+      {1.3, 103.8},    // Asia
+      {50.1, 8.7},     // Europe
+      {40.7, -74.0},   // North America
+      {-23.5, -46.6},  // South America
+      {-33.9, 151.2},  // Oceania
+  }};
+  for (size_t r = 0; r < util::kRegionCount; ++r) {
+    for (uint32_t k = 0; k < 2; ++k) {
+      VantageView vp = f.vp_at(static_cast<uint32_t>(7000 + 10 * r + k),
+                               static_cast<util::Region>(r),
+                               anchors[r].first + k, anchors[r].second - k);
+      vp.churn_multiplier = k == 0 ? 1.0 : 40.0;
+      vps.push_back(vp);
+    }
+  }
+  // i.root North America v6: the AS6939 detour takes about half the VPs.
+  size_t detoured = 0;
+  for (uint32_t id = 7100; detoured < 2 && id < 7200; ++id) {
+    VantageView vp = f.vp_at(id, util::Region::NorthAmerica, 30 + id % 20,
+                             -120 + id % 45);
+    if (!f.router->prepare_selection(vp, 8, util::IpFamily::V6).via_detour)
+      continue;
+    vp.churn_multiplier = 20;
+    vps.push_back(vp);
+    ++detoured;
+  }
+  ASSERT_EQ(detoured, 2u);
+  // VPs peering at the facility of an IXP-local site, which they then see.
+  size_t local = 0;
+  for (const AnycastSite& site : f.topology.sites) {
+    if (local == 3) break;
+    if (site.type != SiteType::Local || site.local_scope != LocalScope::IxpLocal)
+      continue;
+    VantageView vp = f.vp_at(static_cast<uint32_t>(7200 + local), site.region,
+                             site.location.lat_deg, site.location.lon_deg);
+    vp.connectivity = {site.facility};
+    vp.churn_multiplier = 40;
+    const auto selection =
+        f.router->prepare_selection(vp, site.root_index, util::IpFamily::V4);
+    if (f.topology.sites[selection.primary_site].type != SiteType::Local &&
+        f.topology.sites[selection.secondary_site].type != SiteType::Local)
+      continue;
+    vps.push_back(vp);
+    ++local;
+  }
+  ASSERT_EQ(local, 3u);
+
+  obs::Recorder routed_obs, picked_obs;
+  AnycastRouter routed(f.topology, f.config, routed_obs.obs());
+  AnycastRouter picked(f.topology, f.config, picked_obs.obs());
+  size_t mismatches = 0;
+  for (const VantageView& vp : vps) {
+    for (uint32_t root = 0; root < 13; ++root) {
+      for (util::IpFamily family : {util::IpFamily::V4, util::IpFamily::V6}) {
+        const auto selection = picked.prepare_selection(vp, root, family);
+        for (uint64_t round = 0; round <= 500; ++round) {
+          const RouteResult want = routed.route_at(vp, root, family, round);
+          const RouteResult got = picked.pick(selection, family, round);
+          const bool same =
+              got.site_id == want.site_id &&
+              std::bit_cast<uint64_t>(got.rtt_ms) ==
+                  std::bit_cast<uint64_t>(want.rtt_ms) &&
+              got.via_detour == want.via_detour &&
+              got.detour_as == want.detour_as &&
+              AnycastRouter::site_at_round(selection, round) == want.site_id;
+          if (!same && mismatches++ == 0)
+            ADD_FAILURE() << "vp " << vp.vp_id << " root " << root
+                          << " family " << util::to_string(family)
+                          << " round " << round << ": picked site "
+                          << got.site_id << " (" << got.rtt_ms
+                          << " ms), route_at site " << want.site_id << " ("
+                          << want.rtt_ms << " ms)";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  for (const char* name :
+       {"netsim.route_selections", "netsim.site_flips", "netsim.churn_events"}) {
+    for (const char* family : {"v4", "v6"}) {
+      const obs::LabelSet labels{{"family", family}};
+      const uint64_t want = routed_obs.metrics().counter_value(name, labels);
+      EXPECT_EQ(picked_obs.metrics().counter_value(name, labels), want)
+          << name << " " << family;
+      EXPECT_GT(want, 0u) << name << " " << family;
+    }
   }
 }
 

@@ -145,6 +145,97 @@ TEST(SloCollector, MergeOrderAndShardingInvisibleInExport) {
   }
 }
 
+// Fills buckets [first_bucket, first_bucket + 4) of letters a and b, both
+// families, with every sample kind.
+void feed_buckets(SloCollector& c, int first_bucket, int salt) {
+  const util::UnixTime t0 = util::make_time(2023, 7, 3);
+  for (int i = 0; i < 30; ++i) {
+    const util::UnixTime when = t0 + (first_bucket + i % 4) * kBucket + i * 13;
+    const uint8_t root = i % 3 == 0 ? 1 : 0;
+    const bool v6 = i % 2 == 1;
+    c.record(probe(when, (i + salt) % 5 != 0, root, v6));
+    SloSample sample = probe(when, true, root, v6);
+    sample.kind = SloSample::Kind::Latency;
+    sample.value = 5.0 + i + salt;
+    c.record(sample);
+    sample.kind = SloSample::Kind::Staleness;
+    sample.value = 60.0 * (i + salt);
+    c.record(sample);
+    sample.kind = SloSample::Kind::Publication;
+    sample.value = 300.0 + 7 * i;
+    c.record(sample);
+    sample.kind = SloSample::Kind::Integrity;
+    sample.ok = (i + salt) % 4 != 0;
+    c.record(sample);
+  }
+}
+
+void expect_same_cells(const SloCollector& got, const SloCollector& want) {
+  const auto got_cells = got.snapshot();
+  const auto want_cells = want.snapshot();
+  ASSERT_EQ(got_cells.size(), want_cells.size());
+  for (size_t i = 0; i < got_cells.size(); ++i) {
+    const auto& [got_key, got_cell] = got_cells[i];
+    const auto& [want_key, want_cell] = want_cells[i];
+    EXPECT_EQ(got_key, want_key) << i;
+    EXPECT_EQ(got_cell.probes, want_cell.probes) << i;
+    EXPECT_EQ(got_cell.answered, want_cell.answered) << i;
+    EXPECT_EQ(got_cell.rtt_us.to_json(), want_cell.rtt_us.to_json()) << i;
+    EXPECT_EQ(got_cell.publication_s.to_json(),
+              want_cell.publication_s.to_json())
+        << i;
+    EXPECT_EQ(got_cell.staleness_s.to_json(), want_cell.staleness_s.to_json())
+        << i;
+    EXPECT_EQ(got_cell.integrity_checks, want_cell.integrity_checks) << i;
+    EXPECT_EQ(got_cell.integrity_ok, want_cell.integrity_ok) << i;
+  }
+  EXPECT_EQ(got.to_jsonl(tiny_thresholds()), want.to_jsonl(tiny_thresholds()));
+}
+
+TEST(SloCollector, MovingMergeMatchesCopyingMerge) {
+  // Second shard's first bucket: 10 leaves the shards' buckets disjoint, 2
+  // makes them overlap, so the move both splices and folds.
+  for (int second_first_bucket : {10, 2}) {
+    for (bool reversed : {false, true}) {
+      SloCollector a, b, copied;
+      feed_buckets(a, 0, 0);
+      feed_buckets(b, second_first_bucket, 1);
+      copied.merge_from(reversed ? b : a);
+      copied.merge_from(reversed ? a : b);
+      const size_t shard_cells = a.cell_count() + b.cell_count();
+      if (second_first_bucket == 10)
+        EXPECT_EQ(copied.cell_count(), shard_cells);
+      else
+        EXPECT_LT(copied.cell_count(), shard_cells);
+
+      SloCollector moved;
+      moved.merge_from(reversed ? std::move(b) : std::move(a));
+      moved.merge_from(reversed ? std::move(a) : std::move(b));
+      expect_same_cells(moved, copied);
+      EXPECT_TRUE(a.empty());
+      EXPECT_TRUE(b.empty());
+      EXPECT_EQ(a.cell_count() + b.cell_count(), 0u);
+    }
+  }
+}
+
+TEST(SloCollector, ConcurrentMovingMergesMatchTheCopyingMerge) {
+  // Two shards moved into one collector from two threads: the locks are
+  // taken one at a time, and merging commutes, so the cells come out the
+  // same as a sequential copying merge.
+  SloCollector a, b, copied;
+  feed_buckets(a, 0, 0);
+  feed_buckets(b, 2, 1);
+  copied.merge_from(a);
+  copied.merge_from(b);
+  SloCollector moved;
+  std::thread ta([&] { moved.merge_from(std::move(a)); });
+  std::thread tb([&] { moved.merge_from(std::move(b)); });
+  ta.join();
+  tb.join();
+  expect_same_cells(moved, copied);
+}
+
 TEST(SloCollector, TotalsFoldEveryBucketOfOneStream) {
   SloCollector collector;
   const util::UnixTime t0 = util::make_time(2023, 7, 3);

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -9,6 +10,8 @@
 #include "scenario/apply.h"
 #include "scenario/library.h"
 #include "scenario/parser.h"
+#include "util/rng.h"
+#include "util/strings.h"
 #include "util/timeutil.h"
 
 // Where the committed .scn files live; injected by tests/CMakeLists.txt so
@@ -161,6 +164,34 @@ TEST(ScenarioRun, EveryLibraryScenarioIsWorkerAndScheduleInvariant) {
     EXPECT_EQ(serial.slo_jsonl, parallel.slo_jsonl) << spec.name;
     EXPECT_EQ(serial.incidents_jsonl, parallel.incidents_jsonl) << spec.name;
     EXPECT_GT(serial.windows.size(), 0u) << spec.name;
+  }
+}
+
+// FNV-1a 64 of slo.jsonl + incidents.jsonl, in hex.
+std::string export_digest(const measure::SloTimelineResult& result) {
+  return util::format("%016llx",
+                      static_cast<unsigned long long>(util::fnv1a(
+                          result.slo_jsonl + result.incidents_jsonl)));
+}
+
+TEST(ScenarioRun, SmokeExportsMatchRecordedDigests) {
+  // The invariance suites above compare runs with each other, so a change
+  // that moves every worker count's exports alike passes them. These
+  // digests pin the bytes themselves; re-record them only for an intended
+  // change of the exports.
+  const std::map<std::string, std::string> expected = {
+      {"paper-2023", "d3d45d6a427ee409"},
+      {"froot-buildout", "3d98b53b11a7ecdc"},
+      {"anycast-catchment", "0018d1b2a8862364"},
+      {"ddos-c-globals", "c15f4b45d1aaf5ea"},
+  };
+  ASSERT_EQ(library().size(), expected.size());
+  for (const ScenarioSpec& spec : library()) {
+    const auto it = expected.find(spec.name);
+    ASSERT_NE(it, expected.end()) << spec.name << ": no recorded digest";
+    EXPECT_EQ(export_digest(run_smoke(smoke_variant(spec), 1, "worksteal")),
+              it->second)
+        << spec.name;
   }
 }
 
