@@ -278,8 +278,30 @@ SloTimelineResult Campaign::run_slo_timeline(
   });
   shards.merge();
 
+  // A (letter, family) stream's windows and totals read only its own cells,
+  // and its JSONL lines only its windows, so both run per stream over the
+  // workers and are joined in stream order: the same windows and bytes as
+  // one serial pass, without leaving most of the call on one thread.
+  const std::vector<obs::SloCollector::StreamSweep> streams =
+      main.slo->sweep_streams(
+          options.thresholds,
+          [&](size_t count, const std::function<void(size_t)>& fn) {
+            exec::parallel_for(count, workers,
+                               [&](size_t index, size_t) { fn(index); });
+          });
+  std::vector<std::string> stream_jsonl(streams.size());
+  exec::parallel_for(streams.size(), workers, [&](size_t index, size_t) {
+    stream_jsonl[index] =
+        obs::SloCollector::windows_to_jsonl(streams[index].windows);
+  });
+
   SloTimelineResult result;
-  result.windows = main.slo->windows(options.thresholds);
+  size_t window_count = 0;
+  for (const auto& stream : streams) window_count += stream.windows.size();
+  result.windows.reserve(window_count);
+  for (const auto& stream : streams)
+    result.windows.insert(result.windows.end(), stream.windows.begin(),
+                          stream.windows.end());
 
   // Attribution hints, in deterministic construction order (the tracker's
   // scoring is order-independent anyway).
@@ -346,24 +368,26 @@ SloTimelineResult Campaign::run_slo_timeline(
   tracker.observe(result.windows);
   tracker.add_hints(result.hints);
   result.incidents = tracker.incidents();
+  // The scenario header line (windows_to_jsonl of no windows), then the
+  // streams' lines.
   result.slo_jsonl = obs::SloCollector::windows_to_jsonl(
-      result.windows, config_.scenario_name);
+      {}, config_.scenario_name);
+  size_t jsonl_bytes = result.slo_jsonl.size();
+  for (const std::string& lines : stream_jsonl) jsonl_bytes += lines.size();
+  result.slo_jsonl.reserve(jsonl_bytes);
+  for (const std::string& lines : stream_jsonl) result.slo_jsonl += lines;
   result.incidents_jsonl = obs::IncidentTracker::incidents_to_jsonl(
       result.incidents, config_.scenario_name);
 
-  for (uint32_t root = 0; root < obs::kSloRoots; ++root) {
-    for (int fam = 0; fam < 2; ++fam) {
-      const obs::SloCollector::Cell totals =
-          main.slo->totals(static_cast<uint8_t>(root), fam == 1);
-      result.probes += totals.probes;
-      result.failed_probes += totals.probes - totals.answered;
-      result.latency_samples += totals.rtt_us.count();
-      result.publication_count += totals.publication_s.count();
-      result.staleness_samples += totals.staleness_s.count();
-      result.integrity_checks += totals.integrity_checks;
-      result.integrity_failures +=
-          totals.integrity_checks - totals.integrity_ok;
-    }
+  for (const auto& stream : streams) {
+    const obs::SloCollector::Cell& totals = stream.totals;
+    result.probes += totals.probes;
+    result.failed_probes += totals.probes - totals.answered;
+    result.latency_samples += totals.rtt_us.count();
+    result.publication_count += totals.publication_s.count();
+    result.staleness_samples += totals.staleness_s.count();
+    result.integrity_checks += totals.integrity_checks;
+    result.integrity_failures += totals.integrity_checks - totals.integrity_ok;
   }
   if (obs_.metrics) {
     obs_.count("campaign.slo_timeline_probes", result.probes);

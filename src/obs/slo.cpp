@@ -118,95 +118,116 @@ SloCollector::snapshot() const {
 SloCollector::Cell SloCollector::totals(uint8_t root, bool v6) const {
   Cell total;
   std::lock_guard<std::mutex> lock(mu_);
-  const uint8_t family = v6 ? 1 : 0;
-  auto it = cells_.lower_bound({root, family,
-                                std::numeric_limits<int64_t>::min()});
-  for (; it != cells_.end(); ++it) {
-    const auto& [r, f, bucket] = it->first;
-    if (r != root || f != family) break;
-    total.merge_from(it->second);
-  }
+  for (const Entry* entry : stream_cells(root, v6))
+    total.merge_from(entry->second);
   return total;
 }
 
 std::vector<SloWindow> SloCollector::windows(
     const SloThresholds& thresholds) const {
-  // The sweep reads the cells in place, in key order, under the lock.
+  // Streams in key order, (root, family): the order the map holds them in.
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const std::pair<const CellKey, Cell>*> cells;
-  cells.reserve(cells_.size());
-  for (const auto& entry : cells_) cells.push_back(&entry);
   std::vector<SloWindow> out;
-  const size_t window = std::max<size_t>(1, thresholds.window_buckets);
-
-  size_t i = 0;
-  while (i < cells.size()) {
-    // One contiguous run of the cells is one (root, family) stream.
-    const auto [root, family, first_bucket] = cells[i]->first;
-    size_t j = i;
-    while (j < cells.size() && std::get<0>(cells[j]->first) == root &&
-           std::get<1>(cells[j]->first) == family)
-      ++j;
-    const int64_t last_bucket = std::get<2>(cells[j - 1]->first);
-
-    const double band =
-        thresholds.rtt_p95_letter_ms[root] > 0
-            ? thresholds.rtt_p95_letter_ms[root]
-            : thresholds.rtt_p95_max_ms;
-
-    // The stream's cells inside the trailing window [bucket - window + 1,
-    // bucket] are the run [front, back); cells are sparse, so both ends
-    // slide by key, not by count.
-    size_t front = i;
-    size_t back = i;
-    for (int64_t bucket = first_bucket; bucket <= last_bucket; ++bucket) {
-      while (back < j && std::get<2>(cells[back]->first) <= bucket) ++back;
-      while (front < back && std::get<2>(cells[front]->first) <=
-                                 bucket - static_cast<int64_t>(window))
-        ++front;
-      Cell agg;
-      for (size_t k = front; k < back; ++k) agg.merge_from(cells[k]->second);
-
-      SloWindow w;
-      w.root = root;
-      w.v6 = family != 0;
-      w.start = bucket_start(bucket - static_cast<int64_t>(window) + 1);
-      w.end = bucket_start(bucket + 1);
-      w.probes = agg.probes;
-      w.answered = agg.answered;
-      w.availability =
-          agg.probes ? static_cast<double>(agg.answered) / agg.probes : 1.0;
-      w.latency_count = agg.rtt_us.count();
-      w.rtt_p50_ms = agg.rtt_us.quantile(0.5) / 1000.0;
-      w.rtt_p95_ms = agg.rtt_us.quantile(0.95) / 1000.0;
-      w.publication_count = agg.publication_s.count();
-      w.publication_p95_s = agg.publication_s.quantile(0.95);
-      w.staleness_count = agg.staleness_s.count();
-      w.staleness_max_s = static_cast<double>(agg.staleness_s.max());
-      w.integrity_checks = agg.integrity_checks;
-      w.integrity_ok = agg.integrity_ok;
-      w.evaluated = agg.probes >= thresholds.min_probes;
-      if (w.evaluated) {
-        if (w.availability < thresholds.availability_min)
-          w.breaches |= 1u << static_cast<unsigned>(SloMetric::Availability);
-        if (w.latency_count > 0 && w.rtt_p95_ms > band)
-          w.breaches |= 1u << static_cast<unsigned>(SloMetric::Latency);
-        if (w.publication_count > 0 &&
-            w.publication_p95_s > thresholds.publication_p95_max_s)
-          w.breaches |= 1u << static_cast<unsigned>(SloMetric::Publication);
-        if (w.staleness_count > 0 &&
-            w.staleness_max_s > thresholds.staleness_max_s)
-          w.breaches |= 1u << static_cast<unsigned>(SloMetric::Staleness);
-        if (w.integrity_checks > 0 &&
-            static_cast<double>(w.integrity_ok) / w.integrity_checks <
-                thresholds.integrity_min)
-          w.breaches |= 1u << static_cast<unsigned>(SloMetric::Integrity);
-      }
-      out.push_back(w);
-    }
-    i = j;
-  }
+  for (uint8_t root = 0; root < kSloRoots; ++root)
+    for (const bool v6 : {false, true})
+      sweep(thresholds, root, v6, stream_cells(root, v6), out);
   return out;
+}
+
+std::vector<SloCollector::StreamSweep> SloCollector::sweep_streams(
+    const SloThresholds& thresholds, const ForEach& for_each) const {
+  std::vector<StreamSweep> streams(kSloRoots * 2);
+  // Held across for_each: its workers only read the cells, each its own
+  // stream's, so they take no lock of their own.
+  std::lock_guard<std::mutex> lock(mu_);
+  for_each(streams.size(), [&](size_t index) {
+    const auto root = static_cast<uint8_t>(index / 2);
+    const bool v6 = index % 2 == 1;
+    const std::vector<const Entry*> cells = stream_cells(root, v6);
+    sweep(thresholds, root, v6, cells, streams[index].windows);
+    for (const Entry* entry : cells)
+      streams[index].totals.merge_from(entry->second);
+  });
+  return streams;
+}
+
+std::vector<const SloCollector::Entry*> SloCollector::stream_cells(
+    uint8_t root, bool v6) const {
+  const uint8_t family = v6 ? 1 : 0;
+  std::vector<const Entry*> cells;
+  for (auto it = cells_.lower_bound(
+           {root, family, std::numeric_limits<int64_t>::min()});
+       it != cells_.end() && std::get<0>(it->first) == root &&
+       std::get<1>(it->first) == family;
+       ++it)
+    cells.push_back(&*it);
+  return cells;
+}
+
+void SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
+                         bool v6, const std::vector<const Entry*>& cells,
+                         std::vector<SloWindow>& out) {
+  if (cells.empty()) return;
+  const size_t window = std::max<size_t>(1, thresholds.window_buckets);
+  const int64_t first_bucket = std::get<2>(cells.front()->first);
+  const int64_t last_bucket = std::get<2>(cells.back()->first);
+
+  const double band =
+      thresholds.rtt_p95_letter_ms[root] > 0
+          ? thresholds.rtt_p95_letter_ms[root]
+          : thresholds.rtt_p95_max_ms;
+
+  // The stream's cells inside the trailing window [bucket - window + 1,
+  // bucket] are the run [front, back); cells are sparse, so both ends
+  // slide by key, not by count.
+  size_t front = 0;
+  size_t back = 0;
+  for (int64_t bucket = first_bucket; bucket <= last_bucket; ++bucket) {
+    while (back < cells.size() && std::get<2>(cells[back]->first) <= bucket)
+      ++back;
+    while (front < back && std::get<2>(cells[front]->first) <=
+                               bucket - static_cast<int64_t>(window))
+      ++front;
+    Cell agg;
+    for (size_t k = front; k < back; ++k) agg.merge_from(cells[k]->second);
+
+    SloWindow w;
+    w.root = root;
+    w.v6 = v6;
+    w.start = bucket_start(bucket - static_cast<int64_t>(window) + 1);
+    w.end = bucket_start(bucket + 1);
+    w.probes = agg.probes;
+    w.answered = agg.answered;
+    w.availability =
+        agg.probes ? static_cast<double>(agg.answered) / agg.probes : 1.0;
+    w.latency_count = agg.rtt_us.count();
+    w.rtt_p50_ms = agg.rtt_us.quantile(0.5) / 1000.0;
+    w.rtt_p95_ms = agg.rtt_us.quantile(0.95) / 1000.0;
+    w.publication_count = agg.publication_s.count();
+    w.publication_p95_s = agg.publication_s.quantile(0.95);
+    w.staleness_count = agg.staleness_s.count();
+    w.staleness_max_s = static_cast<double>(agg.staleness_s.max());
+    w.integrity_checks = agg.integrity_checks;
+    w.integrity_ok = agg.integrity_ok;
+    w.evaluated = agg.probes >= thresholds.min_probes;
+    if (w.evaluated) {
+      if (w.availability < thresholds.availability_min)
+        w.breaches |= 1u << static_cast<unsigned>(SloMetric::Availability);
+      if (w.latency_count > 0 && w.rtt_p95_ms > band)
+        w.breaches |= 1u << static_cast<unsigned>(SloMetric::Latency);
+      if (w.publication_count > 0 &&
+          w.publication_p95_s > thresholds.publication_p95_max_s)
+        w.breaches |= 1u << static_cast<unsigned>(SloMetric::Publication);
+      if (w.staleness_count > 0 &&
+          w.staleness_max_s > thresholds.staleness_max_s)
+        w.breaches |= 1u << static_cast<unsigned>(SloMetric::Staleness);
+      if (w.integrity_checks > 0 &&
+          static_cast<double>(w.integrity_ok) / w.integrity_checks <
+              thresholds.integrity_min)
+        w.breaches |= 1u << static_cast<unsigned>(SloMetric::Integrity);
+    }
+    out.push_back(w);
+  }
 }
 
 std::string SloCollector::windows_to_jsonl(

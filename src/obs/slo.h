@@ -29,6 +29,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -195,6 +196,20 @@ class SloCollector {
   /// IncidentTracker::observe expects.
   std::vector<SloWindow> windows(const SloThresholds& thresholds) const;
 
+  /// One (root, family) stream's run of windows() and its totals().
+  struct StreamSweep {
+    std::vector<SloWindow> windows;
+    Cell totals;
+  };
+  /// Runs fn(i) once for every i in [0, count), possibly concurrently.
+  using ForEach =
+      std::function<void(size_t count, const std::function<void(size_t)>& fn)>;
+  /// windows() and totals() per stream, at index root * 2 + v6, under one
+  /// hold of the lock. Streams share no cells, so `for_each` may sweep them
+  /// concurrently (obs has no thread pool; the caller brings one).
+  std::vector<StreamSweep> sweep_streams(const SloThresholds& thresholds,
+                                         const ForEach& for_each) const;
+
   /// One JSON object per evaluated window (the slo.jsonl export):
   ///   {"letter":"b","family":"v4","start":"2023-11-27T00:00:00Z",...,
   ///    "availability":0.9931,"breaches":["availability"]}
@@ -208,6 +223,14 @@ class SloCollector {
                    const SloThresholds& thresholds) const;
 
  private:
+  using Entry = std::pair<const CellKey, Cell>;
+  /// One stream's cells in bucket order; the caller holds mu_.
+  std::vector<const Entry*> stream_cells(uint8_t root, bool v6) const;
+  /// The sweep over one stream's cells, appended to `out`.
+  static void sweep(const SloThresholds& thresholds, uint8_t root, bool v6,
+                    const std::vector<const Entry*>& cells,
+                    std::vector<SloWindow>& out);
+
   mutable std::mutex mu_;
   std::map<CellKey, Cell> cells_;
 };

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -248,6 +249,46 @@ TEST(SloCollector, TotalsFoldEveryBucketOfOneStream) {
   EXPECT_EQ(totals.answered, 9u);
   EXPECT_EQ(collector.totals(2, false).probes, 1u);
   EXPECT_EQ(collector.totals(2, true).probes, 0u);
+}
+
+TEST(SloCollector, StreamSweepsJoinToTheFullSweep) {
+  // Letters a and b in both families, with a gap of silent buckets, and
+  // letter m on v6 only; every other stream is empty.
+  SloCollector collector;
+  feed_buckets(collector, 0, 0);
+  feed_buckets(collector, 9, 1);
+  collector.record(probe(util::make_time(2023, 7, 5), false, 12, true));
+  const SloThresholds thresholds = tiny_thresholds();
+
+  // Four threads sweep the 26 streams concurrently; joined in stream order
+  // they are the one full sweep, and each stream's totals are totals().
+  const auto four_threads = [](size_t count,
+                               const std::function<void(size_t)>& fn) {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t)
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < count; i += 4) fn(i);
+      });
+    for (std::thread& thread : threads) thread.join();
+  };
+  const auto streams = collector.sweep_streams(thresholds, four_threads);
+  ASSERT_EQ(streams.size(), kSloRoots * 2);
+  std::vector<SloWindow> joined;
+  for (size_t s = 0; s < streams.size(); ++s) {
+    joined.insert(joined.end(), streams[s].windows.begin(),
+                  streams[s].windows.end());
+    const SloCollector::Cell want = collector.totals(static_cast<uint8_t>(s / 2), s % 2 == 1);
+    EXPECT_EQ(streams[s].totals.probes, want.probes) << s;
+    EXPECT_EQ(streams[s].totals.rtt_us.to_json(), want.rtt_us.to_json()) << s;
+    EXPECT_EQ(streams[s].totals.integrity_ok, want.integrity_ok) << s;
+  }
+  EXPECT_EQ(joined.size(), collector.windows(thresholds).size());
+  EXPECT_EQ(SloCollector::windows_to_jsonl(joined),
+            collector.to_jsonl(thresholds));
+  EXPECT_EQ(streams[0].windows.size(), 12u);  // buckets 0..11, gap included
+  EXPECT_EQ(streams[12 * 2 + 1].windows.size(), 1u);
+  EXPECT_TRUE(streams[2 * 2].windows.empty());
+  EXPECT_EQ(streams[2 * 2].totals.probes, 0u);
 }
 
 // One bad bucket smears across window_buckets sliding windows; open_after
