@@ -50,35 +50,32 @@ bool is_delegation(const dns::Zone& zone, const dns::Name& name) {
   return zone.find(name, dns::RRType::NS) != nullptr;
 }
 
-SignatureCache::SignatureCache(size_t max_entries)
-    : max_entries_(max_entries ? max_entries : 1) {}
-
 std::vector<uint8_t> SignatureCache::sign(const crypto::RsaSignContext& ctx,
                                           std::span<const uint8_t> key_id,
                                           crypto::RsaHash hash,
-                                          std::span<const uint8_t> payload) {
+                                          std::span<const uint8_t> payload,
+                                          SignatureLookups* stats) {
   crypto::Sha256 h;
   h.update(key_id);
   h.update(payload);
   auto digest = h.finish();
   std::string lookup(reinterpret_cast<const char*>(digest.data()),
                      digest.size());
+  Entry* entry = nullptr;
+  bool hit = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(lookup);
-    if (it != entries_.end()) {
-      ++hits_;
-      return it->second;
-    }
+    auto [it, inserted] = entries_.try_emplace(std::move(lookup));
+    entry = &it->second;
+    hit = !inserted;
+    ++(hit ? hits_ : misses_);
   }
-  // Sign outside the lock; a concurrent miss on the same payload computes
-  // the same bytes, so whichever insert wins is correct.
-  std::vector<uint8_t> signature = ctx.sign(hash, payload);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++misses_;
-  if (entries_.size() >= max_entries_) entries_.clear();
-  entries_.emplace(std::move(lookup), signature);
-  return signature;
+  if (stats) ++(hit ? stats->hits : stats->misses);
+  // The inserting lookup normally runs the sign; a hit that gets here first
+  // runs it instead, which yields the same bytes (same key, same payload).
+  std::call_once(entry->signed_once,
+                 [&] { entry->signature = ctx.sign(hash, payload); });
+  return entry->signature;
 }
 
 uint64_t SignatureCache::hits() const {
@@ -94,11 +91,6 @@ uint64_t SignatureCache::misses() const {
 size_t SignatureCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-void SignatureCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 namespace {
@@ -129,7 +121,7 @@ struct ZoneSigner {
 
 dns::RrsigData sign_rrset(const dns::RRset& rrset, const ZoneSigner& signer,
                           const SigningPolicy& policy, const dns::Name& apex,
-                          SignatureCache* cache) {
+                          SignatureCache* cache, SignatureLookups& lookups) {
   dns::RrsigData sig;
   sig.type_covered = rrset.type;
   sig.algorithm = signer.key->algorithm;
@@ -141,7 +133,7 @@ dns::RrsigData sign_rrset(const dns::RRset& rrset, const ZoneSigner& signer,
   sig.signer = apex;
   auto payload = signing_payload(sig, rrset);
   sig.signature = cache ? cache->sign(signer.ctx, signer.identity, signer.hash,
-                                      payload)
+                                      payload, &lookups)
                         : signer.ctx.sign(signer.hash, payload);
   return sig;
 }
@@ -196,11 +188,13 @@ std::vector<uint8_t> compute_zonemd_digest(const dns::Zone& zone,
   return {digest.begin(), digest.end()};
 }
 
-void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
-               const SigningPolicy& policy, SignatureCache* cache) {
+SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
+                           const SigningKey& zsk, const SigningPolicy& policy,
+                           SignatureCache* cache) {
   const dns::Name& apex = zone.origin();
   const ZoneSigner ksk_signer(ksk);
   const ZoneSigner zsk_signer(zsk);
+  SignatureLookups lookups;
 
   // Strip any previous DNSSEC material and ZONEMD.
   std::vector<std::pair<dns::Name, dns::RRType>> to_remove;
@@ -291,7 +285,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     }
     const ZoneSigner& signer =  // KSK signs DNSKEY only
         (set->type == dns::RRType::DNSKEY) ? ksk_signer : zsk_signer;
-    dns::RrsigData sig = sign_rrset(*set, signer, policy, apex, cache);
+    dns::RrsigData sig = sign_rrset(*set, signer, policy, apex, cache, lookups);
     dns::ResourceRecord rr;
     rr.name = set->name;
     rr.type = dns::RRType::RRSIG;
@@ -332,11 +326,13 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
         zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
                                      sig_ttl, rdata});
       const dns::RRset* zonemd_set = zone.find(apex, dns::RRType::ZONEMD);
-      dns::RrsigData sig = sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache);
+      dns::RrsigData sig =
+          sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache, lookups);
       zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
                                    zonemd_set->ttl, sig});
     }
   }
+  return lookups;
 }
 
 }  // namespace rootsim::dnssec

@@ -46,6 +46,12 @@ struct SigningPolicy {
   std::vector<dns::DnskeyData> extra_dnskeys;
 };
 
+/// Signature-cache lookups made by one caller (one sign_zone call).
+struct SignatureLookups {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 /// Memoizes RRSIG signature bytes across sign_zone calls.
 ///
 /// The root zone re-signs ~every 12 hours, but most RRsets (delegations,
@@ -60,34 +66,43 @@ struct SigningPolicy {
 /// invalidate by construction, and a hit can only ever return bytes a
 /// cold sign of the identical payload would produce.
 ///
-/// Thread-safe. Hit/miss totals are scheduling-independent as long as the
-/// entry bound is not reached (the set of distinct payloads signed is a
-/// property of the workload, not of signing order), which keeps the
-/// `rss.sig_cache.*` counters byte-identical across worker counts.
+/// Thread-safe, unbounded, and every payload is RSA-signed at most once. The
+/// first lookup of a payload inserts a pending entry and counts the miss;
+/// every later lookup counts a hit. The payload is signed outside the map
+/// lock behind the entry's latch, and a hit that arrives while it is being
+/// signed waits on that latch. Entries are never evicted, so the miss total
+/// is the number of distinct payloads looked up and the hit total is the
+/// lookups beyond that: both are properties of the set of payloads, not of
+/// signing order, which keeps the `rss.sig_cache.*` counters identical across
+/// worker counts and schedules. Memory grows with the distinct payloads,
+/// O(zone serials).
 class SignatureCache {
  public:
-  explicit SignatureCache(size_t max_entries = 1 << 16);
-
-  /// Returns the cached signature for (key identity, payload), or signs via
-  /// `ctx` and caches. `key_id` must uniquely identify the signing key (the
-  /// DNSKEY RDATA wire form).
+  /// Returns the signature for (key identity, payload), signing it via `ctx`
+  /// on its first lookup. `key_id` must uniquely identify the signing key
+  /// (the DNSKEY RDATA wire form). With `stats` non-null, the lookup's hit or
+  /// miss is also added there.
   std::vector<uint8_t> sign(const crypto::RsaSignContext& ctx,
                             std::span<const uint8_t> key_id,
                             crypto::RsaHash hash,
-                            std::span<const uint8_t> payload);
+                            std::span<const uint8_t> payload,
+                            SignatureLookups* stats = nullptr);
 
   uint64_t hits() const;
   uint64_t misses() const;
   size_t size() const;
-  size_t max_entries() const { return max_entries_; }
-  void clear();
 
  private:
-  mutable std::mutex mu_;
-  size_t max_entries_;
+  struct Entry {
+    std::once_flag signed_once;  // the latch: the first lookup's sign
+    std::vector<uint8_t> signature;
+  };
+
+  mutable std::mutex mu_;  // guards the map and the totals, never a sign
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  std::unordered_map<std::string, std::vector<uint8_t>> entries_;
+  // Node-based: an entry stays put while other payloads are inserted.
+  std::unordered_map<std::string, Entry> entries_;
 };
 
 /// Signs `zone` in place: strips old NSEC/RRSIG/ZONEMD/DNSKEY, installs the
@@ -95,9 +110,12 @@ class SignatureCache {
 /// Delegation NS RRsets and glue are not signed (RFC 4035 §2.2) — exactly the
 /// gap ZONEMD closes and the reason the paper calls it valuable.
 /// With `cache` non-null, unchanged RRsets reuse previously computed
-/// signature bytes instead of re-running the RSA kernel.
-void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
-               const SigningPolicy& policy, SignatureCache* cache = nullptr);
+/// signature bytes instead of re-running the RSA kernel, and the call returns
+/// its own cache lookups (all zero without a cache). Concurrent calls may
+/// share one cache; each call's totals count only its own lookups.
+SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
+                           const SigningKey& zsk, const SigningPolicy& policy,
+                           SignatureCache* cache = nullptr);
 
 /// Computes the RFC 8976 SIMPLE/SHA-384 digest over the zone (ignoring the
 /// apex ZONEMD RRset's RRSIG and zeroing nothing: the caller must pass a zone

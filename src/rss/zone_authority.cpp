@@ -46,9 +46,6 @@ ZoneAuthority::ZoneAuthority(const RootCatalog& catalog, ZoneAuthorityConfig con
     sig_cache_misses_ = obs.counter_handle("rss.sig_cache.misses");
     zone_serial_ = &obs.metrics->gauge("rss.zone_serial");
   }
-  if (config_.signature_cache_entries > 0)
-    signature_cache_ = std::make_unique<dnssec::SignatureCache>(
-        config_.signature_cache_entries);
   util::Rng rng(config_.seed);
   util::Rng tld_rng = rng.fork("tlds");
   tlds_ = make_tlds(config_.tld_count, tld_rng);
@@ -145,12 +142,7 @@ dns::Zone ZoneAuthority::build_unsigned_zone(util::UnixTime t) const {
   return zone;
 }
 
-const dns::Zone& ZoneAuthority::zone_at(util::UnixTime t) const {
-  uint32_t serial = serial_at(t);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(serial);
-  if (it != cache_.end()) return *it->second;
-
+dns::Zone ZoneAuthority::build_signed_zone(util::UnixTime t) const {
   dns::Zone zone = build_unsigned_zone(t);
   dnssec::SigningPolicy policy;
   // Inception at the zone edit, expiration ~2 weeks later — like the root.
@@ -176,32 +168,37 @@ const dns::Zone& ZoneAuthority::zone_at(util::UnixTime t) const {
     }
   }
 
-  const uint64_t hits_before =
-      signature_cache_ ? signature_cache_->hits() : 0;
-  const uint64_t misses_before =
-      signature_cache_ ? signature_cache_->misses() : 0;
-  dnssec::sign_zone(zone, *active_ksk, zsk_, policy, signature_cache_.get());
-  if (signature_cache_) {
-    obs::inc(sig_cache_hits_, signature_cache_->hits() - hits_before);
-    obs::inc(sig_cache_misses_, signature_cache_->misses() - misses_before);
-  }
-
-  auto [inserted, ok] = cache_.emplace(serial, std::make_unique<dns::Zone>(std::move(zone)));
+  const dnssec::SignatureLookups lookups =
+      dnssec::sign_zone(zone, *active_ksk, zsk_, policy, &signature_cache_);
+  obs::inc(sig_cache_hits_, lookups.hits);
+  obs::inc(sig_cache_misses_, lookups.misses);
   obs::inc(zones_built_);
-  if (zone_serial_) zone_serial_->set_max(serial);
-  return *inserted->second;
+  if (zone_serial_) zone_serial_->set_max(serial_at(t));
+  return zone;
+}
+
+ZoneAuthority::Slot& ZoneAuthority::built_slot(util::UnixTime t) const {
+  const uint32_t serial = serial_at(t);
+  Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    slot = &slots_.try_emplace(serial).first->second;
+  }
+  std::call_once(slot->zone_once, [&] { slot->zone = build_signed_zone(t); });
+  return *slot;
+}
+
+const dns::Zone& ZoneAuthority::zone_at(util::UnixTime t) const {
+  return *built_slot(t).zone;
 }
 
 const std::vector<uint8_t>& ZoneAuthority::axfr_stream_at(util::UnixTime t) const {
-  const dns::Zone& zone = zone_at(t);
-  uint32_t serial = serial_at(t);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = axfr_cache_.find(serial);
-  if (it != axfr_cache_.end()) return *it->second;
-  dns::Question question{dns::Name(), dns::RRType::AXFR, dns::RRClass::IN};
-  auto stream = std::make_unique<std::vector<uint8_t>>(
-      dns::encode_axfr_stream(zone.axfr_records(), question));
-  return *axfr_cache_.emplace(serial, std::move(stream)).first->second;
+  Slot& slot = built_slot(t);
+  std::call_once(slot.axfr_once, [&] {
+    dns::Question question{dns::Name(), dns::RRType::AXFR, dns::RRClass::IN};
+    slot.axfr = dns::encode_axfr_stream(slot.zone->axfr_records(), question);
+  });
+  return slot.axfr;
 }
 
 dnssec::TrustAnchors ZoneAuthority::trust_anchors() const {

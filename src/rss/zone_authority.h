@@ -16,8 +16,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,18 +50,14 @@ struct ZoneAuthorityConfig {
   util::UnixTime ksk_roll_at = 0;
   /// RRSIG validity window length (the root uses ~2 weeks).
   int64_t rrsig_validity_days = 14;
-  /// Signature memo bound (entries). The audit workloads sign a few thousand
-  /// distinct payloads; keep the bound far above that so hit/miss totals stay
-  /// scheduling-independent (the cache never resets mid-campaign). 0 disables
-  /// the cache entirely.
-  size_t signature_cache_entries = 1 << 16;
 };
 
 /// Builds signed root zones for any instant of the campaign.
 class ZoneAuthority {
  public:
-  /// `obs` (optional) counts zones built (`rss.zones_built`) and tracks the
-  /// highest serial published (`rss.zone_serial` gauge).
+  /// `obs` (optional) counts zones built (`rss.zones_built`), the signature
+  /// memo's lookups (`rss.sig_cache.hits` / `rss.sig_cache.misses`), and
+  /// tracks the highest serial published (`rss.zone_serial` gauge).
   explicit ZoneAuthority(const RootCatalog& catalog,
                          ZoneAuthorityConfig config = {}, obs::Obs obs = {});
 
@@ -69,8 +65,9 @@ class ZoneAuthority {
   uint32_t serial_at(util::UnixTime t) const;
 
   /// The signed zone as published at time `t`. Zones are generated lazily
-  /// and cached per serial; the cache is thread-safe (the parallel audit
-  /// hits it from every worker).
+  /// and cached per serial. Thread-safe: the parallel audit calls it from
+  /// every worker, different serials build at the same time, and callers
+  /// asking for a serial that is being built wait for that one build.
   const dns::Zone& zone_at(util::UnixTime t) const;
 
   /// The framed AXFR TCP stream (RFC 5936) of the zone at `t`, built once
@@ -86,17 +83,26 @@ class ZoneAuthority {
   const ZoneAuthorityConfig& config() const { return config_; }
   const std::vector<std::string>& tlds() const { return tlds_; }
 
-  /// The cross-serial signature memo (null when disabled by config).
-  /// Counters `rss.sig_cache.hits` / `rss.sig_cache.misses` mirror it.
-  const dnssec::SignatureCache* signature_cache() const {
-    return signature_cache_.get();
-  }
-
   /// The ZONEMD mode in force at `t` (None / PrivateAlgorithm / Sha384).
   dnssec::SigningPolicy::ZonemdMode zonemd_mode_at(util::UnixTime t) const;
 
  private:
+  /// One serial's cache slot. Each artifact is built by the first caller
+  /// that needs it, behind its own latch; later callers wait on the latch
+  /// and then read the artifact. No latch body calls back into the slot map
+  /// or another slot: the zone body waits at most on signature-memo
+  /// latches, whose bodies only sign, so latches cannot wait in a cycle.
+  struct Slot {
+    std::once_flag zone_once;
+    std::optional<dns::Zone> zone;
+    std::once_flag axfr_once;
+    std::vector<uint8_t> axfr;
+  };
+
+  /// The slot of `t`'s serial with its zone built.
+  Slot& built_slot(util::UnixTime t) const;
   dns::Zone build_unsigned_zone(util::UnixTime t) const;
+  dns::Zone build_signed_zone(util::UnixTime t) const;
 
   const RootCatalog* catalog_;
   ZoneAuthorityConfig config_;
@@ -111,13 +117,15 @@ class ZoneAuthority {
   obs::Counter* sig_cache_hits_ = nullptr;
   obs::Counter* sig_cache_misses_ = nullptr;
   obs::Gauge* zone_serial_ = nullptr;
-  std::unique_ptr<dnssec::SignatureCache> signature_cache_;
-  // Zone build + insert happens under the lock: std::map nodes are stable,
-  // so returned references stay valid, and `rss.zones_built` counts exactly
-  // one build per serial regardless of worker count.
+  /// The cross-serial signature memo; unbounded, like the zone cache.
+  mutable dnssec::SignatureCache signature_cache_;
+  // `cache_mu_` is held only to find or insert a slot; builds run outside it
+  // behind the slot's latches. std::map nodes are stable, so a slot (and the
+  // references zone_at/axfr_stream_at return into it) stays put while other
+  // serials are inserted, and `rss.zones_built` counts exactly one build per
+  // serial regardless of worker count.
   mutable std::mutex cache_mu_;
-  mutable std::map<uint32_t, std::unique_ptr<dns::Zone>> cache_;
-  mutable std::map<uint32_t, std::unique_ptr<std::vector<uint8_t>>> axfr_cache_;
+  mutable std::map<uint32_t, Slot> slots_;
 };
 
 }  // namespace rootsim::rss

@@ -176,6 +176,9 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
       if (tokens.size() != 3) return fail("intervals wants <base_s> <dense_s>");
       spec.horizon.base_interval_s = std::atoll(tokens[1].c_str());
       spec.horizon.dense_interval_s = std::atoll(tokens[2].c_str());
+      // A zero step would never advance the schedule.
+      if (spec.horizon.base_interval_s <= 0 || spec.horizon.dense_interval_s <= 0)
+        return fail("intervals must be positive");
     } else if (directive == "dense-window") {
       TimeWindow window;
       if (tokens.size() != 3 || !parse_time(tokens[1], &window.start) ||

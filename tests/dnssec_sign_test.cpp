@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "dnssec/canonical.h"
 #include "dnssec/signer.h"
 #include "dnssec/validator.h"
@@ -287,10 +290,12 @@ TEST(SignatureCache, WarmSignZoneIsByteIdenticalToColdSign) {
 
   SignatureCache cache;
   dns::Zone first = make_unsigned_root();
-  sign_zone(first, ksk, zsk, policy, &cache);
+  const SignatureLookups first_lookups = sign_zone(first, ksk, zsk, policy, &cache);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
   EXPECT_EQ(cache.size(), cache.misses());
+  EXPECT_EQ(first_lookups.hits, 0u);
+  EXPECT_EQ(first_lookups.misses, cache.misses());
   EXPECT_EQ(first.to_master_file(), cold.to_master_file());
 
   // Identical zone again: every signature must come out of the memo, and the
@@ -298,13 +303,18 @@ TEST(SignatureCache, WarmSignZoneIsByteIdenticalToColdSign) {
   // so any divergence is a cache bug, not an RNG artifact).
   const uint64_t misses_after_cold = cache.misses();
   dns::Zone second = make_unsigned_root();
-  sign_zone(second, ksk, zsk, policy, &cache);
+  const SignatureLookups second_lookups =
+      sign_zone(second, ksk, zsk, policy, &cache);
   EXPECT_EQ(cache.misses(), misses_after_cold);
   EXPECT_GT(cache.hits(), 0u);
+  EXPECT_EQ(second_lookups.hits, cache.hits());
+  EXPECT_EQ(second_lookups.misses, 0u);
   EXPECT_EQ(second.to_master_file(), cold.to_master_file());
 
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  // Without a cache there are no lookups to report.
+  dns::Zone uncached = make_unsigned_root();
+  const SignatureLookups none = sign_zone(uncached, ksk, zsk, policy);
+  EXPECT_EQ(none.hits + none.misses, 0u);
 }
 
 TEST(SignatureCache, SerialBumpInvalidatesChangedRRsetsOnly) {
@@ -385,7 +395,7 @@ TEST(SignatureCache, KeyRollNeverServesOldKeysBytes) {
       validate_zone(rolled, old_anchors, make_time(2023, 12, 7)).fully_valid());
 }
 
-TEST(SignatureCache, BoundedAndDirectSignMatchesContext) {
+TEST(SignatureCache, DirectSignMatchesContext) {
   util::Rng rng(7);
   SigningKey zsk = make_zsk(rng, 512);
   crypto::RsaSignContext ctx(zsk.rsa);
@@ -393,8 +403,7 @@ TEST(SignatureCache, BoundedAndDirectSignMatchesContext) {
   const std::vector<uint8_t> payload_a = {10, 20, 30};
   const std::vector<uint8_t> payload_b = {10, 20, 31};
 
-  SignatureCache cache(2);
-  EXPECT_EQ(cache.max_entries(), 2u);
+  SignatureCache cache;
   auto direct = crypto::rsa_sign(zsk.rsa, crypto::RsaHash::Sha256, payload_a);
   ASSERT_FALSE(direct.empty());
   auto miss = cache.sign(ctx, key_id, crypto::RsaHash::Sha256, payload_a);
@@ -410,7 +419,46 @@ TEST(SignatureCache, BoundedAndDirectSignMatchesContext) {
   const std::vector<uint8_t> other_key_id = {9, 9, 9};
   cache.sign(ctx, other_key_id, crypto::RsaHash::Sha256, payload_a);
   EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_LE(cache.size(), cache.max_entries());
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(SignatureCache, ConcurrentLookupsOfOnePayloadSignItOnce) {
+  util::Rng rng(7);
+  SigningKey zsk = make_zsk(rng, 512);
+  const crypto::RsaSignContext ctx(zsk.rsa);
+  const std::vector<uint8_t> key_id = {1, 2, 3};
+  // Large enough that hashing it inside the sign takes far longer than the
+  // threads take to start, so the lookups overlap the first one's sign.
+  const std::vector<uint8_t> payload(4 << 20, 0x5a);
+  const auto direct = crypto::rsa_sign(zsk.rsa, crypto::RsaHash::Sha256, payload);
+
+  constexpr size_t kThreads = 8;
+  SignatureCache cache;
+  std::vector<std::vector<uint8_t>> signatures(kThreads);
+  std::vector<SignatureLookups> lookups(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      // Start together so the lookups overlap the first one's sign.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      signatures[i] = cache.sign(ctx, key_id, crypto::RsaHash::Sha256, payload,
+                                 &lookups[i]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), kThreads - 1);
+  EXPECT_EQ(cache.size(), 1u);
+  uint64_t misses = 0;
+  for (size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(signatures[i], direct) << "thread " << i;
+    EXPECT_EQ(lookups[i].hits + lookups[i].misses, 1u) << "thread " << i;
+    misses += lookups[i].misses;
+  }
+  EXPECT_EQ(misses, 1u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
+#include <random>
+#include <set>
+#include <thread>
+
 #include "dnssec/validator.h"
 
 namespace rootsim::rss {
@@ -129,6 +136,106 @@ TEST(ZoneAuthority, ZoneCacheReturnsSameObject) {
   EXPECT_EQ(&a, &b);  // same serial -> same cached zone
   const dns::Zone& c = authority.zone_at(make_time(2023, 9, 1, 13, 0));
   EXPECT_NE(&a, &c);  // second daily edit
+}
+
+// Instants in several serials of three ZONEMD stages, two per serial and
+// both daily edits of each day, so the edits of one day share the signatures
+// of their unchanged RRsets. No serial straddles a phase instant.
+std::vector<util::UnixTime> concurrency_instants() {
+  const std::pair<int, int> days[] = {{8, 1}, {10, 1}, {10, 2}, {12, 10}, {12, 11}};
+  std::vector<util::UnixTime> instants;
+  for (auto [month, day] : days)
+    for (int hour : {1, 6, 13, 18})
+      instants.push_back(make_time(2023, month, day, hour, 0));
+  return instants;
+}
+
+struct SerialBuild {
+  std::string master_file;
+  std::vector<uint8_t> axfr;
+  uint64_t zones_built = 0;
+  uint64_t sig_hits = 0;
+  uint64_t sig_misses = 0;
+};
+
+// One cold authority, its zones and AXFR images built on one thread in the
+// given order.
+SerialBuild build_serially(const RootCatalog& catalog,
+                           const std::vector<util::UnixTime>& instants) {
+  obs::MetricsRegistry metrics;
+  ZoneAuthority authority(catalog, fast_config(), obs::Obs{&metrics});
+  SerialBuild build;
+  for (util::UnixTime t : instants) {
+    build.master_file += authority.zone_at(t).to_master_file();
+    const std::vector<uint8_t>& axfr = authority.axfr_stream_at(t);
+    build.axfr.insert(build.axfr.end(), axfr.begin(), axfr.end());
+  }
+  build.zones_built = metrics.counter_total("rss.zones_built");
+  build.sig_hits = metrics.counter_total("rss.sig_cache.hits");
+  build.sig_misses = metrics.counter_total("rss.sig_cache.misses");
+  return build;
+}
+
+TEST(ZoneAuthority, ConcurrentCallersBuildEachSerialOnce) {
+  RootCatalog catalog;
+  const std::vector<util::UnixTime> instants = concurrency_instants();
+  std::set<uint32_t> serials;
+  obs::MetricsRegistry metrics;
+  ZoneAuthority authority(catalog, fast_config(), obs::Obs{&metrics});
+  for (util::UnixTime t : instants) serials.insert(authority.serial_at(t));
+  ASSERT_EQ(serials.size(), instants.size() / 2);
+
+  // Every thread walks its own shuffle of the instants, so the threads meet
+  // on different serials in different orders, mid-build or after it.
+  constexpr size_t kThreads = 8;
+  using Seen = std::map<uint32_t,
+                        std::pair<const dns::Zone*, const std::vector<uint8_t>*>>;
+  std::vector<Seen> seen(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      std::vector<util::UnixTime> order = instants;
+      std::shuffle(order.begin(), order.end(),
+                   std::mt19937(static_cast<uint32_t>(i)));
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (util::UnixTime t : order) {
+        const dns::Zone* zone = &authority.zone_at(t);
+        const std::vector<uint8_t>* axfr = &authority.axfr_stream_at(t);
+        auto it = seen[i].try_emplace(authority.serial_at(t), zone, axfr).first;
+        EXPECT_EQ(it->second.first, zone);
+        EXPECT_EQ(it->second.second, axfr);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(metrics.counter_total("rss.zones_built"), serials.size());
+  for (size_t i = 1; i < kThreads; ++i)
+    EXPECT_EQ(seen[i], seen[0]) << "thread " << i;
+
+  // Same bytes and the same memo totals as a cold authority built serially,
+  // in either order: the totals depend on the set of payloads, not on which
+  // build signed a shared payload first.
+  const SerialBuild in_order = build_serially(catalog, instants);
+  SerialBuild concurrent;
+  for (util::UnixTime t : instants) {
+    concurrent.master_file += authority.zone_at(t).to_master_file();
+    const std::vector<uint8_t>& axfr = authority.axfr_stream_at(t);
+    concurrent.axfr.insert(concurrent.axfr.end(), axfr.begin(), axfr.end());
+  }
+  EXPECT_EQ(concurrent.master_file, in_order.master_file);
+  EXPECT_EQ(concurrent.axfr, in_order.axfr);
+  EXPECT_EQ(in_order.zones_built, serials.size());
+  EXPECT_GT(in_order.sig_hits, 0u);
+  EXPECT_EQ(metrics.counter_total("rss.sig_cache.hits"), in_order.sig_hits);
+  EXPECT_EQ(metrics.counter_total("rss.sig_cache.misses"), in_order.sig_misses);
+
+  const SerialBuild reversed =
+      build_serially(catalog, {instants.rbegin(), instants.rend()});
+  EXPECT_EQ(reversed.sig_hits, in_order.sig_hits);
+  EXPECT_EQ(reversed.sig_misses, in_order.sig_misses);
 }
 
 TEST(ZoneAuthority, StableTldSetAcrossSerials) {

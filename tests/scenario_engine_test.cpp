@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -73,6 +74,27 @@ TEST(ScenarioParser, RejectsMalformedTime) {
   EXPECT_FALSE(parse_scenario(
       "scenario x\nhorizon yesterday 2023-12-24T00:00:00Z\n", &spec, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ScenarioParser, RejectsNonPositiveIntervalsWithLineNumber) {
+  // froot-buildout with its `intervals` line zeroed used to parse, then
+  // crash the run building an endless schedule.
+  const std::string text = serialize_scenario(froot_buildout());
+  const size_t at = text.find("intervals ");
+  ASSERT_NE(at, std::string::npos);
+  const size_t line = 1 + static_cast<size_t>(std::count(text.begin(),
+                                                         text.begin() + at, '\n'));
+  for (const char* intervals : {"intervals 0 0", "intervals 3600 0",
+                                "intervals -60 900", "intervals x 900"}) {
+    std::string bad = text;
+    bad.replace(at, bad.find('\n', at) - at, intervals);
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_scenario(bad, &spec, &error)) << intervals;
+    EXPECT_NE(error.find(util::format("line %zu: intervals must be positive", line)),
+              std::string::npos)
+        << intervals << ": " << error;
+  }
 }
 
 TEST(ScenarioLibrary, FindScenarioByName) {
