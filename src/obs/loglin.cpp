@@ -36,18 +36,43 @@ uint64_t LogLinearHistogram::bucket_upper(uint32_t index) {
 void LogLinearHistogram::observe(uint64_t value, uint64_t n) {
   if (n == 0) return;
   const uint32_t index = bucket_index(value);
-  if (buckets_.size() <= index) buckets_.resize(index + 1, 0);
-  buckets_[index] += n;
+  auto slot = std::lower_bound(
+      slots_.begin(), slots_.end(), index,
+      [](const Slot& s, uint32_t i) { return s.index < i; });
+  if (slot == slots_.end() || slot->index != index)
+    slot = slots_.insert(slot, Slot{index, 0});
+  slot->count += n;
   count_ += n;
   sum_ += value * n;
   max_ = std::max(max_, value);
 }
 
 void LogLinearHistogram::merge_from(const LogLinearHistogram& other) {
-  if (buckets_.size() < other.buckets_.size())
-    buckets_.resize(other.buckets_.size(), 0);
-  for (size_t i = 0; i < other.buckets_.size(); ++i)
-    buckets_[i] += other.buckets_[i];
+  // Count the buckets of `other` not occupied here, grow by exactly that
+  // many, then merge from the back so every slot moves at most once. When
+  // none are missing the resize is a no-op and each slot is added in place.
+  size_t missing = 0;
+  size_t mine = 0;
+  for (const Slot& theirs : other.slots_) {
+    while (mine < slots_.size() && slots_[mine].index < theirs.index) ++mine;
+    if (mine == slots_.size() || slots_[mine].index != theirs.index) ++missing;
+  }
+  mine = slots_.size();
+  size_t next = other.slots_.size();
+  size_t out = mine + missing;
+  slots_.resize(out);
+  while (next > 0) {
+    const Slot theirs = other.slots_[next - 1];
+    if (mine > 0 && slots_[mine - 1].index > theirs.index) {
+      slots_[--out] = slots_[--mine];
+      continue;
+    }
+    --next;
+    if (mine > 0 && slots_[mine - 1].index == theirs.index)
+      slots_[--out] = Slot{theirs.index, slots_[--mine].count + theirs.count};
+    else
+      slots_[--out] = theirs;
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   max_ = std::max(max_, other.max_);
@@ -64,12 +89,11 @@ double LogLinearHistogram::quantile(double q) const {
   // identical collector shards cannot move a quantile.
   const double rank = q * static_cast<double>(count_);
   uint64_t cumulative = 0;
-  for (uint32_t i = 0; i < buckets_.size(); ++i) {
-    const uint64_t in_bucket = buckets_[i];
-    if (in_bucket == 0) continue;
+  for (const Slot& slot : slots_) {
+    const uint64_t in_bucket = slot.count;
     if (rank < static_cast<double>(cumulative + in_bucket)) {
-      const double lower = static_cast<double>(bucket_lower(i));
-      const double upper = static_cast<double>(bucket_upper(i));
+      const double lower = static_cast<double>(bucket_lower(slot.index));
+      const double upper = static_cast<double>(bucket_upper(slot.index));
       const double offset =
           (rank - static_cast<double>(cumulative)) / static_cast<double>(in_bucket);
       return lower + (upper - lower) * offset;
@@ -82,9 +106,10 @@ double LogLinearHistogram::quantile(double q) const {
 std::vector<LogLinearHistogram::Bucket> LogLinearHistogram::nonzero_buckets()
     const {
   std::vector<Bucket> out;
-  for (uint32_t i = 0; i < buckets_.size(); ++i)
-    if (buckets_[i])
-      out.push_back({bucket_lower(i), bucket_upper(i), buckets_[i]});
+  for (const Slot& slot : slots_)
+    if (slot.count)
+      out.push_back(
+          {bucket_lower(slot.index), bucket_upper(slot.index), slot.count});
   return out;
 }
 

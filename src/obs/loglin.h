@@ -1,4 +1,5 @@
-// Fixed-layout log-linear histograms for the RSSAC002 telemetry plane.
+// Fixed-layout log-linear histograms for the RSSAC002 telemetry plane and
+// the SLO cells.
 //
 // RSSAC002v5 asks operators to publish size and volume *distributions* per
 // instance per day; a useful implementation must (a) read back accurate
@@ -11,8 +12,12 @@
 // The layout is therefore *fixed at compile time* for every histogram:
 // values 0..15 get exact unit buckets, and every power-of-two octave above
 // is split into 16 linear sub-buckets (the HdrHistogram/DDSketch shape,
-// ~3% relative error). Identical layout everywhere makes merge a plain
-// element-wise add: associative, commutative, and bit-exact regardless of
+// ~3% relative error). Only occupied buckets are stored, as (index, count)
+// slots in ascending index order, so a histogram's memory grows with the
+// buckets it holds, not with the highest value it has seen (an SLO cell
+// holds about a dozen RTTs of 20-300 ms).
+// Identical layout everywhere makes merge a sorted merge that adds counts
+// at equal indices: associative, commutative, and bit-exact regardless of
 // shard count or merge order.
 #pragma once
 
@@ -38,9 +43,11 @@ class LogLinearHistogram {
 
   void observe(uint64_t value, uint64_t n = 1);
 
-  /// Element-wise add. Because every histogram shares one fixed layout this
-  /// is exact and associative: merging shards in any grouping or order gives
-  /// the same buckets a single-pass run would.
+  /// Adds `other`'s counts bucket by bucket (a sorted merge of the slots).
+  /// Because every histogram shares one fixed layout this is exact and
+  /// associative: merging shards in any grouping or order gives the same
+  /// buckets a single-pass run would. Allocates nothing when every bucket of
+  /// `other` is already occupied here.
   void merge_from(const LogLinearHistogram& other);
 
   uint64_t count() const { return count_; }
@@ -69,7 +76,12 @@ class LogLinearHistogram {
   std::string to_json() const;
 
  private:
-  std::vector<uint64_t> buckets_;  // lazily sized to the highest touched index
+  /// One occupied bucket.
+  struct Slot {
+    uint32_t index = 0;
+    uint64_t count = 0;
+  };
+  std::vector<Slot> slots_;  // ascending by index, one per occupied bucket
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t max_ = 0;

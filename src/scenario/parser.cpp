@@ -1,5 +1,7 @@
 #include "scenario/parser.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -87,6 +89,24 @@ bool parse_fault_kind(const std::string& token, FaultSpec::Kind* out) {
     }
   }
   return false;
+}
+
+/// The whole token as a number: `abc`, `8x` and out-of-range values fail.
+template <typename T>
+bool parse_number(const std::string& token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && stop == end;
+}
+
+/// A fraction or probability: a number in [0, 1].
+bool parse_unit_interval(const std::string& token, double* out) {
+  return parse_number(token, out) && *out >= 0 && *out <= 1;
+}
+
+/// A finite, non-negative number (milliseconds of delay or jitter).
+bool parse_non_negative(const std::string& token, double* out) {
+  return parse_number(token, out) && std::isfinite(*out) && *out >= 0;
 }
 
 /// key=value fields of an event/fault line; "label=" swallows the rest of
@@ -227,11 +247,12 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
         else if (key == "region") ok = parse_region(value, &event.region);
         else if (key == "start") ok = parse_time(value, &event.window.start);
         else if (key == "end") ok = parse_time(value, &event.window.end);
-        else if (key == "fraction") event.site_fraction = std::atof(value.c_str());
-        else if (key == "loss") event.loss = std::atof(value.c_str());
-        else if (key == "extra-rtt") event.extra_rtt_ms = std::atof(value.c_str());
-        else if (key == "jitter") event.jitter_ms = std::atof(value.c_str());
-        else if (key == "stages") event.stages = std::atoi(value.c_str());
+        else if (key == "fraction") ok = parse_unit_interval(value, &event.site_fraction);
+        else if (key == "loss") ok = parse_unit_interval(value, &event.loss);
+        else if (key == "extra-rtt") ok = parse_non_negative(value, &event.extra_rtt_ms);
+        else if (key == "jitter") ok = parse_non_negative(value, &event.jitter_ms);
+        else if (key == "stages")
+          ok = parse_number(value, &event.stages) && event.stages >= 1;
         else if (key == "label") event.label = value;
         else ok = false;
         if (!ok) return fail("bad event field " + key + "=" + value);

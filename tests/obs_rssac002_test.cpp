@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -73,25 +74,133 @@ TEST(LogLinearHistogram, QuantilesInterpolateInsideTheBucket) {
   EXPECT_LT(spike.quantile(0.5), 8.0);
 }
 
-// Satellite property: merge(a, b) quantiles equal single-pass quantiles —
-// the fixed layout makes the merge an element-wise add, so the whole read
-// side (count/sum/max/quantiles/json) must be bit-identical.
-TEST(LogLinearHistogram, MergeEqualsSinglePass) {
-  LogLinearHistogram single, a, b;
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (int i = 0; i < 5000; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    uint64_t value = (state >> 33) % 70000;  // spans unit buckets .. 2^16
-    single.observe(value);
-    (i % 2 ? a : b).observe(value);
+// Per-bucket counts of a histogram, read back through nonzero_buckets()
+// into the full fixed layout.
+std::vector<uint64_t> dense_buckets(const LogLinearHistogram& h) {
+  std::vector<uint64_t> dense(LogLinearHistogram::kBucketCount, 0);
+  for (const LogLinearHistogram::Bucket& bucket : h.nonzero_buckets()) {
+    const uint32_t index = LogLinearHistogram::bucket_index(bucket.lower);
+    EXPECT_EQ(LogLinearHistogram::bucket_lower(index), bucket.lower);
+    EXPECT_EQ(LogLinearHistogram::bucket_upper(index), bucket.upper);
+    dense[index] += bucket.count;
   }
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), single.count());
-  EXPECT_EQ(a.sum(), single.sum());
-  EXPECT_EQ(a.max(), single.max());
+  return dense;
+}
+
+void expect_same_histogram(const LogLinearHistogram& got,
+                           const LogLinearHistogram& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.count(), want.count()) << what;
+  EXPECT_EQ(got.sum(), want.sum()) << what;
+  EXPECT_EQ(got.max(), want.max()) << what;
+  const auto got_buckets = got.nonzero_buckets();
+  const auto want_buckets = want.nonzero_buckets();
+  ASSERT_EQ(got_buckets.size(), want_buckets.size()) << what;
+  for (size_t i = 0; i < got_buckets.size(); ++i) {
+    EXPECT_EQ(got_buckets[i].lower, want_buckets[i].lower) << what << " #" << i;
+    EXPECT_EQ(got_buckets[i].upper, want_buckets[i].upper) << what << " #" << i;
+    EXPECT_EQ(got_buckets[i].count, want_buckets[i].count) << what << " #" << i;
+  }
   for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
-    EXPECT_DOUBLE_EQ(a.quantile(q), single.quantile(q)) << "q=" << q;
-  EXPECT_EQ(a.to_json(), single.to_json());
+    EXPECT_DOUBLE_EQ(got.quantile(q), want.quantile(q)) << what << " q=" << q;
+  EXPECT_EQ(got.to_json(), want.to_json()) << what;
+}
+
+// Property: merging shards equals a single pass. The fixed layout makes the
+// merge a sorted merge of occupied slots that adds counts at equal indices,
+// so every bucket must match a dense reference and the whole read side
+// (count/sum/max/buckets/quantiles/json) must be bit-identical, whatever the
+// observation order, shard count or merge grouping.
+TEST(LogLinearHistogram, MergeEqualsSinglePass) {
+  // (value, weight) pairs over the whole uint64_t range: the unit buckets,
+  // their edge with the first octave, every octave, and the saturated top
+  // bucket, some observed with weight n > 1.
+  struct Observation {
+    uint64_t value;
+    uint64_t n;
+  };
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state;
+  };
+  std::vector<Observation> observations;
+  for (uint64_t value : {uint64_t{0}, uint64_t{15}, uint64_t{16},
+                         uint64_t{1} << 63, ~uint64_t{0}})
+    observations.push_back({value, 1 + next() % 5});
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t draw = next();
+    const uint64_t value = next() >> (draw >> 58);  // log-uniform octave
+    observations.push_back({value, i % 3 ? 1 : 2 + (draw & 7)});
+  }
+
+  LogLinearHistogram single;
+  std::vector<uint64_t> dense(LogLinearHistogram::kBucketCount, 0);
+  for (const Observation& o : observations) {
+    single.observe(o.value, o.n);
+    dense[LogLinearHistogram::bucket_index(o.value)] += o.n;
+  }
+  ASSERT_EQ(dense_buckets(single), dense);
+  const auto top = single.nonzero_buckets().back();
+  EXPECT_EQ(top.lower,
+            LogLinearHistogram::bucket_lower(LogLinearHistogram::kBucketCount - 1));
+  EXPECT_EQ(top.upper, ~uint64_t{0});  // saturated, not wrapped
+
+  // Descending order inserts every new slot at the front; interleaving the
+  // two ends of the sorted run inserts into the middle from both sides.
+  std::vector<Observation> descending = observations;
+  std::sort(descending.begin(), descending.end(),
+            [](const Observation& a, const Observation& b) {
+              return a.value > b.value;
+            });
+  std::vector<Observation> interleaved;
+  for (size_t lo = 0, hi = descending.size(); lo < hi;) {
+    interleaved.push_back(descending[--hi]);
+    if (lo < hi) interleaved.push_back(descending[lo++]);
+  }
+
+  for (const auto& [order_name, order] :
+       {std::pair{"descending", &descending},
+        std::pair{"interleaved", &interleaved}}) {
+    for (size_t shard_count = 1; shard_count <= 8; ++shard_count) {
+      std::vector<LogLinearHistogram> shards(shard_count);
+      for (size_t i = 0; i < order->size(); ++i)
+        shards[i % shard_count].observe((*order)[i].value, (*order)[i].n);
+      // Left fold, right fold into an empty histogram, and a pairwise tree.
+      LogLinearHistogram left = shards[0];
+      for (size_t k = 1; k < shard_count; ++k) left.merge_from(shards[k]);
+      LogLinearHistogram right;
+      for (size_t k = shard_count; k-- > 0;) right.merge_from(shards[k]);
+      std::vector<LogLinearHistogram> level = shards;
+      while (level.size() > 1) {
+        std::vector<LogLinearHistogram> up;
+        for (size_t k = 0; k + 1 < level.size(); k += 2) {
+          up.push_back(level[k + 1]);
+          up.back().merge_from(level[k]);
+        }
+        if (level.size() % 2) up.push_back(level.back());
+        level = std::move(up);
+      }
+      for (const auto& [grouping, merged] :
+           {std::pair{"left", &left}, std::pair{"right", &right},
+            std::pair{"tree", &level[0]}}) {
+        const std::string what = std::string(order_name) + " " + grouping +
+                                 " x" + std::to_string(shard_count);
+        EXPECT_EQ(dense_buckets(*merged), dense) << what;
+        expect_same_histogram(*merged, single, what);
+      }
+    }
+  }
+
+  // Merging a histogram into itself doubles every bucket in place, and the
+  // rank-based quantiles do not move.
+  LogLinearHistogram doubled = single;
+  doubled.merge_from(doubled);
+  std::vector<uint64_t> twice = dense;
+  for (uint64_t& count : twice) count *= 2;
+  EXPECT_EQ(dense_buckets(doubled), twice);
+  for (double q : {0.0, 0.5, 0.99, 1.0})
+    EXPECT_DOUBLE_EQ(doubled.quantile(q), single.quantile(q)) << "q=" << q;
 }
 
 TEST(LogLinearHistogram, JsonShape) {

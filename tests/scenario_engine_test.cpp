@@ -97,6 +97,44 @@ TEST(ScenarioParser, RejectsNonPositiveIntervalsWithLineNumber) {
   }
 }
 
+TEST(ScenarioParser, RejectsBadEventNumbersWithLineNumber) {
+  // Each of these used to pass --check: atof/atoi read `abc` as 0 and `8x`
+  // as 8, and nothing checked the ranges.
+  const std::string text = serialize_scenario(ddos_c_globals());
+  const size_t at = text.find("event ");
+  ASSERT_NE(at, std::string::npos);
+  const size_t line = 1 + static_cast<size_t>(std::count(text.begin(),
+                                                         text.begin() + at, '\n'));
+  const std::string event_line = text.substr(at, text.find('\n', at) - at);
+  const struct {
+    const char* field;  // key=value as the serializer writes it
+    const char* bad;
+  } cases[] = {
+      {"fraction=0.9", "fraction=7"},     {"fraction=0.9", "fraction=-0.1"},
+      {"fraction=0.9", "fraction=abc"},   {"fraction=0.9", "fraction=nan"},
+      {"fraction=0.9", "fraction="},      {"loss=0.3", "loss=2.5"},
+      {"loss=0.3", "loss=0.3x"},          {"extra-rtt=120", "extra-rtt=-5"},
+      {"extra-rtt=120", "extra-rtt=inf"}, {"jitter=0", "jitter=1e999"},
+      {"jitter=0", "jitter=ten"},         {"stages=8", "stages=-3"},
+      {"stages=8", "stages=0"},           {"stages=8", "stages=8x"},
+      {"stages=8", "stages=1.5"},         {"stages=8", "stages=99999999999"},
+  };
+  for (const auto& c : cases) {
+    const size_t field_at = event_line.find(c.field);
+    ASSERT_NE(field_at, std::string::npos) << c.field;
+    std::string bad_line = event_line;
+    bad_line.replace(field_at, std::string(c.field).size(), c.bad);
+    std::string bad = text;
+    bad.replace(at, event_line.size(), bad_line);
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_scenario(bad, &spec, &error)) << c.bad;
+    EXPECT_NE(error.find(util::format("line %zu: bad event field %s", line, c.bad)),
+              std::string::npos)
+        << c.bad << ": " << error;
+  }
+}
+
 TEST(ScenarioLibrary, FindScenarioByName) {
   ScenarioSpec spec;
   EXPECT_TRUE(find_scenario("paper-2023", &spec));
