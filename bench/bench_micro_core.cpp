@@ -3,6 +3,8 @@
 // zone signing, anycast route lookup, and the full 47-query probe.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
 #include "analysis/colocation.h"
 #include "bench_common.h"
 #include "crypto/sha2.h"
@@ -81,6 +83,51 @@ void BM_RsaSignVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSignVerify)->Arg(512)->Arg(1024);
+
+// 100-byte messages that differ in their first eight bytes.
+std::vector<uint8_t> numbered_message(uint64_t i) {
+  std::vector<uint8_t> msg(100, 7);
+  std::memcpy(msg.data(), &i, sizeof i);
+  return msg;
+}
+
+// The signer's path: one RsaSignContext per key, built outside the timed
+// loop, signing distinct messages (BM_RsaSignVerify rebuilds its contexts
+// on every iteration).
+void BM_RsaSign(benchmark::State& state) {
+  util::Rng rng(42);
+  auto key = crypto::generate_rsa_key(rng, static_cast<size_t>(state.range(0)));
+  const crypto::RsaSignContext signer(key);
+  uint64_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        signer.sign(crypto::RsaHash::Sha256, numbered_message(i++)));
+}
+BENCHMARK(BM_RsaSign)->Arg(512)->Arg(768)->Arg(1024)->Arg(2048);
+
+// The validator's path: one RsaVerifyContext per key (e = 65537), checking
+// signatures over distinct messages.
+void BM_RsaVerify(benchmark::State& state) {
+  util::Rng rng(42);
+  auto key = crypto::generate_rsa_key(rng, static_cast<size_t>(state.range(0)));
+  const crypto::RsaSignContext signer(key);
+  const crypto::RsaVerifyContext verifier(key.public_key);
+  std::vector<std::vector<uint8_t>> messages, signatures;
+  for (uint64_t i = 0; i < 64; ++i) {
+    messages.push_back(numbered_message(i));
+    signatures.push_back(signer.sign(crypto::RsaHash::Sha256, messages.back()));
+  }
+  size_t i = 0, verified = 0;
+  for (auto _ : state) {
+    const size_t k = i++ % messages.size();
+    const bool ok =
+        verifier.verify(crypto::RsaHash::Sha256, messages[k], signatures[k]);
+    benchmark::DoNotOptimize(ok);
+    verified += ok;
+  }
+  if (verified != i) state.SkipWithError("a signature failed to verify");
+}
+BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(768)->Arg(1024)->Arg(2048);
 
 void BM_SignZone(benchmark::State& state) {
   rss::RootCatalog catalog;

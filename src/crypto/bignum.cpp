@@ -330,178 +330,248 @@ BigNum BigNum::mod_pow(const BigNum& exponent, const BigNum& modulus) const {
   return mod_pow_basic(exponent, modulus);
 }
 
+namespace {
+
+// The kernel widths, in limbs: every CRT half and full modulus of the
+// 512/768/1024/1536/2048-bit keys the repository generates.
+constexpr size_t kWidths[] = {4, 6, 8, 12, 16, 24, 32};
+
+template <size_t K>
+using Residue = std::array<uint64_t, K>;
+
+// One 192-bit column accumulator: the low 128 bits and the carry word above
+// them. A column adds at most 2K products of two limbs to the carry of the
+// column before, which for K <= 32 stays below 2^136.
+struct Column {
+  U128 low = 0;
+  uint64_t carry = 0;
+
+  void add(U128 value) { carry += __builtin_add_overflow(low, value, &low); }
+  void mac(uint64_t a, uint64_t b) { add(static_cast<U128>(a) * b); }
+  // Emits the low word and moves the accumulator down one column.
+  uint64_t shift() {
+    const uint64_t word = static_cast<uint64_t>(low);
+    low = (low >> 64) | (static_cast<U128>(carry) << 64);
+    carry = 0;
+    return word;
+  }
+};
+
+// Calls column(i) for each of the 2K output columns of a K-limb product.
+// Up to 16 limbs the sweep is fully unrolled, so every index range inside a
+// column is a constant. The 24- and 32-limb kernels unroll only the loops
+// inside a column: unrolled whole, their products alone took 31 and 55 KB
+// of code, and the partly unrolled ones measured no slower.
+template <size_t K, typename Fn>
+[[gnu::always_inline]] inline void sweep_columns(Fn&& column) {
+  if constexpr (K <= 16) {
+#pragma GCC unroll 32
+    for (size_t i = 0; i < 2 * K; ++i) column(i);
+  } else {
+    for (size_t i = 0; i < 2 * K; ++i) column(i);
+  }
+}
+
+// Montgomery arithmetic modulo an odd n < R = 2^(64K).
+template <size_t K>
+class Field {
+ public:
+  Field(const uint64_t* n, const uint64_t* r2, uint64_t n0_inv)
+      : n0_inv_(n0_inv) {
+    std::copy(n, n + K, n_.begin());
+    std::copy(r2, r2 + K, r2_.begin());
+  }
+
+  // out = a * b * R^-1 mod n, for a, b < n; out may alias either input.
+  // Finely integrated product scanning: output column i collects its a*b
+  // products and its m*n reduction products in one accumulator.
+  void mul(Residue<K>& out, const Residue<K>& a, const Residue<K>& b) const {
+    Residue<K> m{}, t{};
+    Column acc;
+    sweep_columns<K>([&](size_t i) __attribute__((always_inline)) {
+      const size_t first = i < K ? 0 : i - K + 1;
+#pragma GCC unroll 32
+      for (size_t j = first; j <= i && j < K; ++j) acc.mac(a[j], b[i - j]);
+      reduce_step(acc, m, t, first, i);
+    });
+    subtract_if_ge(out, t, static_cast<uint64_t>(acc.low));
+  }
+
+  // out = a * a * R^-1 mod n; out may alias a. The same column sweep as
+  // mul, but each cross product a[j] * a[i - j] (j < i - j) is added once
+  // and the column's cross sum doubled before the square term joins it.
+  void sqr(Residue<K>& out, const Residue<K>& a) const {
+    Residue<K> m{}, t{};
+    Column acc;
+    sweep_columns<K>([&](size_t i) __attribute__((always_inline)) {
+      const size_t first = i < K ? 0 : i - K + 1;
+      Column cross;
+#pragma GCC unroll 32
+      for (size_t j = first; 2 * j < i; ++j) cross.mac(a[j], a[i - j]);
+      acc.carry += (cross.carry << 1) + static_cast<uint64_t>(cross.low >> 127);
+      acc.add(cross.low << 1);
+      if (i % 2 == 0) acc.mac(a[i / 2], a[i / 2]);
+      reduce_step(acc, m, t, first, i);
+    });
+    subtract_if_ge(out, t, static_cast<uint64_t>(acc.low));
+  }
+
+  Residue<K> to_mont(const Residue<K>& x) const {
+    Residue<K> out{};
+    mul(out, x, r2_);
+    return out;
+  }
+
+  Residue<K> from_mont(const Residue<K>& x) const {
+    Residue<K> one{};
+    one[0] = 1;
+    Residue<K> out{};
+    mul(out, x, one);
+    return out;
+  }
+
+ private:
+  // Adds column i's reduction products m[j] * n[i - j] (for j >= first and
+  // every m[j] already known), then moves down one column. Below column K
+  // the column's low word fixes m[i], the reduction word that clears it;
+  // from column K on, the low word is result limb t[i - K].
+  [[gnu::always_inline]] void reduce_step(Column& acc, Residue<K>& m,
+                                          Residue<K>& t, size_t first,
+                                          size_t i) const {
+#pragma GCC unroll 32
+    for (size_t j = first; j < i && j < K; ++j) acc.mac(m[j], n_[i - j]);
+    if (i < K) {
+      m[i] = static_cast<uint64_t>(acc.low) * n0_inv_;
+      acc.mac(m[i], n_[0]);
+      acc.shift();
+    } else {
+      t[i - K] = acc.shift();
+    }
+  }
+
+  // out = t + top * R reduced once by n, given t + top * R < 2n. Computes
+  // t - n and selects it with a mask, without a data-dependent branch.
+  void subtract_if_ge(Residue<K>& out, const Residue<K>& t,
+                      uint64_t top) const {
+    Residue<K> d{};
+    uint64_t borrow = 0;
+#pragma GCC unroll 32
+    for (size_t i = 0; i < K; ++i) {
+      const U128 diff = static_cast<U128>(t[i]) - n_[i] - borrow;
+      d[i] = static_cast<uint64_t>(diff);
+      borrow = static_cast<uint64_t>(diff >> 64) & 1;
+    }
+    // t + top * R < n exactly when the subtraction borrowed and top is 0.
+    const uint64_t keep_t = 0 - (borrow & ~top);
+#pragma GCC unroll 32
+    for (size_t i = 0; i < K; ++i) out[i] = (t[i] & keep_t) | (d[i] & ~keep_t);
+  }
+
+  Residue<K> n_;
+  Residue<K> r2_;
+  uint64_t n0_inv_;
+};
+
+template <size_t K>
+Residue<K> read(const uint64_t* limbs) {
+  Residue<K> out{};
+  std::copy(limbs, limbs + K, out.begin());
+  return out;
+}
+
+// x = x^e mod n by left-to-right square-and-multiply over the `bits` bits of
+// e (the top one set). x holds K limbs, < n on entry.
+template <size_t K>
+void exp_bits(const Field<K>& field, uint64_t* x, const BigNum& e,
+              size_t bits) {
+  const Residue<K> base = field.to_mont(read<K>(x));
+  Residue<K> acc = base;
+  for (size_t i = bits - 1; i > 0; --i) {
+    field.sqr(acc, acc);
+    if (e.bit(i - 1)) field.mul(acc, acc, base);
+  }
+  acc = field.from_mont(acc);
+  std::copy(acc.begin(), acc.end(), x);
+}
+
+// x = x^e mod n with e given by its 4-bit window digits, most significant
+// first (the first nonzero). x holds K limbs, < n on entry.
+template <size_t K>
+void exp_windows(const Field<K>& field, uint64_t* x, const uint8_t* digits,
+                 size_t digit_count) {
+  // table[i] = x^i in Montgomery form; table[0] is R mod n.
+  std::array<Residue<K>, 16> table{};
+  Residue<K> one{};
+  one[0] = 1;
+  table[0] = field.to_mont(one);
+  table[1] = field.to_mont(read<K>(x));
+  for (size_t i = 2; i < 16; ++i) field.mul(table[i], table[i - 1], table[1]);
+  Residue<K> acc = table[digits[0]];
+  for (size_t d = 1; d < digit_count; ++d) {
+    for (int s = 0; s < 4; ++s) field.sqr(acc, acc);
+    if (digits[d]) field.mul(acc, acc, table[digits[d]]);
+  }
+  acc = field.from_mont(acc);
+  std::copy(acc.begin(), acc.end(), x);
+}
+
+// x = x * y mod n: (x * R^2 * R^-1) * y * R^-1. x and y hold K limbs, < n.
+template <size_t K>
+void mul_residues(const Field<K>& field, uint64_t* x, const uint64_t* y) {
+  Residue<K> product = field.to_mont(read<K>(x));
+  field.mul(product, product, read<K>(y));
+  std::copy(product.begin(), product.end(), x);
+}
+
+}  // namespace
+
 MontgomeryContext::MontgomeryContext(const BigNum& modulus) : modulus_(modulus) {
   if (!modulus.is_odd() || modulus <= BigNum(1)) return;
-  n_ = modulus.limbs_;
+  const size_t k = modulus.limbs_.size();
+  if (k > kMaxLimbs) return;
+  width_ = *std::find_if(std::begin(kWidths), std::end(kWidths),
+                         [k](size_t w) { return w >= k; });
+  std::copy(modulus.limbs_.begin(), modulus.limbs_.end(), n_.begin());
   // -n^{-1} mod 2^64 via Newton iteration: x_{k+1} = x_k * (2 - n * x_k)
   // doubles the number of correct low bits each step (n odd).
-  uint64_t n0 = n_[0];
+  const uint64_t n0 = n_[0];
   uint64_t inv = n0;  // correct to 5 bits for odd n0 (classic seed: 3 bits,
                       // n0 itself gives >= 3; five iterations reach 64)
   for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
   n0_inv_ = ~inv + 1;  // negate mod 2^64
-  const size_t k = n_.size();
   // R^2 mod n with one division at setup.
-  BigNum r2 = (BigNum(1) << (2 * 64 * k)) % modulus;
-  r2_ = r2.limbs_;
-  r2_.resize(k, 0);
+  const BigNum r2 = (BigNum(1) << (2 * 64 * width_)) % modulus;
+  std::copy(r2.limbs_.begin(), r2.limbs_.end(), r2_.begin());
 }
 
-void MontgomeryContext::mul(Limbs& out, const Limbs& a, const Limbs& b,
-                            Limbs& scratch) const {
-  // CIOS (coarsely integrated operand scanning), base 2^64.
-  const size_t k = n_.size();
-  Limbs& t = scratch;
-  t.assign(k + 2, 0);
-  for (size_t i = 0; i < k; ++i) {
-    // t += a[i] * b
-    uint64_t carry = 0;
-    const uint64_t ai = a[i];
-    for (size_t j = 0; j < k; ++j) {
-      U128 cur = static_cast<U128>(ai) * b[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    U128 top = static_cast<U128>(t[k]) + carry;
-    t[k] = static_cast<uint64_t>(top);
-    t[k + 1] = static_cast<uint64_t>(top >> 64);
-    // t = (t + m * n) / 2^64 with m chosen so the low limb cancels.
-    const uint64_t m = t[0] * n0_inv_;
-    U128 cur = static_cast<U128>(m) * n_[0] + t[0];
-    carry = static_cast<uint64_t>(cur >> 64);
-    for (size_t j = 1; j < k; ++j) {
-      cur = static_cast<U128>(m) * n_[j] + t[j] + carry;
-      t[j - 1] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    top = static_cast<U128>(t[k]) + carry;
-    t[k - 1] = static_cast<uint64_t>(top);
-    t[k] = t[k + 1] + static_cast<uint64_t>(top >> 64);
-    t[k + 1] = 0;
-  }
-  // Conditional final subtraction: t (k+1 limbs) is < 2n.
-  bool ge = t[k] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k; i > 0; --i) {
-      if (t[i - 1] != n_[i - 1]) {
-        ge = t[i - 1] > n_[i - 1];
-        break;
-      }
-    }
-  }
-  out.assign(k, 0);
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < k; ++i) {
-      U128 sub = static_cast<U128>(n_[i]) + borrow;
-      U128 lhs = t[i];
-      if (lhs >= sub) {
-        out[i] = static_cast<uint64_t>(lhs - sub);
-        borrow = 0;
-      } else {
-        out[i] = static_cast<uint64_t>((static_cast<U128>(1) << 64) + lhs - sub);
-        borrow = 1;
-      }
-    }
-  } else {
-    std::copy(t.begin(), t.begin() + static_cast<long>(k), out.begin());
-  }
+MontgomeryContext::Padded MontgomeryContext::load(const BigNum& value) const {
+  const BigNum reduced = value % modulus_;
+  Padded out{};
+  std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), out.begin());
+  return out;
 }
 
-void MontgomeryContext::sqr(Limbs& out, const Limbs& a, Limbs& scratch) const {
-  // Schoolbook squaring into a 2k-limb product — the cross terms a[i]*a[j]
-  // (i < j) are computed once and doubled, so a squaring costs roughly half
-  // the limb multiplies of the general CIOS pass — then one Montgomery
-  // reduction. Squarings are ~80% of the multiplies in an exponentiation.
-  const size_t k = n_.size();
-  Limbs& wide = scratch;
-  wide.assign(2 * k + 1, 0);
-  for (size_t i = 0; i < k; ++i) {
-    uint64_t carry = 0;
-    const uint64_t ai = a[i];
-    for (size_t j = i + 1; j < k; ++j) {
-      U128 cur = static_cast<U128>(ai) * a[j] + wide[i + j] + carry;
-      wide[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    size_t idx = i + k;
-    while (carry) {
-      U128 cur = static_cast<U128>(wide[idx]) + carry;
-      wide[idx] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-      ++idx;
-    }
-  }
-  // Double the cross terms, then add the diagonal a[i]^2 contributions.
-  uint64_t prev = 0;
-  for (size_t i = 0; i < 2 * k; ++i) {
-    uint64_t cur = wide[i];
-    wide[i] = (cur << 1) | (prev >> 63);
-    prev = cur;
-  }
-  uint64_t carry = 0;
-  for (size_t i = 0; i < k; ++i) {
-    U128 sq = static_cast<U128>(a[i]) * a[i];
-    U128 lo = static_cast<U128>(wide[2 * i]) + static_cast<uint64_t>(sq) + carry;
-    wide[2 * i] = static_cast<uint64_t>(lo);
-    U128 hi = static_cast<U128>(wide[2 * i + 1]) +
-              static_cast<uint64_t>(sq >> 64) + static_cast<uint64_t>(lo >> 64);
-    wide[2 * i + 1] = static_cast<uint64_t>(hi);
-    carry = static_cast<uint64_t>(hi >> 64);
-  }
-  reduce(out, wide);
+BigNum MontgomeryContext::store(const Padded& limbs) const {
+  BigNum out;
+  out.limbs_.assign(limbs.begin(), limbs.begin() + static_cast<long>(width_));
+  out.normalize();
+  return out;
 }
 
-void MontgomeryContext::reduce(Limbs& out, Limbs& wide) const {
-  // Separated-operand Montgomery reduction of a 2k-limb product. `wide`
-  // needs a spare top limb for carry propagation (callers allocate 2k+1).
-  const size_t k = n_.size();
-  for (size_t i = 0; i < k; ++i) {
-    const uint64_t m = wide[i] * n0_inv_;
-    uint64_t carry = 0;
-    for (size_t j = 0; j < k; ++j) {
-      U128 cur = static_cast<U128>(m) * n_[j] + wide[i + j] + carry;
-      wide[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    size_t idx = i + k;
-    while (carry) {
-      U128 cur = static_cast<U128>(wide[idx]) + carry;
-      wide[idx] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-      ++idx;
-    }
+template <typename Fn>
+void MontgomeryContext::at_width(Fn&& fn) const {
+  const uint64_t* n = n_.data();
+  const uint64_t* r2 = r2_.data();
+  switch (width_) {
+    case 4: return fn(Field<4>(n, r2, n0_inv_));
+    case 6: return fn(Field<6>(n, r2, n0_inv_));
+    case 8: return fn(Field<8>(n, r2, n0_inv_));
+    case 12: return fn(Field<12>(n, r2, n0_inv_));
+    case 16: return fn(Field<16>(n, r2, n0_inv_));
+    case 24: return fn(Field<24>(n, r2, n0_inv_));
+    case 32: return fn(Field<32>(n, r2, n0_inv_));
   }
-  // Result sits in wide[k .. 2k] and is < 2n; one conditional subtraction.
-  bool ge = wide[2 * k] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k; i > 0; --i) {
-      if (wide[k + i - 1] != n_[i - 1]) {
-        ge = wide[k + i - 1] > n_[i - 1];
-        break;
-      }
-    }
-  }
-  out.assign(k, 0);
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < k; ++i) {
-      U128 sub = static_cast<U128>(n_[i]) + borrow;
-      U128 lhs = wide[k + i];
-      if (lhs >= sub) {
-        out[i] = static_cast<uint64_t>(lhs - sub);
-        borrow = 0;
-      } else {
-        out[i] = static_cast<uint64_t>((static_cast<U128>(1) << 64) + lhs - sub);
-        borrow = 1;
-      }
-    }
-  } else {
-    std::copy(wide.begin() + static_cast<long>(k),
-              wide.begin() + static_cast<long>(2 * k), out.begin());
-  }
+  assert(false && "MontgomeryContext: no kernel for this width");
 }
 
 FixedWindowSchedule FixedWindowSchedule::from_exponent(const BigNum& exponent) {
@@ -528,92 +598,30 @@ BigNum MontgomeryContext::exp(const BigNum& base, const BigNum& exponent) const 
   // Small exponents (RSA's public e = 65537 on the verify path) do at most
   // ~2 multiplies beyond the squarings — building the 16-entry window table
   // (15 multiplies) would dominate. Plain left-to-right square-and-multiply.
-  if (bits <= 24) {
-    const size_t k = n_.size();
-    BigNum reduced = base % modulus_;
-    Limbs base_n = reduced.limbs_;
-    base_n.resize(k, 0);
-    Limbs scratch, mont_base, tmp;
-    mul(mont_base, base_n, r2_, scratch);
-    Limbs acc = mont_base;  // top exponent bit is 1
-    for (size_t i = bits - 1; i > 0; --i) {
-      sqr(tmp, acc, scratch);
-      acc.swap(tmp);
-      if (exponent.bit(i - 1)) {
-        mul(tmp, acc, mont_base, scratch);
-        acc.swap(tmp);
-      }
-    }
-    Limbs one(k, 0);
-    one[0] = 1;
-    mul(tmp, acc, one, scratch);  // from_mont
-    BigNum out;
-    out.limbs_ = std::move(tmp);
-    out.normalize();
-    return out;
-  }
-  FixedWindowSchedule schedule = FixedWindowSchedule::from_exponent(exponent);
-  return exp_windows(base, schedule.digits.data(), schedule.digits.size());
+  if (bits > 24)
+    return exp(base, FixedWindowSchedule::from_exponent(exponent));
+  Padded x = load(base);
+  at_width([&](const auto& field) { exp_bits(field, x.data(), exponent, bits); });
+  return store(x);
 }
 
 BigNum MontgomeryContext::exp(const BigNum& base,
                               const FixedWindowSchedule& schedule) const {
   assert(valid());
   if (schedule.empty()) return BigNum(1) % modulus_;
-  return exp_windows(base, schedule.digits.data(), schedule.digits.size());
-}
-
-BigNum MontgomeryContext::exp_windows(const BigNum& base, const uint8_t* digits,
-                                      size_t digit_count) const {
-  const size_t k = n_.size();
-  BigNum reduced = base % modulus_;
-  Limbs base_n = reduced.limbs_;
-  base_n.resize(k, 0);
-  Limbs scratch;
-  // Precompute the window table in Montgomery form: table[0] = R mod n
-  // (Montgomery one), table[i] = base^i.
-  Limbs one(k, 0);
-  one[0] = 1;
-  std::array<Limbs, 16> table;
-  mul(table[0], one, r2_, scratch);      // to_mont(1)
-  mul(table[1], base_n, r2_, scratch);   // to_mont(base)
-  for (size_t i = 2; i < 16; ++i) mul(table[i], table[i - 1], table[1], scratch);
-
-  Limbs acc = table[digits[0]];  // top window is nonzero by construction
-  Limbs tmp;
-  for (size_t d = 1; d < digit_count; ++d) {
-    for (int s = 0; s < 4; ++s) {
-      sqr(tmp, acc, scratch);
-      acc.swap(tmp);
-    }
-    if (digits[d]) {
-      mul(tmp, acc, table[digits[d]], scratch);
-      acc.swap(tmp);
-    }
-  }
-  mul(tmp, acc, one, scratch);  // from_mont
-  BigNum out;
-  out.limbs_ = std::move(tmp);
-  out.normalize();
-  return out;
+  Padded x = load(base);
+  at_width([&](const auto& field) {
+    exp_windows(field, x.data(), schedule.digits.data(), schedule.digits.size());
+  });
+  return store(x);
 }
 
 BigNum MontgomeryContext::mul_mod(const BigNum& a, const BigNum& b) const {
   assert(valid());
-  const size_t k = n_.size();
-  BigNum ra = a % modulus_;
-  BigNum rb = b % modulus_;
-  Limbs la = ra.limbs_;
-  la.resize(k, 0);
-  Limbs lb = rb.limbs_;
-  lb.resize(k, 0);
-  Limbs scratch, mont_a, prod;
-  mul(mont_a, la, r2_, scratch);   // a*R
-  mul(prod, mont_a, lb, scratch);  // (a*R)*b*R^-1 = a*b mod n
-  BigNum out;
-  out.limbs_ = std::move(prod);
-  out.normalize();
-  return out;
+  Padded x = load(a);
+  const Padded y = load(b);
+  at_width([&](const auto& field) { mul_residues(field, x.data(), y.data()); });
+  return store(x);
 }
 
 BigNum BigNum::gcd(BigNum a, BigNum b) {

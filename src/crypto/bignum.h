@@ -5,12 +5,14 @@
 // arithmetic on big integers. This is a deliberately small, well-tested
 // implementation: 64-bit limbs (little-endian), schoolbook multiplication,
 // Knuth Algorithm D division, binary extended GCD, and two modexp paths —
-// the square-and-multiply reference (`mod_pow_basic`) and a Montgomery-form
-// CIOS kernel with 4-bit fixed windows (`MontgomeryContext`) that `mod_pow`
-// selects for odd moduli. Signing and verification dominate the audit's
-// 78M-AXFR-scale hot path, so the Montgomery kernel matters.
+// the square-and-multiply reference (`mod_pow_basic`) and a fixed-width
+// Montgomery kernel (`MontgomeryContext`) that `mod_pow` selects for odd
+// moduli of up to 2048 bits. RSA signing is most of a cold zone build and
+// RSA verification a large part of zone validation, so that kernel is the
+// audit path's hot loop.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -102,23 +104,35 @@ struct FixedWindowSchedule {
 
 /// Montgomery-form modular exponentiation for a fixed odd modulus.
 ///
-/// Precomputes -n^{-1} mod 2^64 and R^2 mod n (R = 2^(64k)) once, then every
-/// multiply is one CIOS pass — no division anywhere on the exponentiation
-/// path. exp() uses a 4-bit fixed window (16-entry table, 4 squarings + one
-/// table multiply per window); squarings go through a dedicated half-product
-/// kernel (~25% fewer limb multiplies than the general CIOS pass). Small
-/// exponents (RSA's e = 65537) skip the window table entirely — plain
-/// square-and-multiply is cheaper than building 16 table entries. Reusing
-/// one context across many operations with the same modulus (RSA
-/// sign/verify) amortizes the setup divmod; that reuse is what
-/// crypto::RsaSignContext / RsaVerifyContext package for the DNSSEC paths.
+/// Precomputes -n^{-1} mod 2^64 and R^2 mod n once, so no division runs on
+/// the exponentiation path. The kernel is compiled for fixed limb counts
+/// K ∈ {4, 6, 8, 12, 16, 24, 32}: the CRT halves and full moduli of 512- to
+/// 2048-bit keys. A k-limb modulus runs at the smallest K >= k, zero-padded,
+/// with R = 2^(64K); padding changes the Montgomery representation, never a
+/// result. Residues are K-limb arrays on the stack, so an exponentiation
+/// allocates nothing. Each Montgomery product sweeps the 2K output columns
+/// once (finely integrated product scanning): a column's operand products
+/// and its reduction products accumulate together in 192 bits, and the
+/// column yields the next reduction word. Squarings take each cross product
+/// once, doubled. The final conditional subtraction is a mask select.
+///
+/// exp() uses a 4-bit fixed window (16-entry table, 4 squarings + one table
+/// multiply per window). Small exponents (RSA's e = 65537) skip the window
+/// table entirely — plain square-and-multiply is cheaper than building 16
+/// table entries. Reusing one context across many operations with the same
+/// modulus (RSA sign/verify) amortizes the setup division; that reuse is
+/// what crypto::RsaSignContext / RsaVerifyContext package for the DNSSEC
+/// paths.
 class MontgomeryContext {
  public:
-  /// `modulus` must be odd and > 1; valid() is false otherwise and exp()
-  /// falls back to the schoolbook path.
+  /// Widest kernel, in 64-bit limbs (2048-bit moduli).
+  static constexpr size_t kMaxLimbs = 32;
+
+  /// `modulus` must be odd, > 1 and at most kMaxLimbs limbs; valid() is
+  /// false otherwise and BigNum::mod_pow falls back to mod_pow_basic.
   explicit MontgomeryContext(const BigNum& modulus);
 
-  bool valid() const { return !n_.empty(); }
+  bool valid() const { return width_ != 0; }
   const BigNum& modulus() const { return modulus_; }
 
   /// (base ^ exponent) mod modulus.
@@ -133,22 +147,20 @@ class MontgomeryContext {
   BigNum mul_mod(const BigNum& a, const BigNum& b) const;
 
  private:
-  using Limbs = std::vector<uint64_t>;
-  /// out = (a * b * R^-1) mod n; a, b, out are k-limb Montgomery residues.
-  void mul(Limbs& out, const Limbs& a, const Limbs& b, Limbs& scratch) const;
-  /// out = (a * a * R^-1) mod n; exploits product symmetry (half the
-  /// cross-limb multiplies of mul).
-  void sqr(Limbs& out, const Limbs& a, Limbs& scratch) const;
-  /// Montgomery-reduces the 2k-limb product in `wide` into `out`.
-  void reduce(Limbs& out, Limbs& wide) const;
-  /// Shared driver behind both exp() overloads.
-  BigNum exp_windows(const BigNum& base, const uint8_t* digits,
-                     size_t digit_count) const;
+  using Padded = std::array<uint64_t, kMaxLimbs>;
+  /// value mod n, zero-padded to the kernel width.
+  Padded load(const BigNum& value) const;
+  /// The kernel-width value in `limbs` as a normalized BigNum.
+  BigNum store(const Padded& limbs) const;
+  /// Calls fn(field) with this modulus' Montgomery field at its width.
+  template <typename Fn>
+  void at_width(Fn&& fn) const;
 
   BigNum modulus_;
-  Limbs n_;          // modulus limbs, k entries
-  Limbs r2_;         // R^2 mod n
+  size_t width_ = 0;     // kernel width K in limbs; 0 when invalid
   uint64_t n0_inv_ = 0;  // -n^{-1} mod 2^64
+  Padded n_{};           // modulus limbs, zero-padded
+  Padded r2_{};          // R^2 mod n
 };
 
 }  // namespace rootsim::crypto

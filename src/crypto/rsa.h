@@ -4,9 +4,11 @@
 // Key generation uses our own Miller–Rabin over deterministic randomness, so
 // a simulated root zone's keys — and therefore every signature and every
 // validation failure in the Table 2 reproduction — are reproducible from the
-// experiment seed. Default modulus is 1024 bits: cryptographically obsolete
-// but structurally identical to the real root's 2048-bit keys, and an order
-// of magnitude faster for the 75M-zone-transfer-scale simulation.
+// experiment seed. generate_rsa_key defaults to 1024 bits; the simulated
+// root zone's KSK and ZSK are 768-bit (rss::ZoneAuthorityConfig::
+// rsa_modulus_bits). Both are cryptographically obsolete but structurally
+// identical to the real root's 2048-bit keys, and a 768-bit CRT signature
+// costs about a fifteenth of a 2048-bit one.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,8 @@ struct RsaPrivateKey {
   /// CRT precomputation (RFC 8017 §3.2): d mod (p-1), d mod (q-1), q^-1 mod p.
   /// Filled by generate_rsa_key; rsa_sign derives them on the fly when a
   /// hand-built key leaves them zero. Signing via two half-size Montgomery
-  /// exponentiations is ~4x the full-size path.
+  /// exponentiations takes about a third of the full-size path's time at
+  /// 512 to 1024 bits and about a fifth at 1536 and 2048 bits.
   BigNum dp;
   BigNum dq;
   BigNum qinv;

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -138,16 +137,21 @@ struct FieldReader {
   }
 };
 
+/// Exactly kRegionCount comma-separated site counts, each a whole number
+/// >= 0 (an empty count fails).
 bool parse_counts(const std::string& token,
                   std::array<int, util::kRegionCount>* out) {
-  std::istringstream in(token);
-  std::string part;
-  size_t i = 0;
-  while (std::getline(in, part, ',')) {
-    if (i >= out->size()) return false;
-    (*out)[i++] = std::atoi(part.c_str());
+  size_t start = 0;
+  for (size_t i = 0; i < out->size(); ++i) {
+    const bool last = i + 1 == out->size();
+    const size_t comma = token.find(',', start);
+    if ((comma == std::string::npos) != last) return false;
+    const size_t len = last ? std::string::npos : comma - start;
+    if (!parse_number(token.substr(start, len), &(*out)[i]) || (*out)[i] < 0)
+      return false;
+    start = comma + 1;
   }
-  return i == out->size();
+  return true;
 }
 
 std::string counts_to_string(const std::array<int, util::kRegionCount>& counts) {
@@ -186,19 +190,19 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
       size_t at = line.find("description");
       spec.description = std::string(util::trim(line.substr(at + 11)));
     } else if (directive == "seed") {
-      if (tokens.size() != 2) return fail("seed wants one number");
-      spec.seed = std::strtoull(tokens[1].c_str(), nullptr, 10);
+      if (tokens.size() != 2 || !parse_number(tokens[1], &spec.seed))
+        return fail("seed wants one number");
     } else if (directive == "horizon") {
       if (tokens.size() != 3 || !parse_time(tokens[1], &spec.horizon.start) ||
           !parse_time(tokens[2], &spec.horizon.end))
         return fail("horizon wants <start> <end>");
     } else if (directive == "intervals") {
       if (tokens.size() != 3) return fail("intervals wants <base_s> <dense_s>");
-      spec.horizon.base_interval_s = std::atoll(tokens[1].c_str());
-      spec.horizon.dense_interval_s = std::atoll(tokens[2].c_str());
       // A zero step would never advance the schedule.
-      if (spec.horizon.base_interval_s <= 0 || spec.horizon.dense_interval_s <= 0)
-        return fail("intervals must be positive");
+      if (!parse_number(tokens[1], &spec.horizon.base_interval_s) ||
+          !parse_number(tokens[2], &spec.horizon.dense_interval_s) ||
+          spec.horizon.base_interval_s <= 0 || spec.horizon.dense_interval_s <= 0)
+        return fail("intervals must be positive whole seconds");
     } else if (directive == "dense-window") {
       TimeWindow window;
       if (tokens.size() != 3 || !parse_time(tokens[1], &window.start) ||
@@ -231,7 +235,9 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
           dep.letter < 0 || tokens[2] != "global" ||
           !parse_counts(tokens[3], &dep.global_sites) || tokens[4] != "local" ||
           !parse_counts(tokens[5], &dep.local_sites))
-        return fail("deployment wants <letter> global <6 counts> local <6 counts>");
+        return fail(
+            "deployment wants <letter> global <6 counts> local <6 counts>, "
+            "each a whole number >= 0");
       spec.deployments.push_back(dep);
     } else if (directive == "event") {
       if (tokens.size() < 2) return fail("event wants a kind");
@@ -269,20 +275,22 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
       std::string key, value;
       while (reader.next(&key, &value)) {
         bool ok = true;
-        if (key == "vp")
-          fault.vp_id = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+        if (key == "vp") ok = parse_number(value, &fault.vp_id);
         else if (key == "root") ok = parse_letter(value, &fault.root);
         else if (key == "family") {
           if (value == "v4") fault.family = 0;
           else if (value == "v6") fault.family = 1;
           else ok = false;
-        } else if (key == "old-b") fault.old_b_address = value == "1";
-        else if (key == "when") ok = parse_time(value, &fault.when);
-        else if (key == "offset") fault.clock_offset_s = std::atoll(value.c_str());
+        } else if (key == "old-b") {
+          ok = value == "0" || value == "1";
+          fault.old_b_address = value == "1";
+        } else if (key == "when") ok = parse_time(value, &fault.when);
+        else if (key == "offset") ok = parse_number(value, &fault.clock_offset_s);
         else if (key == "frozen") {
           if (value == "-") fault.server_frozen_at = 0;
           else ok = parse_time(value, &fault.server_frozen_at);
-        } else if (key == "table2") fault.table2_vp_id = std::atoi(value.c_str());
+        } else if (key == "table2")
+          ok = parse_number(value, &fault.table2_vp_id) && fault.table2_vp_id >= 0;
         else ok = false;
         if (!ok) return fail("bad fault field " + key + "=" + value);
       }

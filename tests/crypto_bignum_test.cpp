@@ -14,6 +14,13 @@ BigNum random_bignum(util::Rng& rng, size_t max_limbs) {
   return BigNum::from_bytes(bytes);
 }
 
+// Uniform over [0, 2^(64 * limbs)).
+BigNum random_limbs(util::Rng& rng, size_t limbs) {
+  std::vector<uint8_t> bytes(limbs * 8);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.next());
+  return BigNum::from_bytes(bytes);
+}
+
 TEST(BigNum, BasicConstruction) {
   EXPECT_TRUE(BigNum().is_zero());
   EXPECT_TRUE(BigNum(0).is_zero());
@@ -145,10 +152,20 @@ TEST(BigNum, ModPowFermat) {
   }
 }
 
+// A random `limbs`-limb odd modulus whose top limb is `top` (0: random,
+// nonzero).
+BigNum odd_modulus(util::Rng& rng, size_t limbs, uint64_t top) {
+  BigNum n = random_limbs(rng, limbs - 1);
+  if (top == 0) top = rng.next() | 1;
+  n = n + (BigNum(top) << (64 * (limbs - 1)));
+  return n.is_odd() ? n : n + BigNum(1);
+}
+
 TEST(BigNum, MontgomeryMatchesBasicModPow) {
-  // Property test: the Montgomery CIOS kernel must agree with the
-  // square-and-multiply oracle on random (base, exponent, odd modulus)
-  // triples across the limb sizes RSA uses.
+  // Property test: the fixed-width Montgomery kernel must agree with the
+  // square-and-multiply oracle at every limb count it serves, including
+  // the counts that run zero-padded at the next wider kernel (5, 7, 9-11,
+  // 13-15, 17-23, 25-31 limbs).
   util::Rng rng(7);
   for (int i = 0; i < 150; ++i) {
     size_t mod_limbs = 1 + rng.uniform(17);  // up to 1088 bits
@@ -162,6 +179,54 @@ TEST(BigNum, MontgomeryMatchesBasicModPow) {
         << "modulus=" << modulus.to_hex() << " base=" << base.to_hex()
         << " exp=" << exponent.to_hex();
   }
+  const uint64_t kTopAllOnes = ~uint64_t{0};
+  for (size_t limbs = 1; limbs <= MontgomeryContext::kMaxLimbs; ++limbs) {
+    // Top limb 2^64-1 keeps n near R at the exact widths, so the final
+    // subtraction often fires (with and without a carry out of the top
+    // limb); top limb 1 leaves n far below R, so it mostly does not.
+    for (uint64_t top : {uint64_t{0}, kTopAllOnes, uint64_t{1}}) {
+      if (limbs == 1 && top == 1) continue;  // n = 1
+      const BigNum n = odd_modulus(rng, limbs, top);
+      SCOPED_TRACE("limbs=" + std::to_string(limbs) + " n=" + n.to_hex());
+      const MontgomeryContext ctx(n);
+      ASSERT_TRUE(ctx.valid());
+      // Full-width exponent, through both exp overloads and mod_pow.
+      const BigNum e = random_limbs(rng, limbs);
+      const BigNum base = random_limbs(rng, limbs + 1);  // usually >= n
+      const BigNum want = base.mod_pow_basic(e, n);
+      EXPECT_EQ(ctx.exp(base, e), want);
+      EXPECT_EQ(ctx.exp(base, FixedWindowSchedule::from_exponent(e)), want);
+      EXPECT_EQ(base.mod_pow(e, n), want);
+      // The tableless path for exponents of at most 24 bits.
+      for (uint64_t small : {3u, 17u, 65537u, (1u << 24) - 1})
+        EXPECT_EQ(ctx.exp(base, BigNum(small)),
+                  base.mod_pow_basic(BigNum(small), n))
+            << "e=" << small;
+      // Bases at and around the modulus.
+      const BigNum k = random_limbs(rng, 1) + BigNum(2);
+      for (const BigNum& b : {BigNum(), BigNum(1), n - BigNum(1), n, k * n,
+                              k * n + BigNum(1), k * n - BigNum(1)}) {
+        EXPECT_EQ(ctx.exp(b, BigNum(65537)),
+                  b.mod_pow_basic(BigNum(65537), n))
+            << "base=" << b.to_hex();
+        EXPECT_EQ(ctx.mul_mod(b, base), (b * base) % n)
+            << "base=" << b.to_hex();
+      }
+      // mul_mod on random operands, reduced and not.
+      for (int i = 0; i < 4; ++i) {
+        const BigNum a = random_limbs(rng, limbs + i % 2);
+        const BigNum b = random_limbs(rng, limbs);
+        EXPECT_EQ(ctx.mul_mod(a, b), (a * b) % n);
+      }
+    }
+  }
+  // Past the widest kernel the context is invalid and mod_pow falls back to
+  // the basic path.
+  const BigNum wide = odd_modulus(rng, MontgomeryContext::kMaxLimbs + 1, 0);
+  EXPECT_FALSE(MontgomeryContext(wide).valid());
+  const BigNum base = random_limbs(rng, MontgomeryContext::kMaxLimbs);
+  const BigNum e = random_limbs(rng, 2);
+  EXPECT_EQ(base.mod_pow(e, wide), base.mod_pow_basic(e, wide));
 }
 
 TEST(BigNum, MontgomeryEdgeCases) {

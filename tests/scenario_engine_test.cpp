@@ -97,41 +97,107 @@ TEST(ScenarioParser, RejectsNonPositiveIntervalsWithLineNumber) {
   }
 }
 
-TEST(ScenarioParser, RejectsBadEventNumbersWithLineNumber) {
-  // Each of these used to pass --check: atof/atoi read `abc` as 0 and `8x`
-  // as 8, and nothing checked the ranges.
-  const std::string text = serialize_scenario(ddos_c_globals());
-  const size_t at = text.find("event ");
-  ASSERT_NE(at, std::string::npos);
-  const size_t line = 1 + static_cast<size_t>(std::count(text.begin(),
-                                                         text.begin() + at, '\n'));
-  const std::string event_line = text.substr(at, text.find('\n', at) - at);
+TEST(ScenarioParser, RejectsBadNumbersWithLineNumber) {
+  // Each of these used to pass --check: atof/atoi/strtoull read `abc` as 0
+  // and `8x` as 8, and nothing checked the ranges. A negative deployment
+  // count then crashed the run.
   const struct {
-    const char* field;  // key=value as the serializer writes it
+    const char* directive;  // edits the first library line it starts
+    const char* key;        // the field to replace, or "" for the whole line
     const char* bad;
+    const char* error;  // after "line N: "; null for "bad <directive> field"
   } cases[] = {
-      {"fraction=0.9", "fraction=7"},     {"fraction=0.9", "fraction=-0.1"},
-      {"fraction=0.9", "fraction=abc"},   {"fraction=0.9", "fraction=nan"},
-      {"fraction=0.9", "fraction="},      {"loss=0.3", "loss=2.5"},
-      {"loss=0.3", "loss=0.3x"},          {"extra-rtt=120", "extra-rtt=-5"},
-      {"extra-rtt=120", "extra-rtt=inf"}, {"jitter=0", "jitter=1e999"},
-      {"jitter=0", "jitter=ten"},         {"stages=8", "stages=-3"},
-      {"stages=8", "stages=0"},           {"stages=8", "stages=8x"},
-      {"stages=8", "stages=1.5"},         {"stages=8", "stages=99999999999"},
+      {"seed", "", "seed 42x", "seed wants one number"},
+      {"seed", "", "seed -1", "seed wants one number"},
+      {"seed", "", "seed 0x2a", "seed wants one number"},
+      {"seed", "", "seed 18446744073709551616", "seed wants one number"},
+      {"intervals", "", "intervals 3600s 1h",
+       "intervals must be positive whole seconds"},
+      {"intervals", "", "intervals 1800 1.5",
+       "intervals must be positive whole seconds"},
+      {"intervals", "", "intervals 1e3 900",
+       "intervals must be positive whole seconds"},
+      {"deployment", "", "deployment c global 0,0,0,-1,0,0 local 0,0,0,0,0,0",
+       "deployment wants"},
+      {"deployment", "", "deployment c global 0,0,,1,0,0 local 0,0,0,0,0,0",
+       "deployment wants"},
+      {"deployment", "", "deployment c global 0,0,0,1,0,0 local 0,0,0,0,0,",
+       "deployment wants"},
+      {"deployment", "", "deployment c global 0,0,0,1,0,0, local 0,0,0,0,0,0",
+       "deployment wants"},
+      {"deployment", "", "deployment c global 0,0,0,1,0 local 0,0,0,0,0,0",
+       "deployment wants"},
+      {"deployment", "", "deployment c global 0,0,0,1,0,0,0 local 0,0,0,0,0,0",
+       "deployment wants"},
+      {"deployment", "", "deployment c global 0,0,0,1x,0,0 local 0,0,0,0,0,0",
+       "deployment wants"},
+      {"event", "fraction", "fraction=7", nullptr},
+      {"event", "fraction", "fraction=-0.1", nullptr},
+      {"event", "fraction", "fraction=abc", nullptr},
+      {"event", "fraction", "fraction=nan", nullptr},
+      {"event", "fraction", "fraction=", nullptr},
+      {"event", "loss", "loss=2.5", nullptr},
+      {"event", "loss", "loss=0.3x", nullptr},
+      {"event", "extra-rtt", "extra-rtt=-5", nullptr},
+      {"event", "extra-rtt", "extra-rtt=inf", nullptr},
+      {"event", "jitter", "jitter=1e999", nullptr},
+      {"event", "jitter", "jitter=ten", nullptr},
+      {"event", "stages", "stages=-3", nullptr},
+      {"event", "stages", "stages=0", nullptr},
+      {"event", "stages", "stages=8x", nullptr},
+      {"event", "stages", "stages=1.5", nullptr},
+      {"event", "stages", "stages=99999999999", nullptr},
+      {"fault", "vp", "vp=abc", nullptr},
+      {"fault", "vp", "vp=-1", nullptr},
+      {"fault", "vp", "vp=4294967296", nullptr},
+      {"fault", "vp", "vp=", nullptr},
+      {"fault", "offset", "offset=3d", nullptr},
+      {"fault", "offset", "offset=1.5", nullptr},
+      {"fault", "offset", "offset=", nullptr},
+      {"fault", "table2", "table2=one", nullptr},
+      {"fault", "table2", "table2=-1", nullptr},
+      {"fault", "table2", "table2=1.5", nullptr},
+      {"fault", "old-b", "old-b=2", nullptr},
+      {"fault", "old-b", "old-b=yes", nullptr},
+      {"fault", "old-b", "old-b=", nullptr},
   };
   for (const auto& c : cases) {
-    const size_t field_at = event_line.find(c.field);
-    ASSERT_NE(field_at, std::string::npos) << c.field;
-    std::string bad_line = event_line;
-    bad_line.replace(field_at, std::string(c.field).size(), c.bad);
-    std::string bad = text;
-    bad.replace(at, event_line.size(), bad_line);
+    SCOPED_TRACE(c.bad);
+    const std::string directive = std::string("\n") + c.directive + " ";
+    const std::string key = std::string(" ") + c.key + "=";
+    std::string text;
+    size_t at = std::string::npos;
+    for (const ScenarioSpec& spec : library()) {
+      text = serialize_scenario(spec);
+      for (at = text.find(directive); at != std::string::npos;
+           at = text.find(directive, at + 1)) {
+        if (!*c.key || text.substr(at, text.find('\n', at + 1) - at).find(key) !=
+                           std::string::npos)
+          break;
+      }
+      if (at != std::string::npos) break;
+    }
+    ASSERT_NE(at, std::string::npos) << "no library line to edit";
+    ++at;  // past the newline
+    const size_t line = 1 + static_cast<size_t>(std::count(text.begin(),
+                                                           text.begin() + at, '\n'));
+    const size_t line_end = text.find('\n', at);
+    std::string edited = c.bad;
+    if (*c.key) {
+      edited = text.substr(at, line_end - at);
+      const size_t field_at = edited.find(key) + 1;
+      const size_t field_end = std::min(edited.find(' ', field_at), edited.size());
+      edited.replace(field_at, field_end - field_at, c.bad);
+    }
+    text.replace(at, line_end - at, edited);
+    const std::string want =
+        util::format("line %zu: ", line) +
+        (c.error ? std::string(c.error)
+                 : std::string("bad ") + c.directive + " field " + c.bad);
     ScenarioSpec spec;
     std::string error;
-    EXPECT_FALSE(parse_scenario(bad, &spec, &error)) << c.bad;
-    EXPECT_NE(error.find(util::format("line %zu: bad event field %s", line, c.bad)),
-              std::string::npos)
-        << c.bad << ": " << error;
+    EXPECT_FALSE(parse_scenario(text, &spec, &error));
+    EXPECT_NE(error.find(want), std::string::npos) << error;
   }
 }
 
