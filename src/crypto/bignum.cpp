@@ -390,8 +390,9 @@ class Field {
     Column acc;
     sweep_columns<K>([&](size_t i) __attribute__((always_inline)) {
       const size_t first = i < K ? 0 : i - K + 1;
+      const size_t end = i < K ? i + 1 : K;
 #pragma GCC unroll 32
-      for (size_t j = first; j <= i && j < K; ++j) acc.mac(a[j], b[i - j]);
+      for (size_t j = first; j < end; ++j) acc.mac(a[j], b[i - j]);
       reduce_step(acc, m, t, first, i);
     });
     subtract_if_ge(out, t, static_cast<uint64_t>(acc.low));
@@ -438,8 +439,9 @@ class Field {
   [[gnu::always_inline]] void reduce_step(Column& acc, Residue<K>& m,
                                           Residue<K>& t, size_t first,
                                           size_t i) const {
+    const size_t end = i < K ? i : K;
 #pragma GCC unroll 32
-    for (size_t j = first; j < i && j < K; ++j) acc.mac(m[j], n_[i - j]);
+    for (size_t j = first; j < end; ++j) acc.mac(m[j], n_[i - j]);
     if (i < K) {
       m[i] = static_cast<uint64_t>(acc.low) * n0_inv_;
       acc.mac(m[i], n_[0]);

@@ -125,11 +125,8 @@ struct FixedWindowSchedule {
 /// paths.
 class MontgomeryContext {
  public:
-  /// Widest kernel, in 64-bit limbs (2048-bit moduli).
-  static constexpr size_t kMaxLimbs = 32;
-
-  /// `modulus` must be odd, > 1 and at most kMaxLimbs limbs; valid() is
-  /// false otherwise and BigNum::mod_pow falls back to mod_pow_basic.
+  /// `modulus` must be odd, > 1 and at most 32 limbs (2048 bits); valid()
+  /// is false otherwise and BigNum::mod_pow falls back to mod_pow_basic.
   explicit MontgomeryContext(const BigNum& modulus);
 
   bool valid() const { return width_ != 0; }
@@ -147,6 +144,8 @@ class MontgomeryContext {
   BigNum mul_mod(const BigNum& a, const BigNum& b) const;
 
  private:
+  /// Widest kernel, in 64-bit limbs.
+  static constexpr size_t kMaxLimbs = 32;
   using Padded = std::array<uint64_t, kMaxLimbs>;
   /// value mod n, zero-padded to the kernel width.
   Padded load(const BigNum& value) const;

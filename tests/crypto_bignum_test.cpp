@@ -167,6 +167,7 @@ TEST(BigNum, MontgomeryMatchesBasicModPow) {
   // the counts that run zero-padded at the next wider kernel (5, 7, 9-11,
   // 13-15, 17-23, 25-31 limbs).
   util::Rng rng(7);
+  const size_t kMaxLimbs = 32;  // the widest kernel: 2048-bit moduli
   for (int i = 0; i < 150; ++i) {
     size_t mod_limbs = 1 + rng.uniform(17);  // up to 1088 bits
     BigNum modulus = random_bignum(rng, mod_limbs);
@@ -180,7 +181,7 @@ TEST(BigNum, MontgomeryMatchesBasicModPow) {
         << " exp=" << exponent.to_hex();
   }
   const uint64_t kTopAllOnes = ~uint64_t{0};
-  for (size_t limbs = 1; limbs <= MontgomeryContext::kMaxLimbs; ++limbs) {
+  for (size_t limbs = 1; limbs <= kMaxLimbs; ++limbs) {
     // Top limb 2^64-1 keeps n near R at the exact widths, so the final
     // subtraction often fires (with and without a carry out of the top
     // limb); top limb 1 leaves n far below R, so it mostly does not.
@@ -222,9 +223,9 @@ TEST(BigNum, MontgomeryMatchesBasicModPow) {
   }
   // Past the widest kernel the context is invalid and mod_pow falls back to
   // the basic path.
-  const BigNum wide = odd_modulus(rng, MontgomeryContext::kMaxLimbs + 1, 0);
+  const BigNum wide = odd_modulus(rng, kMaxLimbs + 1, 0);
   EXPECT_FALSE(MontgomeryContext(wide).valid());
-  const BigNum base = random_limbs(rng, MontgomeryContext::kMaxLimbs);
+  const BigNum base = random_limbs(rng, kMaxLimbs);
   const BigNum e = random_limbs(rng, 2);
   EXPECT_EQ(base.mod_pow(e, wide), base.mod_pow_basic(e, wide));
 }
