@@ -28,7 +28,9 @@
 //     phase the paper watched), absent before either.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "exec/engine.h"
 #include "measure/campaign.h"
@@ -41,6 +43,8 @@ namespace rootsim::measure {
 namespace {
 
 constexpr int64_t kBucketSeconds = obs::SloCollector::kBucketSeconds;
+/// 30 days per region: longer chunks peaked higher, shorter ones no lower.
+constexpr size_t kChunkBuckets = 120;
 /// The zone authority publishes a new serial at 00:00 and 12:00 UTC
 /// (ZoneAuthority::serial_at's NN digit).
 constexpr int64_t kPublishIntervalSeconds = 12 * 3600;
@@ -77,13 +81,13 @@ SloTimelineResult Campaign::run_slo_timeline(
       std::max<size_t>(1, std::min(exec::resolve_workers(options.workers),
                                    total_units));
 
-  // Samples land in the campaign's own SloCollector when one is attached
-  // (Recorder-built campaigns), else in a run-local collector — either way
-  // through the standard ObsShards merge path.
-  obs::SloCollector local_collector;
+  // Samples land in a run-local collector, never in the campaign's own
+  // (Recorder-built campaigns attach one): the call must not read what
+  // earlier calls or probes left there. The metric, trace and RSSAC002
+  // shards still merge into obs_.
+  obs::SloCollector cells;
   obs::Obs main = obs_;
-  if (!main.slo) main.slo = &local_collector;
-  exec::ObsShards shards(main, total_units);
+  main.slo = &cells;
 
   std::vector<netsim::FlightRecorder::Shard*> flight_shards;
   if (options.flight_recorder && workers > 1)
@@ -131,10 +135,8 @@ SloTimelineResult Campaign::run_slo_timeline(
     return catchments[(vp * obs::kSloRoots + root) * 2 + fam];
   };
 
-  exec::parallel_for(total_units, workers, [&](size_t unit, size_t worker) {
-    obs::Obs sink = shards.shard(unit);
-    obs::SloCollector* slo = sink.slo;
-    if (!slo) return;
+  const auto run_unit = [&](size_t unit, obs::SloCollector* slo,
+                            size_t worker) {
     const int64_t bucket = first_bucket + static_cast<int64_t>(unit);
     const util::UnixTime bucket_begin = obs::SloCollector::bucket_start(bucket);
     util::Rng rng = timeline_rng.fork(
@@ -275,33 +277,32 @@ SloTimelineResult Campaign::run_slo_timeline(
         }
       }
     }
-  });
-  shards.merge();
+  };
 
-  // A (letter, family) stream's windows and totals read only its own cells,
-  // and its JSONL lines only its windows, so both run per stream over the
-  // workers and are joined in stream order: the same windows and bytes as
-  // one serial pass, without leaving most of the call on one thread.
-  const std::vector<obs::SloCollector::StreamSweep> streams =
-      main.slo->sweep_streams(
-          options.thresholds,
-          [&](size_t count, const std::function<void(size_t)>& fn) {
-            exec::parallel_for(count, workers,
-                               [&](size_t index, size_t) { fn(index); });
-          });
-  std::vector<std::string> stream_jsonl(streams.size());
-  exec::parallel_for(streams.size(), workers, [&](size_t index, size_t) {
-    stream_jsonl[index] =
-        obs::SloCollector::windows_to_jsonl(streams[index].windows);
-  });
+  // The units run in chunks of the horizon, one region each. After a chunk,
+  // the windows it completed are swept into their final slots and the cells
+  // behind the trailing window are freed, so the call holds one chunk of
+  // cells rather than the horizon's. Shards merge in unit order within a
+  // chunk and chunks run in order, so every merge sees global unit order.
+  const auto for_each = [&](size_t count,
+                            const std::function<void(size_t)>& fn) {
+    exec::parallel_for(count, workers,
+                       [&](size_t index, size_t) { fn(index); });
+  };
+  obs::SloCollector::Drain drained(options.thresholds, first_bucket,
+                                   total_units);
+  for (size_t begin = 0; begin < total_units; begin += kChunkBuckets) {
+    const size_t count = std::min(kChunkBuckets, total_units - begin);
+    exec::ObsShards shards(main, count);
+    exec::parallel_for(count, workers, [&](size_t index, size_t worker) {
+      run_unit(begin + index, shards.shard(index).slo, worker);
+    });
+    shards.merge();
+    cells.drain(drained, for_each);
+  }
 
   SloTimelineResult result;
-  size_t window_count = 0;
-  for (const auto& stream : streams) window_count += stream.windows.size();
-  result.windows.reserve(window_count);
-  for (const auto& stream : streams)
-    result.windows.insert(result.windows.end(), stream.windows.begin(),
-                          stream.windows.end());
+  result.windows = drained.take_windows();
 
   // Attribution hints, in deterministic construction order (the tracker's
   // scoring is order-independent anyway).
@@ -368,26 +369,44 @@ SloTimelineResult Campaign::run_slo_timeline(
   tracker.observe(result.windows);
   tracker.add_hints(result.hints);
   result.incidents = tracker.incidents();
+
+  // A stream's JSONL lines read only its own run of windows, so they are
+  // formatted per stream over the workers and joined in stream order.
+  constexpr size_t kStreams = obs::kSloRoots * 2;
+  std::array<size_t, kStreams + 1> runs{};
+  for (const obs::SloWindow& w : result.windows)
+    ++runs[w.root * 2 + (w.v6 ? 1 : 0) + 1];
+  for (size_t s = 0; s < kStreams; ++s) runs[s + 1] += runs[s];
+  std::vector<std::string> stream_jsonl(kStreams);
+  exec::parallel_for(kStreams, workers, [&](size_t s, size_t) {
+    stream_jsonl[s] = obs::SloCollector::windows_to_jsonl(
+        std::span(result.windows).subspan(runs[s], runs[s + 1] - runs[s]));
+  });
   // The scenario header line (windows_to_jsonl of no windows), then the
-  // streams' lines.
+  // streams' lines, each freed once appended.
   result.slo_jsonl = obs::SloCollector::windows_to_jsonl(
       {}, config_.scenario_name);
   size_t jsonl_bytes = result.slo_jsonl.size();
   for (const std::string& lines : stream_jsonl) jsonl_bytes += lines.size();
   result.slo_jsonl.reserve(jsonl_bytes);
-  for (const std::string& lines : stream_jsonl) result.slo_jsonl += lines;
+  for (std::string& lines : stream_jsonl) {
+    result.slo_jsonl += lines;
+    std::string().swap(lines);
+  }
   result.incidents_jsonl = obs::IncidentTracker::incidents_to_jsonl(
       result.incidents, config_.scenario_name);
 
-  for (const auto& stream : streams) {
-    const obs::SloCollector::Cell& totals = stream.totals;
-    result.probes += totals.probes;
-    result.failed_probes += totals.probes - totals.answered;
-    result.latency_samples += totals.rtt_us.count();
-    result.publication_count += totals.publication_s.count();
-    result.staleness_samples += totals.staleness_s.count();
-    result.integrity_checks += totals.integrity_checks;
-    result.integrity_failures += totals.integrity_checks - totals.integrity_ok;
+  for (uint8_t root = 0; root < obs::kSloRoots; ++root) {
+    for (const bool v6 : {false, true}) {
+      const obs::SloCollector::Cell& totals = drained.totals(root, v6);
+      result.probes += totals.probes;
+      result.failed_probes += totals.probes - totals.answered;
+      result.latency_samples += totals.rtt_us.count();
+      result.publication_count += totals.publication_s.count();
+      result.staleness_samples += totals.staleness_s.count();
+      result.integrity_checks += totals.integrity_checks;
+      result.integrity_failures += totals.integrity_checks - totals.integrity_ok;
+    }
   }
   if (obs_.metrics) {
     obs_.count("campaign.slo_timeline_probes", result.probes);

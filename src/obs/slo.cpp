@@ -1,6 +1,7 @@
 #include "obs/slo.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -128,27 +129,91 @@ std::vector<SloWindow> SloCollector::windows(
   // Streams in key order, (root, family): the order the map holds them in.
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SloWindow> out;
-  for (uint8_t root = 0; root < kSloRoots; ++root)
-    for (const bool v6 : {false, true})
-      sweep(thresholds, root, v6, stream_cells(root, v6), out);
+  for (uint8_t root = 0; root < kSloRoots; ++root) {
+    for (const bool v6 : {false, true}) {
+      const std::vector<const Entry*> cells = stream_cells(root, v6);
+      if (cells.empty()) continue;
+      const int64_t first = std::get<2>(cells.front()->first);
+      const size_t at = out.size();
+      out.resize(at + static_cast<size_t>(std::get<2>(cells.back()->first) -
+                                          first + 1));
+      sweep(thresholds, root, v6, cells, first, out.data() + at);
+    }
+  }
   return out;
 }
 
-std::vector<SloCollector::StreamSweep> SloCollector::sweep_streams(
-    const SloThresholds& thresholds, const ForEach& for_each) const {
-  std::vector<StreamSweep> streams(kSloRoots * 2);
-  // Held across for_each: its workers only read the cells, each its own
-  // stream's, so they take no lock of their own.
+SloCollector::Drain::Drain(const SloThresholds& thresholds,
+                           int64_t first_bucket, size_t buckets)
+    : thresholds_(thresholds),
+      first_bucket_(first_bucket),
+      buckets_(buckets),
+      windows_(kSloRoots * 2 * buckets) {}
+
+std::vector<SloWindow> SloCollector::Drain::take_windows() {
+  // Each stream's windows are the slots of its [begin, next) buckets; move
+  // the runs down, in stream order, over the slots no window reached.
+  size_t size = 0;
+  for (size_t index = 0; index < streams_.size(); ++index) {
+    const Stream& stream = streams_[index];
+    if (stream.next == kNotStarted) continue;
+    const auto run = windows_.begin() +
+                     static_cast<std::ptrdiff_t>(index * buckets_) +
+                     (stream.begin - first_bucket_);
+    const auto count = static_cast<size_t>(stream.next - stream.begin);
+    if (run != windows_.begin() + static_cast<std::ptrdiff_t>(size))
+      std::copy(run, run + static_cast<std::ptrdiff_t>(count),
+                windows_.begin() + static_cast<std::ptrdiff_t>(size));
+    size += count;
+  }
+  windows_.resize(size);
+  return std::move(windows_);
+}
+
+const SloCollector::Cell& SloCollector::Drain::totals(uint8_t root,
+                                                      bool v6) const {
+  return streams_[root * 2 + (v6 ? 1 : 0)].totals;
+}
+
+void SloCollector::drain(Drain& drain, const ForEach& for_each) {
+  const int64_t window =
+      static_cast<int64_t>(std::max<size_t>(1, drain.thresholds_.window_buckets));
   std::lock_guard<std::mutex> lock(mu_);
-  for_each(streams.size(), [&](size_t index) {
+  // Held across for_each: its workers only read the cells, each its own
+  // stream's, and write only that stream's state and window slots.
+  for_each(drain.streams_.size(), [&](size_t index) {
     const auto root = static_cast<uint8_t>(index / 2);
     const bool v6 = index % 2 == 1;
     const std::vector<const Entry*> cells = stream_cells(root, v6);
-    sweep(thresholds, root, v6, cells, streams[index].windows);
+    if (cells.empty()) return;
+    Drain::Stream& stream = drain.streams_[index];
+    // Silent buckets since the cursor still get their (empty) windows.
+    if (stream.next == Drain::kNotStarted)
+      stream.begin = stream.next = std::get<2>(cells.front()->first);
+    const int64_t from = stream.next;
     for (const Entry* entry : cells)
-      streams[index].totals.merge_from(entry->second);
+      if (std::get<2>(entry->first) >= from)
+        stream.totals.merge_from(entry->second);
+    assert(from >= drain.first_bucket_ &&
+           std::get<2>(cells.back()->first) <
+               drain.first_bucket_ + static_cast<int64_t>(drain.buckets_));
+    stream.next =
+        from + static_cast<int64_t>(sweep(
+                   drain.thresholds_, root, v6, cells, from,
+                   drain.windows_.data() + index * drain.buckets_ +
+                       (from - drain.first_bucket_)));
   });
-  return streams;
+  // Erasing restructures the one map all streams share, so it runs here,
+  // after the workers.
+  for (size_t index = 0; index < drain.streams_.size(); ++index) {
+    const int64_t next = drain.streams_[index].next;
+    if (next == Drain::kNotStarted) continue;
+    const auto root = static_cast<uint8_t>(index / 2);
+    const auto family = static_cast<uint8_t>(index % 2);
+    cells_.erase(
+        cells_.lower_bound({root, family, std::numeric_limits<int64_t>::min()}),
+        cells_.lower_bound({root, family, next - window + 1}));
+  }
 }
 
 std::vector<const SloCollector::Entry*> SloCollector::stream_cells(
@@ -164,12 +229,10 @@ std::vector<const SloCollector::Entry*> SloCollector::stream_cells(
   return cells;
 }
 
-void SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
-                         bool v6, const std::vector<const Entry*>& cells,
-                         std::vector<SloWindow>& out) {
-  if (cells.empty()) return;
+size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
+                           bool v6, const std::vector<const Entry*>& cells,
+                           int64_t from, SloWindow* out) {
   const size_t window = std::max<size_t>(1, thresholds.window_buckets);
-  const int64_t first_bucket = std::get<2>(cells.front()->first);
   const int64_t last_bucket = std::get<2>(cells.back()->first);
 
   const double band =
@@ -182,7 +245,8 @@ void SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
   // slide by key, not by count.
   size_t front = 0;
   size_t back = 0;
-  for (int64_t bucket = first_bucket; bucket <= last_bucket; ++bucket) {
+  size_t count = 0;
+  for (int64_t bucket = from; bucket <= last_bucket; ++bucket) {
     while (back < cells.size() && std::get<2>(cells[back]->first) <= bucket)
       ++back;
     while (front < back && std::get<2>(cells[front]->first) <=
@@ -226,12 +290,13 @@ void SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
               thresholds.integrity_min)
         w.breaches |= 1u << static_cast<unsigned>(SloMetric::Integrity);
     }
-    out.push_back(w);
+    out[count++] = w;
   }
+  return count;
 }
 
-std::string SloCollector::windows_to_jsonl(
-    const std::vector<SloWindow>& windows, const std::string& scenario) {
+std::string SloCollector::windows_to_jsonl(std::span<const SloWindow> windows,
+                                           const std::string& scenario) {
   std::string out;
   if (!scenario.empty()) out += "{\"scenario\":\"" + scenario + "\"}\n";
   for (const SloWindow& w : windows) {

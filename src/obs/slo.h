@@ -30,8 +30,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -139,7 +141,9 @@ struct SloWindow {
 };
 
 /// Accumulates SloSamples into per-(root, family, bucket) cells and sweeps
-/// them into evaluated sliding windows. Thread-safe; the exec engine gives
+/// them into evaluated sliding windows: all at once (windows()), or chunk
+/// by chunk as a timeline advances, freeing the cells behind the window
+/// (drain()). Both run the one sweep. Thread-safe; the exec engine gives
 /// each unit its own collector shard and folds them with merge_from in unit
 /// order (obs::Recorder owns one, exec::ObsShards wires the shards).
 class SloCollector {
@@ -196,19 +200,48 @@ class SloCollector {
   /// IncidentTracker::observe expects.
   std::vector<SloWindow> windows(const SloThresholds& thresholds) const;
 
-  /// One (root, family) stream's run of windows() and its totals().
-  struct StreamSweep {
-    std::vector<SloWindow> windows;
-    Cell totals;
+  /// windows() and totals() of a collector filled bucket by bucket in time
+  /// order and drained as it goes (drain()), so that it never holds more
+  /// than the cells a later window still reads.
+  class Drain {
+   public:
+    /// A timeline of `buckets` buckets from `first_bucket`; every cell
+    /// drained must lie in it.
+    Drain(const SloThresholds& thresholds, int64_t first_bucket,
+          size_t buckets);
+
+    /// windows() of every cell drained. Call once, after the last drain().
+    std::vector<SloWindow> take_windows();
+    /// totals() of one stream's drained cells.
+    const Cell& totals(uint8_t root, bool v6) const;
+
+   private:
+    friend class SloCollector;
+    static constexpr int64_t kNotStarted = std::numeric_limits<int64_t>::min();
+    struct Stream {
+      int64_t begin = 0;           ///< bucket of the stream's first window
+      int64_t next = kNotStarted;  ///< the cursor: first bucket not swept
+      Cell totals;
+    };
+    SloThresholds thresholds_;
+    int64_t first_bucket_;
+    size_t buckets_;
+    std::array<Stream, kSloRoots * 2> streams_;
+    /// Stream s's window of bucket b sits in slot
+    /// s * buckets_ + (b - first_bucket_) until take_windows().
+    std::vector<SloWindow> windows_;
   };
   /// Runs fn(i) once for every i in [0, count), possibly concurrently.
   using ForEach =
       std::function<void(size_t count, const std::function<void(size_t)>& fn)>;
-  /// windows() and totals() per stream, at index root * 2 + v6, under one
-  /// hold of the lock. Streams share no cells, so `for_each` may sweep them
-  /// concurrently (obs has no thread pool; the caller brings one).
-  std::vector<StreamSweep> sweep_streams(const SloThresholds& thresholds,
-                                         const ForEach& for_each) const;
+  /// For every stream: sweeps the windows from its cursor through its
+  /// newest cell into `drain`, folds the cells at or after the cursor into
+  /// its totals, then erases the cells no later window reads, so at most
+  /// window_buckets - 1 remain. Cells recorded since the previous drain must
+  /// lie at or after their stream's cursor, as they do when buckets are
+  /// filled in time order. Streams share no cells, so `for_each` may sweep
+  /// them concurrently (obs has no thread pool; the caller brings one).
+  void drain(Drain& drain, const ForEach& for_each);
 
   /// One JSON object per evaluated window (the slo.jsonl export):
   ///   {"letter":"b","family":"v4","start":"2023-11-27T00:00:00Z",...,
@@ -216,7 +249,7 @@ class SloCollector {
   /// Non-empty `scenario` prepends one `{"scenario":"<name>"}` header line
   /// so downstream tooling can say which timeline a dataset came from; the
   /// window lines themselves are unchanged.
-  static std::string windows_to_jsonl(const std::vector<SloWindow>& windows,
+  static std::string windows_to_jsonl(std::span<const SloWindow> windows,
                                       const std::string& scenario = "");
   std::string to_jsonl(const SloThresholds& thresholds) const;
   bool write_jsonl(const std::string& path,
@@ -226,10 +259,11 @@ class SloCollector {
   using Entry = std::pair<const CellKey, Cell>;
   /// One stream's cells in bucket order; the caller holds mu_.
   std::vector<const Entry*> stream_cells(uint8_t root, bool v6) const;
-  /// The sweep over one stream's cells, appended to `out`.
-  static void sweep(const SloThresholds& thresholds, uint8_t root, bool v6,
-                    const std::vector<const Entry*>& cells,
-                    std::vector<SloWindow>& out);
+  /// The windows of buckets [from, last cell's bucket] over one stream's
+  /// cells, written to out[0], out[1], ...; returns how many.
+  static size_t sweep(const SloThresholds& thresholds, uint8_t root, bool v6,
+                      const std::vector<const Entry*>& cells, int64_t from,
+                      SloWindow* out);
 
   mutable std::mutex mu_;
   std::map<CellKey, Cell> cells_;

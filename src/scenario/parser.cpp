@@ -175,6 +175,10 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
     if (error) *error = util::format("line %zu: %s", line_no, what.c_str());
     return false;
   };
+  // The lines of the events and dense windows, for the horizon check once
+  // the whole file is read.
+  std::vector<size_t> event_lines;
+  std::vector<size_t> dense_lines;
   while (std::getline(in, line)) {
     ++line_no;
     size_t hash = line.find('#');
@@ -196,6 +200,8 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
       if (tokens.size() != 3 || !parse_time(tokens[1], &spec.horizon.start) ||
           !parse_time(tokens[2], &spec.horizon.end))
         return fail("horizon wants <start> <end>");
+      if (spec.horizon.end <= spec.horizon.start)
+        return fail("horizon end must be after its start");
     } else if (directive == "intervals") {
       if (tokens.size() != 3) return fail("intervals wants <base_s> <dense_s>");
       // A zero step would never advance the schedule.
@@ -208,7 +214,10 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
       if (tokens.size() != 3 || !parse_time(tokens[1], &window.start) ||
           !parse_time(tokens[2], &window.end))
         return fail("dense-window wants <start> <end>");
+      if (window.end <= window.start)
+        return fail("dense-window end must be after its start");
       spec.horizon.dense_windows.push_back(window);
+      dense_lines.push_back(line_no);
     } else if (directive == "zonemd-private") {
       if (tokens.size() != 2 ||
           !parse_time(tokens[1], &spec.zone.zonemd_private_start))
@@ -225,6 +234,8 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
           !parse_time(tokens[1], &spec.zone.czds_broken_zonemd.start) ||
           !parse_time(tokens[2], &spec.zone.czds_broken_zonemd.end))
         return fail("czds-broken wants <start> <end>");
+      if (spec.zone.czds_broken_zonemd.end <= spec.zone.czds_broken_zonemd.start)
+        return fail("czds-broken end must be after its start");
     } else if (directive == "route-fallback") {
       if (tokens.size() != 2 || (tokens[1] != "on" && tokens[1] != "off"))
         return fail("route-fallback wants on|off");
@@ -264,7 +275,10 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
         if (!ok) return fail("bad event field " + key + "=" + value);
       }
       if (!reader.error.empty()) return fail(reader.error);
+      if (event.window.end <= event.window.start)
+        return fail("event end must be after its start");
       spec.events.push_back(std::move(event));
+      event_lines.push_back(line_no);
     } else if (directive == "fault") {
       if (tokens.size() < 2) return fail("fault wants a kind");
       FaultSpec fault;
@@ -307,6 +321,19 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
   if (spec.horizon.end <= spec.horizon.start) {
     line_no = 0;
     return fail("missing or empty 'horizon'");
+  }
+  const auto inside = [&](const TimeWindow& window) {
+    return window.start >= spec.horizon.start && window.end <= spec.horizon.end;
+  };
+  for (size_t i = 0; i < spec.events.size(); ++i) {
+    line_no = event_lines[i];
+    if (!inside(spec.events[i].window))
+      return fail("event window is not inside the horizon");
+  }
+  for (size_t i = 0; i < spec.horizon.dense_windows.size(); ++i) {
+    line_no = dense_lines[i];
+    if (!inside(spec.horizon.dense_windows[i]))
+      return fail("dense-window is not inside the horizon");
   }
   *out = std::move(spec);
   return true;

@@ -33,7 +33,9 @@
 namespace rootsim::scenario {
 
 /// Parses the text form into `out`. On failure returns false and, when
-/// `error` is non-null, stores a "line N: what" message.
+/// `error` is non-null, stores a "line N: what" message. Every window must
+/// end after it starts, and each event and dense window must lie inside the
+/// horizon.
 bool parse_scenario(std::string_view text, ScenarioSpec* out,
                     std::string* error = nullptr);
 

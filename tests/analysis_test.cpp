@@ -109,9 +109,11 @@ TEST(Distance, InflationNonNegativeUnlessLocal) {
     EXPECT_GE(sample.closest_global_km, 0);
   }
   // Some requests land below the diagonal only via local sites.
-  for (const auto& sample : report.samples)
-    if (sample.actual_km < sample.closest_global_km - 1.0)
+  for (const auto& sample : report.samples) {
+    if (sample.actual_km < sample.closest_global_km - 1.0) {
       EXPECT_TRUE(sample.via_local_site);
+    }
+  }
 }
 
 TEST(Distance, HeatmapRenders) {

@@ -64,8 +64,9 @@ TEST(ZoneDiff, RenumberingChangesExactlyTheBrootRecords) {
   // No other root's addresses changed.
   for (const auto& rr : diff.added) {
     if (rr.type != RRType::A && rr.type != RRType::AAAA) continue;
-    if (rr.name.is_subdomain_of(*Name::parse("root-servers.net.")))
+    if (rr.name.is_subdomain_of(*Name::parse("root-servers.net."))) {
       EXPECT_EQ(rr.name, b) << record_to_string(rr);
+    }
   }
 }
 

@@ -366,19 +366,26 @@ TEST(ZoneAudit, ByteIdenticalWithProfilerAndFlightRecorderEnabled) {
   std::remove(profile_path);
 }
 
-// The SLO plane rides the same shard/merge path, so its exports inherit the
-// same acceptance bar: slo.jsonl and incidents.jsonl byte-identical at every
-// worker count under BOTH scheduler modes (and across the modes — the steal
-// schedule must be as invisible as the worker count). Shortened schedule
-// covering the b.root renumbering window keeps the test fast.
-TEST(SloTimeline, ExportsByteIdenticalAcrossWorkersAndSchedulers) {
+// A shortened schedule keeps the SLO tests fast. It covers the b.root
+// renumbering window and opens one incident, and its 448 buckets span four
+// of run_slo_timeline's 120-bucket chunks, so every run below crosses chunk
+// boundaries.
+measure::CampaignConfig slo_config() {
   measure::CampaignConfig config;
   config.zone.tld_count = 25;
   config.zone.rsa_modulus_bits = 512;
   config.vp_scale = 0.05;
-  config.schedule.start = util::make_time(2023, 11, 20);
+  config.schedule.start = util::make_time(2023, 8, 20);
   config.schedule.end = util::make_time(2023, 12, 10);
-  const measure::Campaign campaign(config);
+  return config;
+}
+
+// The SLO plane rides the same shard/merge path, so its exports inherit the
+// same acceptance bar: slo.jsonl and incidents.jsonl byte-identical at every
+// worker count under BOTH scheduler modes (and across the modes — the steal
+// schedule must be as invisible as the worker count).
+TEST(SloTimeline, ExportsByteIdenticalAcrossWorkersAndSchedulers) {
+  const measure::Campaign campaign(slo_config());
 
   auto run = [&](size_t workers) {
     netsim::FlightRecorder flight(64);
@@ -409,6 +416,25 @@ TEST(SloTimeline, ExportsByteIdenticalAcrossWorkersAndSchedulers) {
     }
   }
   unsetenv("ROOTSIM_SCHED");
+}
+
+// A campaign built with a Recorder gives a plain campaign's exports, call
+// after call: the call reads only the samples it took itself, never what
+// earlier calls left in the Recorder.
+TEST(SloTimeline, RecorderCampaignRepeatsThePlainExports) {
+  measure::SloTimelineOptions options;
+  options.workers = 2;
+  const measure::SloTimelineResult plain =
+      measure::Campaign(slo_config()).run_slo_timeline(options);
+  ASSERT_FALSE(plain.slo_jsonl.empty());
+  obs::Recorder recorder;
+  const measure::Campaign campaign(slo_config(), recorder.obs());
+  for (int call = 1; call <= 2; ++call) {
+    const measure::SloTimelineResult result = campaign.run_slo_timeline(options);
+    EXPECT_EQ(result.probes, plain.probes) << "call " << call;
+    EXPECT_EQ(result.slo_jsonl, plain.slo_jsonl) << "call " << call;
+    EXPECT_EQ(result.incidents_jsonl, plain.incidents_jsonl) << "call " << call;
+  }
 }
 
 }  // namespace

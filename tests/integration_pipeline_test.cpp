@@ -105,13 +105,15 @@ TEST(Pipeline, AuditVerdictsConsistentWithZonemdTimeline) {
     // Clean transfers' ZONEMD status must match the rollout stage at the
     // SERVED serial's time (stale servers can lag the probe time).
     util::UnixTime serial_era = obs.when;
-    if (obs.zonemd == dnssec::ZonemdStatus::Verified)
+    if (obs.zonemd == dnssec::ZonemdStatus::Verified) {
       EXPECT_GE(serial_era, zonemd_verifiable_from)
           << util::format_datetime(obs.when);
+    }
     if (obs.zonemd == dnssec::ZonemdStatus::NoZonemd &&
-        obs.table2_vp_id == 0)
+        obs.table2_vp_id == 0) {
       EXPECT_LT(serial_era, zonemd_present_from + util::kSecondsPerDay)
           << util::format_datetime(obs.when);
+    }
   }
 }
 

@@ -83,8 +83,9 @@ TEST(Campaign, ZoneAuditBitflipsDetectedByZonemdWhenVerifiable) {
     if (obs.verdict != dnssec::ValidationStatus::BogusSignature) continue;
     // After 2023-12-06, ZONEMD is verifiable and must flag the corruption;
     // before that, the record is absent or unsupported.
-    if (obs.when >= util::make_time(2023, 12, 6, 20, 30))
+    if (obs.when >= util::make_time(2023, 12, 6, 20, 30)) {
       EXPECT_EQ(obs.zonemd, dnssec::ZonemdStatus::Mismatch);
+    }
   }
 }
 

@@ -1,12 +1,14 @@
 // Unit suite for the streaming SLO plane: SloCollector window semantics
 // (advancement, empty-bucket eviction, trailing aggregation, merge order
-// independence) and the IncidentTracker hysteresis state machine (no
-// flapping at the threshold boundary, open -> close lifecycle against a
-// scripted outage, deterministic attribution).
+// independence, chunked drains equal to one full sweep) and the
+// IncidentTracker hysteresis state machine (no flapping at the threshold
+// boundary, open -> close lifecycle against a scripted outage,
+// deterministic attribution).
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -146,29 +148,36 @@ TEST(SloCollector, MergeOrderAndShardingInvisibleInExport) {
   }
 }
 
-// Fills buckets [first_bucket, first_bucket + 4) of letters a and b, both
-// families, with every sample kind.
-void feed_buckets(SloCollector& c, int first_bucket, int salt) {
+// Samples of every kind in buckets [first_bucket, first_bucket + 4) of
+// letters a and b, both families.
+std::vector<SloSample> bucket_samples(int first_bucket, int salt) {
   const util::UnixTime t0 = util::make_time(2023, 7, 3);
+  std::vector<SloSample> samples;
   for (int i = 0; i < 30; ++i) {
     const util::UnixTime when = t0 + (first_bucket + i % 4) * kBucket + i * 13;
     const uint8_t root = i % 3 == 0 ? 1 : 0;
     const bool v6 = i % 2 == 1;
-    c.record(probe(when, (i + salt) % 5 != 0, root, v6));
+    samples.push_back(probe(when, (i + salt) % 5 != 0, root, v6));
     SloSample sample = probe(when, true, root, v6);
     sample.kind = SloSample::Kind::Latency;
     sample.value = 5.0 + i + salt;
-    c.record(sample);
+    samples.push_back(sample);
     sample.kind = SloSample::Kind::Staleness;
     sample.value = 60.0 * (i + salt);
-    c.record(sample);
+    samples.push_back(sample);
     sample.kind = SloSample::Kind::Publication;
     sample.value = 300.0 + 7 * i;
-    c.record(sample);
+    samples.push_back(sample);
     sample.kind = SloSample::Kind::Integrity;
     sample.ok = (i + salt) % 4 != 0;
-    c.record(sample);
+    samples.push_back(sample);
   }
+  return samples;
+}
+
+void feed_buckets(SloCollector& c, int first_bucket, int salt) {
+  for (const SloSample& sample : bucket_samples(first_bucket, salt))
+    c.record(sample);
 }
 
 void expect_same_cells(const SloCollector& got, const SloCollector& want) {
@@ -204,10 +213,11 @@ TEST(SloCollector, MovingMergeMatchesCopyingMerge) {
       copied.merge_from(reversed ? b : a);
       copied.merge_from(reversed ? a : b);
       const size_t shard_cells = a.cell_count() + b.cell_count();
-      if (second_first_bucket == 10)
+      if (second_first_bucket == 10) {
         EXPECT_EQ(copied.cell_count(), shard_cells);
-      else
+      } else {
         EXPECT_LT(copied.cell_count(), shard_cells);
+      }
 
       SloCollector moved;
       moved.merge_from(reversed ? std::move(b) : std::move(a));
@@ -251,17 +261,33 @@ TEST(SloCollector, TotalsFoldEveryBucketOfOneStream) {
   EXPECT_EQ(collector.totals(2, true).probes, 0u);
 }
 
-TEST(SloCollector, StreamSweepsJoinToTheFullSweep) {
-  // Letters a and b in both families, with a gap of silent buckets, and
-  // letter m on v6 only; every other stream is empty.
-  SloCollector collector;
-  feed_buckets(collector, 0, 0);
-  feed_buckets(collector, 9, 1);
-  collector.record(probe(util::make_time(2023, 7, 5), false, 12, true));
-  const SloThresholds thresholds = tiny_thresholds();
+TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
+  // 16 buckets. Letters a and b in both families, with a gap of silent
+  // buckets (4-8) and nothing after bucket 12; letter m on v6 in bucket 8
+  // only; letter d on v4 in every bucket; letter e on v6 in the first and
+  // last bucket only; letter f on v4 in buckets 3-5 only. Every other
+  // stream is empty. Chunks of every size put each gap on a chunk edge.
+  const util::UnixTime t0 = util::make_time(2023, 7, 3);
+  const int64_t first_bucket = SloCollector::bucket_index(t0);
+  constexpr int64_t kBuckets = 16;
+  std::vector<SloSample> samples = bucket_samples(0, 0);
+  for (const SloSample& sample : bucket_samples(9, 1)) samples.push_back(sample);
+  samples.push_back(probe(util::make_time(2023, 7, 5), false, 12, true));
+  for (int64_t b = 0; b < kBuckets; ++b)
+    samples.push_back(probe(t0 + b * kBucket + b, b % 5 != 3, 3));
+  samples.push_back(probe(t0, true, 4, true));
+  samples.push_back(probe(t0 + (kBuckets - 1) * kBucket, false, 4, true));
+  for (int64_t b = 3; b <= 5; ++b) {
+    SloSample sample = probe(t0 + b * kBucket, true, 5);
+    samples.push_back(sample);
+    sample.kind = SloSample::Kind::Latency;
+    sample.value = 40.0 + static_cast<double>(b);
+    samples.push_back(sample);
+  }
+  SloCollector full;
+  for (const SloSample& sample : samples) full.record(sample);
 
-  // Four threads sweep the 26 streams concurrently; joined in stream order
-  // they are the one full sweep, and each stream's totals are totals().
+  // Four threads drain the 26 streams concurrently.
   const auto four_threads = [](size_t count,
                                const std::function<void(size_t)>& fn) {
     std::vector<std::thread> threads;
@@ -271,24 +297,65 @@ TEST(SloCollector, StreamSweepsJoinToTheFullSweep) {
       });
     for (std::thread& thread : threads) thread.join();
   };
-  const auto streams = collector.sweep_streams(thresholds, four_threads);
-  ASSERT_EQ(streams.size(), kSloRoots * 2);
-  std::vector<SloWindow> joined;
-  for (size_t s = 0; s < streams.size(); ++s) {
-    joined.insert(joined.end(), streams[s].windows.begin(),
-                  streams[s].windows.end());
-    const SloCollector::Cell want = collector.totals(static_cast<uint8_t>(s / 2), s % 2 == 1);
-    EXPECT_EQ(streams[s].totals.probes, want.probes) << s;
-    EXPECT_EQ(streams[s].totals.rtt_us.to_json(), want.rtt_us.to_json()) << s;
-    EXPECT_EQ(streams[s].totals.integrity_ok, want.integrity_ok) << s;
+  const auto stream_of = [](uint8_t root, bool v6) {
+    return static_cast<size_t>(root) * 2 + (v6 ? 1 : 0);
+  };
+
+  for (size_t window = 1; window <= 8; ++window) {
+    SloThresholds thresholds = tiny_thresholds();
+    thresholds.window_buckets = window;
+    const std::vector<SloWindow> want = full.windows(thresholds);
+    const std::string want_jsonl = full.to_jsonl(thresholds);
+    for (int64_t chunk = 1; chunk <= kBuckets; ++chunk) {
+      SCOPED_TRACE(::testing::Message()
+                   << "window " << window << ", chunk " << chunk);
+      SloCollector drained;
+      SloCollector::Drain drain(thresholds, first_bucket, kBuckets);
+      for (int64_t lo = 0; lo < kBuckets; lo += chunk) {
+        for (const SloSample& sample : samples) {
+          const int64_t b = SloCollector::bucket_index(sample.when) - first_bucket;
+          if (b >= lo && b < lo + chunk) drained.record(sample);
+        }
+        drained.drain(drain, four_threads);
+        // Only the cells a later window reads are left.
+        std::array<size_t, kSloRoots * 2> held{};
+        for (const auto& [key, cell] : drained.snapshot())
+          ++held[stream_of(std::get<0>(key), std::get<1>(key) == 1)];
+        for (size_t s = 0; s < held.size(); ++s)
+          EXPECT_LE(held[s], window - 1) << "stream " << s << " after bucket "
+                                         << lo + chunk - 1;
+      }
+      const std::vector<SloWindow> windows = drain.take_windows();
+      EXPECT_EQ(windows.size(), want.size());
+      EXPECT_EQ(SloCollector::windows_to_jsonl(windows), want_jsonl);
+
+      std::array<size_t, kSloRoots * 2> per_stream{};
+      for (const SloWindow& w : windows) ++per_stream[stream_of(w.root, w.v6)];
+      EXPECT_EQ(per_stream[stream_of(0, false)], 12u);  // buckets 0..11, gap included
+      EXPECT_EQ(per_stream[stream_of(12, true)], 1u);
+      EXPECT_EQ(per_stream[stream_of(2, false)], 0u);
+      EXPECT_EQ(per_stream[stream_of(4, true)], static_cast<size_t>(kBuckets));
+      EXPECT_EQ(per_stream[stream_of(5, false)], 3u);   // none after bucket 5
+      EXPECT_EQ(drain.totals(2, false).probes, 0u);
+      for (uint8_t root = 0; root < kSloRoots; ++root) {
+        for (const bool v6 : {false, true}) {
+          const SloCollector::Cell& got = drain.totals(root, v6);
+          const SloCollector::Cell want_totals = full.totals(root, v6);
+          const size_t s = stream_of(root, v6);
+          EXPECT_EQ(got.probes, want_totals.probes) << s;
+          EXPECT_EQ(got.answered, want_totals.answered) << s;
+          EXPECT_EQ(got.rtt_us.to_json(), want_totals.rtt_us.to_json()) << s;
+          EXPECT_EQ(got.publication_s.to_json(),
+                    want_totals.publication_s.to_json())
+              << s;
+          EXPECT_EQ(got.staleness_s.to_json(), want_totals.staleness_s.to_json())
+              << s;
+          EXPECT_EQ(got.integrity_checks, want_totals.integrity_checks) << s;
+          EXPECT_EQ(got.integrity_ok, want_totals.integrity_ok) << s;
+        }
+      }
+    }
   }
-  EXPECT_EQ(joined.size(), collector.windows(thresholds).size());
-  EXPECT_EQ(SloCollector::windows_to_jsonl(joined),
-            collector.to_jsonl(thresholds));
-  EXPECT_EQ(streams[0].windows.size(), 12u);  // buckets 0..11, gap included
-  EXPECT_EQ(streams[12 * 2 + 1].windows.size(), 1u);
-  EXPECT_TRUE(streams[2 * 2].windows.empty());
-  EXPECT_EQ(streams[2 * 2].totals.probes, 0u);
 }
 
 // One bad bucket smears across window_buckets sliding windows; open_after

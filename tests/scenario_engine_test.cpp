@@ -160,6 +160,38 @@ TEST(ScenarioParser, RejectsBadNumbersWithLineNumber) {
       {"fault", "old-b", "old-b=2", nullptr},
       {"fault", "old-b", "old-b=yes", nullptr},
       {"fault", "old-b", "old-b=", nullptr},
+      // Windows must end after they start, and events and dense windows
+      // must lie inside the horizon (2023-07-03 .. 2023-12-24 here).
+      {"horizon", "", "horizon 2023-12-24T00:00:00Z 2023-07-03T00:00:00Z",
+       "horizon end must be after its start"},
+      {"horizon", "", "horizon 2023-07-03T00:00:00Z 2023-07-03T00:00:00Z",
+       "horizon end must be after its start"},
+      {"dense-window", "", "dense-window 2023-10-02T00:00:00Z 2023-09-08T00:00:00Z",
+       "dense-window end must be after its start"},
+      {"dense-window", "", "dense-window 2023-06-20T00:00:00Z 2023-07-10T00:00:00Z",
+       "dense-window is not inside the horizon"},
+      {"dense-window", "", "dense-window 2031-03-18T00:00:00Z 2031-03-28T00:00:00Z",
+       "dense-window is not inside the horizon"},
+      {"czds-broken", "", "czds-broken 2023-12-08T00:00:00Z 2023-09-21T00:00:00Z",
+       "czds-broken end must be after its start"},
+      {"event", "end", "end=2023-11-27T00:00:00Z",
+       "event end must be after its start"},
+      {"event", "start", "start=2023-07-01T00:00:00Z",
+       "event window is not inside the horizon"},
+      {"event", "end", "end=2031-03-24T00:00:00Z",
+       "event window is not inside the horizon"},
+      // ddos-c-globals's event with its window inverted, then moved to
+      // 2031: `scenario_lab --check` printed ok for both.
+      {"event", "",
+       "event ddos letter=c region=- start=2026-03-24T00:00:00Z "
+       "end=2026-03-20T00:00:00Z fraction=0.9 loss=0.3 extra-rtt=120 jitter=0 "
+       "stages=8 label=ddos-c-globals",
+       "event end must be after its start"},
+      {"event", "",
+       "event ddos letter=c region=- start=2031-03-20T00:00:00Z "
+       "end=2031-03-24T00:00:00Z fraction=0.9 loss=0.3 extra-rtt=120 jitter=0 "
+       "stages=8 label=ddos-c-globals",
+       "event window is not inside the horizon"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.bad);

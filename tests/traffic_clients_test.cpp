@@ -25,10 +25,11 @@ TEST(Clients, PrefixesArePrivacyAggregated) {
   PopulationConfig config;
   config.clients = 2000;
   for (const auto& client : generate_population(config)) {
-    if (client.family == util::IpFamily::V4)
+    if (client.family == util::IpFamily::V4) {
       EXPECT_EQ(client.prefix.length(), 24);
-    else
+    } else {
       EXPECT_EQ(client.prefix.length(), 48);
+    }
   }
 }
 

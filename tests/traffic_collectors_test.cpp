@@ -112,8 +112,11 @@ TEST(Collectors, IxpMixDominatedByKandD) {
   // k.root and d.root together carry the plurality (paper Fig. 13).
   double k_share = shares.share[10], d_share = shares.share[3];
   EXPECT_GT(k_share + d_share, 0.35);
-  for (size_t root = 0; root < 13; ++root)
-    if (root != 10 && root != 3) EXPECT_LT(shares.share[root], k_share);
+  for (size_t root = 0; root < 13; ++root) {
+    if (root != 10 && root != 3) {
+      EXPECT_LT(shares.share[root], k_share);
+    }
+  }
 }
 
 TEST(Collectors, BrootTotalShareStableAcrossChange) {
