@@ -3,9 +3,9 @@
 // One work unit per 6 h bucket of simulated time (the SloCollector's bucket
 // width, so a unit writes exactly its own cells). Each unit draws its RNG by
 // forking the campaign seed by bucket index — never a shared sequential
-// stream — and records into a per-unit obs shard merged in unit order, which
-// is the whole determinism argument: the same cells exist with the same
-// contents no matter how many workers ran or who stole what.
+// stream — and hands its cells to a per-unit obs shard merged in unit order,
+// which is the whole determinism argument: the same cells exist with the
+// same contents no matter how many workers ran or who stole what.
 //
 // Before the units run, the call prepares every VP's catchment per (letter,
 // family) into one flat table (a Selection depends only on the VP, the
@@ -29,8 +29,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
+#include <charconv>
 #include <cmath>
 #include <span>
+#include <string_view>
 
 #include "exec/engine.h"
 #include "measure/campaign.h"
@@ -61,9 +64,16 @@ util::UnixTime last_publish_at_or_before(util::UnixTime t) {
 /// distribution pipeline, never from the tail of the background model.
 double publication_delay_s(uint64_t seed, uint32_t root, uint32_t site_id,
                            util::UnixTime publish) {
+  // The fork key "slo-pub-<root>-<site>-<publish>", built on the stack: the
+  // prefix, two numbers of up to 10 digits and one of up to 20 characters.
+  char key[64] = "slo-pub-";
+  char* p = std::to_chars(key + 8, key + 18, root).ptr;
+  *p++ = '-';
+  p = std::to_chars(p, p + 10, site_id).ptr;
+  *p++ = '-';
+  p = std::to_chars(p, p + 20, publish).ptr;
   util::Rng rng = util::Rng(seed).fork(
-      util::format("slo-pub-%u-%u-%lld", root, site_id,
-                   static_cast<long long>(publish)));
+      std::string_view(key, static_cast<size_t>(p - key)));
   return std::min(rng.lognormal(std::log(600.0), 0.5), 1800.0);
 }
 
@@ -103,18 +113,17 @@ SloTimelineResult Campaign::run_slo_timeline(
   scripted.insert(scripted.end(), options.scripted_outages.begin(),
                   options.scripted_outages.end());
 
-  // Region/type-scoped events need to know what the probed site is.
+  // Every site's Poisson outage windows, drawn once for the call rather than
+  // once per probe. Region/type-scoped events need to know what the probed
+  // site is.
+  const rss::OutageTable outages(topology_.sites.size(), start, end,
+                                 options.outages);
   const auto available = [&](uint32_t site_id, uint32_t root,
                              util::UnixTime t) {
-    int region = -1;
-    int type = -1;
-    if (site_id < topology_.sites.size()) {
-      region = static_cast<int>(topology_.sites[site_id].region);
-      type = static_cast<int>(topology_.sites[site_id].type);
-    }
-    return rss::site_available_at(site_id, static_cast<int>(root), t, start,
-                                  end, options.outages, scripted, region,
-                                  type);
+    const netsim::AnycastSite& site = topology_.sites[site_id];
+    return outages.available_at(site_id, static_cast<int>(root), t, scripted,
+                                static_cast<int>(site.region),
+                                static_cast<int>(site.type));
   };
 
   // The catchment table, [vp][letter][family]. Built per call rather than
@@ -149,6 +158,15 @@ SloTimelineResult Campaign::run_slo_timeline(
         const bool v6 = fam == 1;
         const util::IpFamily family =
             v6 ? util::IpFamily::V6 : util::IpFamily::V4;
+        // Every sample of this stream lands in the unit's own bucket, so it
+        // fills one local cell, handed to the shard once at the end.
+        obs::SloCollector::Cell cell;
+        bool recorded = false;
+        const auto add_sample = [&](const obs::SloSample& sample) {
+          assert(obs::SloCollector::bucket_index(sample.when) == bucket);
+          cell.record(sample);
+          recorded = true;
+        };
 
         for (size_t p = 0; p < options.probes_per_bucket; ++p) {
           util::UnixTime t =
@@ -191,12 +209,12 @@ SloTimelineResult Campaign::run_slo_timeline(
           sample.when = t;
           sample.kind = obs::SloSample::Kind::Availability;
           sample.ok = up;
-          slo->record(sample);
+          add_sample(sample);
 
           if (up) {
             sample.kind = obs::SloSample::Kind::Latency;
             sample.value = rtt_ms;
-            slo->record(sample);
+            add_sample(sample);
 
             // Staleness of the serial this site is serving right now.
             const util::UnixTime publish = last_publish_at_or_before(t);
@@ -209,7 +227,7 @@ SloTimelineResult Campaign::run_slo_timeline(
                   t < publish + static_cast<int64_t>(delay)
                       ? static_cast<double>(t - publish)
                       : 0.0;
-              slo->record(sample);
+              add_sample(sample);
             }
           } else {
             // The monitor's packet-level shadow: a dark site looks like a
@@ -247,7 +265,7 @@ SloTimelineResult Campaign::run_slo_timeline(
             sample.when = check_at;
             sample.kind = obs::SloSample::Kind::Integrity;
             sample.ok = mode == dnssec::SigningPolicy::ZonemdMode::Sha384;
-            slo->record(sample);
+            add_sample(sample);
           }
         }
 
@@ -272,9 +290,11 @@ SloTimelineResult Campaign::run_slo_timeline(
             sample.value =
                 publication_delay_s(config_.seed, root, route.site_id,
                                     publish);
-            slo->record(sample);
+            add_sample(sample);
           }
         }
+        if (recorded)
+          slo->add_cell(static_cast<uint8_t>(root), v6, bucket, std::move(cell));
       }
     }
   };
@@ -320,7 +340,10 @@ SloTimelineResult Campaign::run_slo_timeline(
   if (config_.zone.zonemd_private_start > 0) {
     obs::CauseHint private_alg;
     private_alg.start = config_.zone.zonemd_private_start;
-    private_alg.end = config_.zone.zonemd_sha384_start;
+    // Until the switch to SHA-384, or to the horizon's end without one.
+    private_alg.end = config_.zone.zonemd_sha384_start > 0
+                          ? config_.zone.zonemd_sha384_start
+                          : end;
     private_alg.metric = static_cast<int>(obs::SloMetric::Integrity);
     private_alg.label = "zonemd-private-algorithm";
     private_alg.weight = 2.0;
@@ -370,29 +393,31 @@ SloTimelineResult Campaign::run_slo_timeline(
   tracker.add_hints(result.hints);
   result.incidents = tracker.incidents();
 
-  // A stream's JSONL lines read only its own run of windows, so they are
-  // formatted per stream over the workers and joined in stream order.
+  // A stream's JSONL lines read only its own run of windows, so the streams
+  // are sized on the workers, and then written on the workers straight into
+  // their place in slo.jsonl, after the scenario header line
+  // (windows_to_jsonl of no windows). No stream holds a string of its own.
   constexpr size_t kStreams = obs::kSloRoots * 2;
   std::array<size_t, kStreams + 1> runs{};
   for (const obs::SloWindow& w : result.windows)
     ++runs[w.root * 2 + (w.v6 ? 1 : 0) + 1];
   for (size_t s = 0; s < kStreams; ++s) runs[s + 1] += runs[s];
-  std::vector<std::string> stream_jsonl(kStreams);
-  exec::parallel_for(kStreams, workers, [&](size_t s, size_t) {
-    stream_jsonl[s] = obs::SloCollector::windows_to_jsonl(
-        std::span(result.windows).subspan(runs[s], runs[s + 1] - runs[s]));
-  });
-  // The scenario header line (windows_to_jsonl of no windows), then the
-  // streams' lines, each freed once appended.
+  const auto stream_windows = [&](size_t s) {
+    return std::span(result.windows).subspan(runs[s], runs[s + 1] - runs[s]);
+  };
   result.slo_jsonl = obs::SloCollector::windows_to_jsonl(
       {}, config_.scenario_name);
-  size_t jsonl_bytes = result.slo_jsonl.size();
-  for (const std::string& lines : stream_jsonl) jsonl_bytes += lines.size();
-  result.slo_jsonl.reserve(jsonl_bytes);
-  for (std::string& lines : stream_jsonl) {
-    result.slo_jsonl += lines;
-    std::string().swap(lines);
-  }
+  std::array<size_t, kStreams + 1> offsets{result.slo_jsonl.size()};
+  exec::parallel_for(kStreams, workers, [&](size_t s, size_t) {
+    offsets[s + 1] =
+        obs::SloCollector::write_window_lines(stream_windows(s), nullptr);
+  });
+  for (size_t s = 0; s < kStreams; ++s) offsets[s + 1] += offsets[s];
+  result.slo_jsonl.resize(offsets[kStreams]);
+  exec::parallel_for(kStreams, workers, [&](size_t s, size_t) {
+    obs::SloCollector::write_window_lines(
+        stream_windows(s), result.slo_jsonl.data() + offsets[s]);
+  });
   result.incidents_jsonl = obs::IncidentTracker::incidents_to_jsonl(
       result.incidents, config_.scenario_name);
 

@@ -181,7 +181,8 @@ std::vector<Incident> IncidentTracker::incidents() const {
 std::string IncidentTracker::incidents_to_jsonl(
     const std::vector<Incident>& incidents, const std::string& scenario) {
   std::string out;
-  if (!scenario.empty()) out += "{\"scenario\":\"" + scenario + "\"}\n";
+  if (!scenario.empty())
+    out += "{\"scenario\":\"" + json_escape(scenario) + "\"}\n";
   for (const Incident& incident : incidents) {
     out += util::format("{\"id\":%u,\"letter\":\"%c\",\"family\":\"%s\"",
                         incident.id, 'a' + incident.root,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "util/strings.h"
 
@@ -76,6 +77,24 @@ void LogLinearHistogram::merge_from(const LogLinearHistogram& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   max_ = std::max(max_, other.max_);
+}
+
+void LogLinearHistogram::remove(const LogLinearHistogram& other) {
+  // Every bucket of `other` is occupied here with at least its count, so one
+  // forward pass subtracts and compacts in place.
+  size_t out = 0;
+  size_t next = 0;
+  for (const Slot& slot : slots_) {
+    Slot kept = slot;
+    if (next < other.slots_.size() && other.slots_[next].index == slot.index)
+      kept.count -= other.slots_[next++].count;
+    if (kept.count) slots_[out++] = kept;
+  }
+  assert(next == other.slots_.size());
+  slots_.resize(out);
+  count_ -= other.count_;
+  sum_ -= other.sum_;
+  if (count_ == 0) max_ = 0;
 }
 
 double LogLinearHistogram::quantile(double q) const {

@@ -50,6 +50,14 @@ class LogLinearHistogram {
   /// `other` is already occupied here.
   void merge_from(const LogLinearHistogram& other);
 
+  /// Undoes merge_from(other) for an `other` merged in earlier: subtracts
+  /// its counts bucket by bucket and drops the buckets that empty, leaving
+  /// the buckets, count, sum and quantile(q < 1) of a histogram that never
+  /// saw `other`. A max cannot be undone: until the histogram empties (when
+  /// it returns to 0), max() stays where it was, an upper bound, and so do
+  /// quantile(1.0) and to_json()'s "max", which read it.
+  void remove(const LogLinearHistogram& other);
+
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }
   uint64_t max() const { return max_; }

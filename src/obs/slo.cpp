@@ -2,14 +2,99 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
 #include "obs/metrics.h"  // json_escape
-#include "util/strings.h"
 
 namespace rootsim::obs {
+
+namespace {
+
+/// Undoes agg.merge_from(cell) for a cell merged into `agg` earlier; the
+/// histograms' max() stays an upper bound (LogLinearHistogram::remove).
+void remove_from(SloCollector::Cell& agg, const SloCollector::Cell& cell) {
+  agg.probes -= cell.probes;
+  agg.answered -= cell.answered;
+  agg.rtt_us.remove(cell.rtt_us);
+  agg.publication_s.remove(cell.publication_s);
+  agg.staleness_s.remove(cell.staleness_s);
+  agg.integrity_checks -= cell.integrity_checks;
+  agg.integrity_ok -= cell.integrity_ok;
+}
+
+// slo.jsonl's fields are written with to_chars, whose fixed-precision form
+// is defined as printf's %.*f in the C locale, into a stack buffer sized for
+// the widest line: twenty-digit counts, and doubles up to DBL_MAX (309
+// integer digits, a sign, the point and six decimals).
+constexpr size_t kCountChars = 20;
+constexpr size_t kFixedChars = 1 + 309 + 1 + 6;
+constexpr size_t kLineChars =
+    512 + 2 * util::kDatetimeBufferSize + 7 * kCountChars + 5 * kFixedChars;
+
+char* put(char* out, std::string_view text) {
+  return std::copy(text.begin(), text.end(), out);
+}
+
+char* put_count(char* out, uint64_t value) {
+  return std::to_chars(out, out + kCountChars, value).ptr;
+}
+
+char* put_fixed(char* out, double value, int precision) {
+  return std::to_chars(out, out + kFixedChars, value,
+                       std::chars_format::fixed, precision)
+      .ptr;
+}
+
+/// Writes one window's slo.jsonl line, newline included, to `out`, which
+/// has room for kLineChars; returns one past its last character.
+char* put_line(char* out, const SloWindow& w) {
+  char* p = put(out, "{\"letter\":\"");
+  *p++ = static_cast<char>('a' + w.root);
+  p = put(p, w.v6 ? "\",\"family\":\"v6" : "\",\"family\":\"v4");
+  p = put(p, "\",\"start\":\"");
+  p = util::write_datetime(p, w.start);
+  p = put(p, "\",\"end\":\"");
+  p = util::write_datetime(p, w.end);
+  p = put(p, "\",\"probes\":");
+  p = put_count(p, w.probes);
+  p = put(p, ",\"answered\":");
+  p = put_count(p, w.answered);
+  p = put(p, ",\"availability\":");
+  p = put_fixed(p, w.availability, 6);
+  p = put(p, ",\"rtt_p50_ms\":");
+  p = put_fixed(p, w.rtt_p50_ms, 3);
+  p = put(p, ",\"rtt_p95_ms\":");
+  p = put_fixed(p, w.rtt_p95_ms, 3);
+  p = put(p, ",\"publication_count\":");
+  p = put_count(p, w.publication_count);
+  p = put(p, ",\"publication_p95_s\":");
+  p = put_fixed(p, w.publication_p95_s, 0);
+  p = put(p, ",\"staleness_count\":");
+  p = put_count(p, w.staleness_count);
+  p = put(p, ",\"staleness_max_s\":");
+  p = put_fixed(p, w.staleness_max_s, 0);
+  p = put(p, ",\"integrity_checks\":");
+  p = put_count(p, w.integrity_checks);
+  p = put(p, ",\"integrity_ok\":");
+  p = put_count(p, w.integrity_ok);
+  p = put(p, w.evaluated ? ",\"evaluated\":true,\"breaches\":["
+                         : ",\"evaluated\":false,\"breaches\":[");
+  bool first = true;
+  for (size_t m = 0; m < kSloMetricCount; ++m) {
+    if (!(w.breaches & (1u << m))) continue;
+    if (!first) *p++ = ',';
+    first = false;
+    *p++ = '"';
+    p = put(p, to_string(static_cast<SloMetric>(m)));
+    *p++ = '"';
+  }
+  return put(p, "]}\n");
+}
+
+}  // namespace
 
 std::string_view to_string(SloMetric metric) {
   switch (metric) {
@@ -44,35 +129,49 @@ void SloCollector::Cell::merge_from(const Cell& other) {
   integrity_ok += other.integrity_ok;
 }
 
-void SloCollector::record(const SloSample& sample) {
-  if (sample.root >= kSloRoots) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell = cells_[{sample.root, static_cast<uint8_t>(sample.v6 ? 1 : 0),
-                       bucket_index(sample.when)}];
+void SloCollector::Cell::record(const SloSample& sample) {
   switch (sample.kind) {
     case SloSample::Kind::Availability:
-      ++cell.probes;
-      if (sample.ok) ++cell.answered;
+      ++probes;
+      if (sample.ok) ++answered;
       break;
     case SloSample::Kind::Latency:
       // Microsecond resolution keeps the log-linear relative error (~3 %)
       // meaningful for single-digit-millisecond RTTs.
-      cell.rtt_us.observe(static_cast<uint64_t>(
+      rtt_us.observe(static_cast<uint64_t>(
           std::llround(std::max(0.0, sample.value) * 1000.0)));
       break;
     case SloSample::Kind::Publication:
-      cell.publication_s.observe(static_cast<uint64_t>(
+      publication_s.observe(static_cast<uint64_t>(
           std::llround(std::max(0.0, sample.value))));
       break;
     case SloSample::Kind::Staleness:
-      cell.staleness_s.observe(static_cast<uint64_t>(
+      staleness_s.observe(static_cast<uint64_t>(
           std::llround(std::max(0.0, sample.value))));
       break;
     case SloSample::Kind::Integrity:
-      ++cell.integrity_checks;
-      if (sample.ok) ++cell.integrity_ok;
+      ++integrity_checks;
+      if (sample.ok) ++integrity_ok;
       break;
   }
+}
+
+void SloCollector::record(const SloSample& sample) {
+  if (sample.root >= kSloRoots) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  cells_[{sample.root, static_cast<uint8_t>(sample.v6 ? 1 : 0),
+          bucket_index(sample.when)}]
+      .record(sample);
+}
+
+void SloCollector::add_cell(uint8_t root, bool v6, int64_t bucket,
+                            Cell&& cell) {
+  if (root >= kSloRoots) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  // try_emplace leaves `cell` alone when the key is already there.
+  const auto [it, inserted] = cells_.try_emplace(
+      {root, static_cast<uint8_t>(v6 ? 1 : 0), bucket}, std::move(cell));
+  if (!inserted) it->second.merge_from(cell);
 }
 
 void SloCollector::merge_from(const SloCollector& other) {
@@ -242,18 +341,25 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
 
   // The stream's cells inside the trailing window [bucket - window + 1,
   // bucket] are the run [front, back); cells are sparse, so both ends
-  // slide by key, not by count.
+  // slide by key, not by count. `agg` is the run's aggregate: each cell is
+  // merged in as it enters and removed as it leaves. Counts and sums are
+  // integers, so that is exact. The staleness max is not removable, so it
+  // is read from the run's cells.
   size_t front = 0;
   size_t back = 0;
   size_t count = 0;
+  Cell agg;
   for (int64_t bucket = from; bucket <= last_bucket; ++bucket) {
-    while (back < cells.size() && std::get<2>(cells[back]->first) <= bucket)
-      ++back;
-    while (front < back && std::get<2>(cells[front]->first) <=
-                               bucket - static_cast<int64_t>(window))
-      ++front;
-    Cell agg;
-    for (size_t k = front; k < back; ++k) agg.merge_from(cells[k]->second);
+    for (; back < cells.size() && std::get<2>(cells[back]->first) <= bucket;
+         ++back)
+      agg.merge_from(cells[back]->second);
+    for (; front < back && std::get<2>(cells[front]->first) <=
+                               bucket - static_cast<int64_t>(window);
+         ++front)
+      remove_from(agg, cells[front]->second);
+    uint64_t staleness_max = 0;
+    for (size_t k = front; k < back; ++k)
+      staleness_max = std::max(staleness_max, cells[k]->second.staleness_s.max());
 
     SloWindow w;
     w.root = root;
@@ -270,7 +376,7 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
     w.publication_count = agg.publication_s.count();
     w.publication_p95_s = agg.publication_s.quantile(0.95);
     w.staleness_count = agg.staleness_s.count();
-    w.staleness_max_s = static_cast<double>(agg.staleness_s.max());
+    w.staleness_max_s = static_cast<double>(staleness_max);
     w.integrity_checks = agg.integrity_checks;
     w.integrity_ok = agg.integrity_ok;
     w.evaluated = agg.probes >= thresholds.min_probes;
@@ -298,44 +404,23 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
 std::string SloCollector::windows_to_jsonl(std::span<const SloWindow> windows,
                                            const std::string& scenario) {
   std::string out;
-  if (!scenario.empty()) out += "{\"scenario\":\"" + scenario + "\"}\n";
-  for (const SloWindow& w : windows) {
-    out += util::format("{\"letter\":\"%c\",\"family\":\"%s\"",
-                        'a' + w.root, w.v6 ? "v6" : "v4");
-    out += ",\"start\":\"" + util::format_datetime(w.start) + "\"";
-    out += ",\"end\":\"" + util::format_datetime(w.end) + "\"";
-    out += util::format(
-        ",\"probes\":%llu,\"answered\":%llu,\"availability\":%.6f",
-        static_cast<unsigned long long>(w.probes),
-        static_cast<unsigned long long>(w.answered), w.availability);
-    out += util::format(
-        ",\"rtt_p50_ms\":%.3f,\"rtt_p95_ms\":%.3f", w.rtt_p50_ms, w.rtt_p95_ms);
-    out += util::format(
-        ",\"publication_count\":%llu,\"publication_p95_s\":%.0f",
-        static_cast<unsigned long long>(w.publication_count),
-        w.publication_p95_s);
-    out += util::format(
-        ",\"staleness_count\":%llu,\"staleness_max_s\":%.0f",
-        static_cast<unsigned long long>(w.staleness_count),
-        w.staleness_max_s);
-    out += util::format(
-        ",\"integrity_checks\":%llu,\"integrity_ok\":%llu",
-        static_cast<unsigned long long>(w.integrity_checks),
-        static_cast<unsigned long long>(w.integrity_ok));
-    out += util::format(",\"evaluated\":%s", w.evaluated ? "true" : "false");
-    out += ",\"breaches\":[";
-    bool first = true;
-    for (size_t m = 0; m < kSloMetricCount; ++m) {
-      if (!(w.breaches & (1u << m))) continue;
-      if (!first) out += ",";
-      first = false;
-      out += "\"";
-      out += to_string(static_cast<SloMetric>(m));
-      out += "\"";
-    }
-    out += "]}\n";
-  }
+  if (!scenario.empty())
+    out += "{\"scenario\":\"" + json_escape(scenario) + "\"}\n";
+  char line[kLineChars];
+  for (const SloWindow& w : windows) out.append(line, put_line(line, w));
   return out;
+}
+
+size_t SloCollector::write_window_lines(std::span<const SloWindow> windows,
+                                        char* out) {
+  size_t bytes = 0;
+  char line[kLineChars];
+  for (const SloWindow& w : windows) {
+    const size_t size = static_cast<size_t>(put_line(line, w) - line);
+    if (out) std::copy(line, line + size, out + bytes);
+    bytes += size;
+  }
+  return bytes;
 }
 
 std::string SloCollector::to_jsonl(const SloThresholds& thresholds) const {

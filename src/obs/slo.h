@@ -167,10 +167,16 @@ class SloCollector {
     uint64_t integrity_checks = 0;
     uint64_t integrity_ok = 0;
 
+    /// Adds one sample; which cell it belongs in is the caller's business.
+    void record(const SloSample& sample);
     void merge_from(const Cell& other);
   };
 
   void record(const SloSample& sample);
+  /// Folds a whole cell into (root, family, bucket) under one lock: the same
+  /// cell as record()ing each of its samples here. A producer that fills a
+  /// cell locally pays one lock and one lookup per cell, not per sample.
+  void add_cell(uint8_t root, bool v6, int64_t bucket, Cell&& cell);
   void merge_from(const SloCollector& other);
   /// Same result as the copying overload, but moves `other`'s cells in: a
   /// cell whose key is new here is spliced over as a map node, and only
@@ -251,6 +257,12 @@ class SloCollector {
   /// window lines themselves are unchanged.
   static std::string windows_to_jsonl(std::span<const SloWindow> windows,
                                       const std::string& scenario = "");
+  /// The lines windows_to_jsonl(windows) holds, without the string: writes
+  /// them to `out` unless it is null, and returns their size either way. A
+  /// caller sizes each run of windows first, then writes each straight into
+  /// its place in one buffer.
+  static size_t write_window_lines(std::span<const SloWindow> windows,
+                                   char* out);
   std::string to_jsonl(const SloThresholds& thresholds) const;
   bool write_jsonl(const std::string& path,
                    const SloThresholds& thresholds) const;

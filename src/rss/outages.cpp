@@ -1,6 +1,8 @@
 #include "rss/outages.h"
 
 #include <algorithm>
+#include <cassert>
+#include <span>
 
 #include "util/rng.h"
 
@@ -32,14 +34,14 @@ std::vector<OutageWindow> site_outages(uint32_t site_id, util::UnixTime start,
   return windows;
 }
 
-bool site_available(uint32_t site_id, util::UnixTime t, util::UnixTime start,
-                    util::UnixTime end, const OutageModelConfig& config) {
-  for (const OutageWindow& window : site_outages(site_id, start, end, config))
-    if (t >= window.start && t < window.end) return false;
-  return true;
-}
-
 namespace {
+
+bool outside(std::span<const OutageWindow> windows, util::UnixTime t) {
+  return std::none_of(windows.begin(), windows.end(),
+                      [t](const OutageWindow& window) {
+                        return t >= window.start && t < window.end;
+                      });
+}
 
 // (site_id, label) -> [0, 1): which sites an event darkens must be a pure
 // hash, not an RNG draw, so the subset is identical no matter who asks.
@@ -54,6 +56,11 @@ double site_event_fraction(uint32_t site_id, const std::string& label) {
 }
 
 }  // namespace
+
+bool site_available(uint32_t site_id, util::UnixTime t, util::UnixTime start,
+                    util::UnixTime end, const OutageModelConfig& config) {
+  return outside(site_outages(site_id, start, end, config), t);
+}
 
 bool scripted_site_dark(uint32_t site_id, int root_index, util::UnixTime t,
                         const std::vector<ScriptedOutage>& outages,
@@ -78,6 +85,31 @@ bool site_available_at(uint32_t site_id, int root_index, util::UnixTime t,
                          site_type))
     return false;
   return site_available(site_id, t, start, end, config);
+}
+
+OutageTable::OutageTable(size_t sites, util::UnixTime start,
+                         util::UnixTime end, const OutageModelConfig& config) {
+  first_.reserve(sites + 1);
+  for (size_t site = 0; site < sites; ++site) {
+    first_.push_back(windows_.size());
+    for (const OutageWindow& window :
+         site_outages(static_cast<uint32_t>(site), start, end, config))
+      windows_.push_back(window);
+  }
+  first_.push_back(windows_.size());
+}
+
+bool OutageTable::available_at(uint32_t site_id, int root_index,
+                               util::UnixTime t,
+                               const std::vector<ScriptedOutage>& scripted,
+                               int site_region, int site_type) const {
+  if (scripted_site_dark(site_id, root_index, t, scripted, site_region,
+                         site_type))
+    return false;
+  assert(site_id + size_t{1} < first_.size());
+  return outside(std::span(windows_).subspan(
+                     first_[site_id], first_[site_id + 1] - first_[site_id]),
+                 t);
 }
 
 }  // namespace rootsim::rss

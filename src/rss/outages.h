@@ -9,6 +9,7 @@
 // §5 what-if) can be computed rather than asserted.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,5 +81,26 @@ bool site_available_at(uint32_t site_id, int root_index, util::UnixTime t,
                        const OutageModelConfig& config,
                        const std::vector<ScriptedOutage>& scripted,
                        int site_region = -1, int site_type = -1);
+
+/// site_outages() of sites [0, sites) over one [start, end), drawn once, so
+/// a caller asking about the same sites many times does not re-draw and
+/// re-sort their windows on every question.
+class OutageTable {
+ public:
+  OutageTable(size_t sites, util::UnixTime start, util::UnixTime end,
+              const OutageModelConfig& config);
+
+  /// Same answer as site_available_at(site_id, root_index, t, start, end,
+  /// config, scripted, site_region, site_type) over the table's horizon.
+  /// `site_id` must be below the table's `sites`.
+  bool available_at(uint32_t site_id, int root_index, util::UnixTime t,
+                    const std::vector<ScriptedOutage>& scripted,
+                    int site_region = -1, int site_type = -1) const;
+
+ private:
+  /// Site s's windows are windows_[first_[s], first_[s + 1]).
+  std::vector<OutageWindow> windows_;
+  std::vector<size_t> first_;
+};
 
 }  // namespace rootsim::rss

@@ -60,11 +60,29 @@ std::string format_date(UnixTime t) {
 }
 
 std::string format_datetime(UnixTime t) {
-  CivilTime c = civil_from_unix(t);
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ", c.year, c.month,
-                c.day, c.hour, c.minute, c.second);
-  return buf;
+  char buf[kDatetimeBufferSize];
+  return {buf, write_datetime(buf, t)};
+}
+
+char* write_datetime(char* out, UnixTime t) {
+  const CivilTime c = civil_from_unix(t);
+  if (c.year < 0 || c.year > 9999)
+    return out + std::snprintf(out, kDatetimeBufferSize,
+                               "%04d-%02d-%02dT%02d:%02d:%02dZ", c.year,
+                               c.month, c.day, c.hour, c.minute, c.second);
+  const auto two = [&out](int value, char after) {
+    *out++ = static_cast<char>('0' + value / 10);
+    *out++ = static_cast<char>('0' + value % 10);
+    if (after) *out++ = after;
+  };
+  two(c.year / 100, 0);
+  two(c.year % 100, '-');
+  two(c.month, '-');
+  two(c.day, 'T');
+  two(c.hour, ':');
+  two(c.minute, ':');
+  two(c.second, 'Z');
+  return out;
 }
 
 UnixTime day_start(UnixTime t) {

@@ -8,6 +8,7 @@
 // explicit per-VP offset, not as a timezone.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -39,6 +40,15 @@ std::string format_date(UnixTime t);
 
 /// "2023-09-13T10:35:00Z".
 std::string format_datetime(UnixTime t);
+
+/// Room write_datetime() needs at `out`: a sign and ten year digits, the
+/// rest of the stamp and a NUL.
+inline constexpr size_t kDatetimeBufferSize = 32;
+
+/// Writes format_datetime(t) to `out` without a terminator and returns one
+/// past its last character. Years 0000-9999 take a digit writer; any other
+/// year falls back to snprintf's %04d.
+char* write_datetime(char* out, UnixTime t);
 
 /// Midnight (UTC) of the day containing t.
 UnixTime day_start(UnixTime t);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/apply.h"
+#include "util/rng.h"
 
 namespace rootsim::analysis {
 namespace {
@@ -43,6 +44,60 @@ TEST(Outages, AvailabilityConsistentWithSchedule) {
       EXPECT_TRUE(rss::site_available(site, window.end, start, end));
     }
   }
+}
+
+// The per-call table must answer exactly as site_available_at, which draws
+// the site's windows afresh: every site of the full-scale topology, at each
+// window's edges and at random instants, under letter-, region- and
+// type-scoped scripted events.
+TEST(Outages, TableAnswersLikeSiteAvailableAt) {
+  const netsim::Topology& topology = test_campaign().topology();
+  const util::UnixTime start = util::make_time(2023, 7, 3);
+  const util::UnixTime end = util::make_time(2023, 12, 24);
+  rss::OutageModelConfig config;
+  config.outages_per_site = 4.0;  // more windows, more edges to check
+  std::vector<rss::ScriptedOutage> scripted(3);
+  scripted[0].root_index = 5;
+  scripted[0].start = util::make_time(2023, 8, 1);
+  scripted[0].end = util::make_time(2023, 9, 1);
+  scripted[0].site_fraction = 0.5;
+  scripted[0].region = static_cast<int>(util::Region::Asia);
+  scripted[0].label = "asia-half";
+  scripted[1].start = util::make_time(2023, 10, 1);
+  scripted[1].end = util::make_time(2023, 10, 3);
+  scripted[1].site_type = static_cast<int>(netsim::SiteType::Global);
+  scripted[1].label = "globals";
+  scripted[2].root_index = 2;
+  scripted[2].start = util::make_time(2023, 11, 1);
+  scripted[2].end = util::make_time(2023, 11, 2);
+  scripted[2].site_fraction = 0.9;
+  scripted[2].label = "c-letter";
+
+  const rss::OutageTable table(topology.sites.size(), start, end, config);
+  util::Rng rng(7);
+  size_t dark = 0;
+  for (const netsim::AnycastSite& site : topology.sites) {
+    const int root = static_cast<int>(site.root_index);
+    const int region = static_cast<int>(site.region);
+    const int type = static_cast<int>(site.type);
+    std::vector<util::UnixTime> instants;
+    for (const rss::OutageWindow& w : rss::site_outages(site.id, start, end, config))
+      instants.insert(instants.end(), {w.start - 1, w.start, w.end - 1, w.end});
+    for (const rss::ScriptedOutage& o : scripted)
+      instants.insert(instants.end(), {o.start - 1, o.start, o.end - 1, o.end});
+    for (int i = 0; i < 8; ++i)
+      instants.push_back(start + static_cast<int64_t>(rng.uniform(
+                                     static_cast<uint64_t>(end - start))));
+    for (const util::UnixTime t : instants) {
+      const bool want = rss::site_available_at(site.id, root, t, start, end,
+                                               config, scripted, region, type);
+      ASSERT_EQ(table.available_at(site.id, root, t, scripted, region, type),
+                want)
+          << "site " << site.id << " at " << t;
+      if (!want) ++dark;
+    }
+  }
+  EXPECT_GT(dark, topology.sites.size());  // the edges were exercised
 }
 
 TEST(Outages, RareOverall) {

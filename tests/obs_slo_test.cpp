@@ -9,11 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdio>
 #include <functional>
+#include <limits>
+#include <map>
+#include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/incident.h"
+#include "util/rng.h"
+#include "util/strings.h"
 #include "util/timeutil.h"
 
 namespace rootsim::obs {
@@ -148,6 +156,214 @@ TEST(SloCollector, MergeOrderAndShardingInvisibleInExport) {
   }
 }
 
+// A printf slo.jsonl writer, one util::format per group of fields: the
+// reference windows_to_jsonl must match byte for byte.
+std::string printf_jsonl(std::span<const SloWindow> windows) {
+  std::string out;
+  for (const SloWindow& w : windows) {
+    out += util::format("{\"letter\":\"%c\",\"family\":\"%s\"",
+                        'a' + w.root, w.v6 ? "v6" : "v4");
+    out += ",\"start\":\"" + util::format_datetime(w.start) + "\"";
+    out += ",\"end\":\"" + util::format_datetime(w.end) + "\"";
+    out += util::format(
+        ",\"probes\":%llu,\"answered\":%llu,\"availability\":%.6f",
+        static_cast<unsigned long long>(w.probes),
+        static_cast<unsigned long long>(w.answered), w.availability);
+    out += util::format(
+        ",\"rtt_p50_ms\":%.3f,\"rtt_p95_ms\":%.3f", w.rtt_p50_ms, w.rtt_p95_ms);
+    out += util::format(
+        ",\"publication_count\":%llu,\"publication_p95_s\":%.0f",
+        static_cast<unsigned long long>(w.publication_count),
+        w.publication_p95_s);
+    out += util::format(
+        ",\"staleness_count\":%llu,\"staleness_max_s\":%.0f",
+        static_cast<unsigned long long>(w.staleness_count),
+        w.staleness_max_s);
+    out += util::format(
+        ",\"integrity_checks\":%llu,\"integrity_ok\":%llu",
+        static_cast<unsigned long long>(w.integrity_checks),
+        static_cast<unsigned long long>(w.integrity_ok));
+    out += util::format(",\"evaluated\":%s", w.evaluated ? "true" : "false");
+    out += ",\"breaches\":[";
+    bool first = true;
+    for (size_t m = 0; m < kSloMetricCount; ++m) {
+      if (!(w.breaches & (1u << m))) continue;
+      if (!first) out += ",";
+      first = false;
+      out += "\"";
+      out += to_string(static_cast<SloMetric>(m));
+      out += "\"";
+    }
+    out += "]}\n";
+  }
+  return out;
+}
+
+TEST(SloCollector, JsonlMatchesThePrintfWriter) {
+  const uint64_t kMaxCount = std::numeric_limits<uint64_t>::max();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kMax = std::numeric_limits<double>::max();
+  // Edge values: printf rounds exact binary ties to even, and the sixth
+  // decimal of 0.0000005 and its neighbours rounds either way.
+  const std::vector<double> doubles = {
+      0.0, -0.0, 1.0, 0.5, 2.5, 0.0625, 1.5, 0.0000005, 0.9999995,
+      0.1234565, 0.9999994999, 0.5000005, 999.9995, 1e300, -1e300, kMax,
+      -kMax, kInf, -kInf, kNan, -kNan, 1e-300, 123456789.123456789};
+  const std::vector<uint64_t> counts = {0, 1, 9, 10, 4294967296ull, kMaxCount};
+  const std::vector<util::UnixTime> times = {
+      0,
+      -1,                                            // 1969-12-31T23:59:59Z
+      util::make_time(2024, 2, 29, 12, 34, 56),      // leap day
+      util::make_time(2000, 2, 29),
+      util::make_time(1999, 12, 31, 23, 59, 59),     // year ends
+      util::make_time(2023, 12, 31, 23, 59, 59),
+      util::make_time(2024, 1, 1),
+      util::make_time(0, 1, 1),                      // first and last
+      util::make_time(9999, 12, 31, 23, 59, 59),     // digit-writer years
+      util::make_time(0, 1, 1) - 1,                  // fallback below 0000
+      util::make_time(-12345, 6, 7, 8, 9, 10),
+      util::make_time(10000, 1, 1),                  // fallback above 9999
+      util::make_time(123456, 3, 4, 5, 6, 7),
+  };
+
+  std::vector<SloWindow> windows;
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    SloWindow w;
+    w.root = static_cast<uint8_t>(i % kSloRoots);
+    w.v6 = i % 2 == 1;
+    w.availability = doubles[i];
+    w.rtt_p50_ms = doubles[i];
+    w.rtt_p95_ms = doubles[(i + 1) % doubles.size()];
+    w.publication_p95_s = doubles[i];
+    w.staleness_max_s = doubles[(i + 2) % doubles.size()];
+    w.start = times[i % times.size()];
+    w.end = times[(i + 5) % times.size()];
+    w.probes = counts[i % counts.size()];
+    w.answered = counts[(i + 1) % counts.size()];
+    w.latency_count = counts[(i + 2) % counts.size()];
+    w.publication_count = counts[(i + 3) % counts.size()];
+    w.staleness_count = counts[(i + 4) % counts.size()];
+    w.integrity_checks = counts[(i + 5) % counts.size()];
+    w.integrity_ok = counts[i % counts.size()];
+    w.breaches = static_cast<uint32_t>(i % 32);
+    w.evaluated = i % 3 != 0;
+    windows.push_back(w);
+  }
+  for (const util::UnixTime t : times) {
+    SloWindow w;
+    w.start = t;
+    w.end = t;
+    windows.push_back(w);
+  }
+  // Random windows: counts over the whole uint64_t range, doubles spread
+  // over many octaves and quantized to a few decimals (where ties live).
+  util::Rng rng(1729);
+  for (int i = 0; i < 20000; ++i) {
+    SloWindow w;
+    w.root = static_cast<uint8_t>(rng.uniform(kSloRoots));
+    w.v6 = rng.uniform(2) == 1;
+    w.start = static_cast<util::UnixTime>(rng.uniform(4'000'000'000ull)) -
+              1'000'000'000;
+    w.end = w.start + static_cast<int64_t>(rng.uniform(100'000));
+    const auto count = [&] {
+      return rng.uniform(2) ? rng.next() : rng.uniform(100000);
+    };
+    const auto value = [&] {
+      const double v = std::ldexp(rng.uniform01(),
+                                  static_cast<int>(rng.uniform(80)) - 30);
+      const double scale = std::pow(10.0, static_cast<double>(rng.uniform(8)));
+      return rng.uniform(2) ? v : std::round(v * scale) / scale;
+    };
+    w.probes = count();
+    w.answered = count();
+    w.availability = rng.uniform(2) ? rng.uniform01() : value();
+    w.latency_count = count();
+    w.rtt_p50_ms = value();
+    w.rtt_p95_ms = value();
+    w.publication_count = count();
+    w.publication_p95_s = value();
+    w.staleness_count = count();
+    w.staleness_max_s = value();
+    w.integrity_checks = count();
+    w.integrity_ok = count();
+    w.breaches = static_cast<uint32_t>(rng.uniform(32));
+    w.evaluated = rng.uniform(2) == 1;
+    windows.push_back(w);
+  }
+  const std::string got = SloCollector::windows_to_jsonl(windows);
+  const std::string want = printf_jsonl(windows);
+  ASSERT_EQ(got.size(), want.size());
+  // Line by line, so a mismatch names its window.
+  size_t at = 0;
+  for (size_t i = 0; i < windows.size(); ++i) {
+    const size_t eol = want.find('\n', at);
+    ASSERT_EQ(got.substr(at, eol + 1 - at), want.substr(at, eol + 1 - at))
+        << "window " << i;
+    at = eol + 1;
+  }
+  EXPECT_EQ(got, want);
+}
+
+// The body of a JSON string (the text between its quotes), decoded; an
+// unescaped quote, a raw control character or a bad escape fails the test.
+std::string json_unescape(std::string_view body) {
+  std::string out;
+  for (size_t i = 0; i < body.size(); ++i) {
+    const char c = body[i];
+    EXPECT_NE(c, '"') << "unescaped quote at " << i;
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "control char at " << i;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++i == body.size()) {
+      ADD_FAILURE() << "dangling backslash";
+      break;
+    }
+    switch (body[i]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned code = 0;
+        const bool ok = i + 4 < body.size() &&
+                        std::sscanf(std::string(body.substr(i + 1, 4)).c_str(),
+                                    "%4x", &code) == 1;
+        EXPECT_TRUE(ok && code < 0x80) << "escape at " << i;
+        out += static_cast<char>(code);
+        i += 4;
+        break;
+      }
+      default:
+        ADD_FAILURE() << "bad escape \\" << body[i] << " at " << i;
+    }
+  }
+  return out;
+}
+
+// The scenario header is JSON whatever the name holds: the name comes back
+// out of it unchanged.
+TEST(SloCollector, ScenarioHeaderEscapesTheName) {
+  const std::string name = "quote\" back\\slash \x01 tab\t";
+  for (const std::string& jsonl :
+       {SloCollector::windows_to_jsonl({}, name),
+        IncidentTracker::incidents_to_jsonl({}, name)}) {
+    const std::string prefix = "{\"scenario\":\"";
+    ASSERT_EQ(jsonl.substr(0, prefix.size()), prefix) << jsonl;
+    ASSERT_EQ(jsonl.substr(jsonl.size() - 3), "\"}\n") << jsonl;
+    EXPECT_EQ(json_unescape(
+                  jsonl.substr(prefix.size(), jsonl.size() - prefix.size() - 3)),
+              name)
+        << jsonl;
+  }
+}
+
 // Samples of every kind in buckets [first_bucket, first_bucket + 4) of
 // letters a and b, both families.
 std::vector<SloSample> bucket_samples(int first_bucket, int salt) {
@@ -245,6 +461,40 @@ TEST(SloCollector, ConcurrentMovingMergesMatchTheCopyingMerge) {
   ta.join();
   tb.join();
   expect_same_cells(moved, copied);
+}
+
+// A producer may fill cells locally and hand each over whole: into an
+// empty key or onto one that already holds samples, the collector ends up
+// with the cells recording every sample gives.
+TEST(SloCollector, AddedCellsEqualRecordedSamples) {
+  const std::vector<SloSample> samples = bucket_samples(0, 0);
+  SloCollector recorded, added;
+  for (const SloSample& sample : samples) recorded.record(sample);
+  // Every other sample is recorded directly; the rest go into local cells,
+  // one per key, added afterwards.
+  std::map<SloCollector::CellKey, SloCollector::Cell> local;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const SloSample& sample = samples[i];
+    if (i % 2 == 0) {
+      added.record(sample);
+      continue;
+    }
+    local[{sample.root, static_cast<uint8_t>(sample.v6 ? 1 : 0),
+           SloCollector::bucket_index(sample.when)}]
+        .record(sample);
+  }
+  for (auto& [key, cell] : local)
+    added.add_cell(std::get<0>(key), std::get<1>(key) == 1, std::get<2>(key),
+                   std::move(cell));
+  expect_same_cells(added, recorded);
+  // A key with no samples yet takes the cell as it is.
+  SloCollector fresh;
+  SloCollector::Cell cell;
+  cell.record(probe(util::make_time(2023, 7, 3), false, 7, true));
+  fresh.add_cell(7, true, SloCollector::bucket_index(util::make_time(2023, 7, 3)),
+                 std::move(cell));
+  EXPECT_EQ(fresh.totals(7, true).probes, 1u);
+  EXPECT_EQ(fresh.totals(7, true).answered, 0u);
 }
 
 TEST(SloCollector, TotalsFoldEveryBucketOfOneStream) {
@@ -485,6 +735,49 @@ TEST(IncidentTracker, JsonlIsStableAndMarksOpenIncidents) {
   EXPECT_NE(jsonl.find("\"closed\":null"), std::string::npos);
   EXPECT_NE(jsonl.find("\"cause\":\"unknown\""), std::string::npos);
   EXPECT_EQ(jsonl, tracker.to_jsonl());  // pure function of state
+}
+
+// The sweep slides one aggregate along each stream, merging each cell as it
+// enters the window and removing it as it leaves. Every window must read
+// what a fresh merge of its own trailing cells reads.
+TEST(SloCollector, SlidingWindowsEqualAFreshMergePerWindow) {
+  SloCollector collector;
+  // Overlapping runs (buckets 0-3, 2-5) and a gap (6-8) before buckets 9-12;
+  // staleness rises with the sample index, so a window whose largest value
+  // has left must report a smaller max.
+  for (const SloSample& sample : bucket_samples(0, 0)) collector.record(sample);
+  for (const SloSample& sample : bucket_samples(2, 3)) collector.record(sample);
+  for (const SloSample& sample : bucket_samples(9, 1)) collector.record(sample);
+  const auto cells = collector.snapshot();
+  for (size_t window = 1; window <= 6; ++window) {
+    SloThresholds thresholds = tiny_thresholds();
+    thresholds.window_buckets = window;
+    const std::vector<SloWindow> windows = collector.windows(thresholds);
+    ASSERT_FALSE(windows.empty());
+    for (const SloWindow& w : windows) {
+      SCOPED_TRACE(::testing::Message()
+                   << "window " << window << ", stream " << int{w.root}
+                   << (w.v6 ? "/v6" : "/v4") << " ending " << w.end);
+      const int64_t last = SloCollector::bucket_index(w.end - 1);
+      SloCollector::Cell agg;
+      for (const auto& [key, cell] : cells)
+        if (std::get<0>(key) == w.root && std::get<1>(key) == (w.v6 ? 1 : 0) &&
+            std::get<2>(key) > last - static_cast<int64_t>(window) &&
+            std::get<2>(key) <= last)
+          agg.merge_from(cell);
+      EXPECT_EQ(w.probes, agg.probes);
+      EXPECT_EQ(w.answered, agg.answered);
+      EXPECT_EQ(w.latency_count, agg.rtt_us.count());
+      EXPECT_EQ(w.rtt_p50_ms, agg.rtt_us.quantile(0.5) / 1000.0);
+      EXPECT_EQ(w.rtt_p95_ms, agg.rtt_us.quantile(0.95) / 1000.0);
+      EXPECT_EQ(w.publication_count, agg.publication_s.count());
+      EXPECT_EQ(w.publication_p95_s, agg.publication_s.quantile(0.95));
+      EXPECT_EQ(w.staleness_count, agg.staleness_s.count());
+      EXPECT_EQ(w.staleness_max_s, static_cast<double>(agg.staleness_s.max()));
+      EXPECT_EQ(w.integrity_checks, agg.integrity_checks);
+      EXPECT_EQ(w.integrity_ok, agg.integrity_ok);
+    }
+  }
 }
 
 }  // namespace

@@ -325,6 +325,32 @@ TEST(ScenarioRun, EveryLibraryScenarioIsWorkerAndScheduleInvariant) {
   }
 }
 
+// A ZONEMD rollout that enters the private-algorithm phase and never
+// switches to SHA-384: the integrity breach lasts to the horizon's end, and
+// so must the rollout hint that attributes it.
+TEST(ScenarioRun, ZonemdRolloutWithoutASwitchIsAttributed) {
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_scenario(
+      "scenario zonemd-stuck\n"
+      "horizon 2025-03-01T00:00:00Z 2025-03-15T00:00:00Z\n"
+      "intervals 1800 900\n"
+      "zonemd-private 2025-03-05T00:00:00Z\n",
+      &spec, &error))
+      << error;
+  ASSERT_EQ(spec.zone.zonemd_sha384_start, 0);
+  const measure::SloTimelineResult result = run_smoke(spec, 2, "worksteal");
+  size_t integrity = 0;
+  for (const obs::Incident& incident : result.incidents) {
+    if (incident.metric != obs::SloMetric::Integrity) continue;
+    ++integrity;
+    EXPECT_EQ(incident.cause, "zonemd-private-algorithm")
+        << "letter " << static_cast<char>('a' + incident.root);
+    EXPECT_TRUE(incident.open()) << "nothing heals it before the horizon";
+  }
+  EXPECT_EQ(integrity, 26u) << result.incidents_jsonl;
+}
+
 // FNV-1a 64 of slo.jsonl + incidents.jsonl, in hex.
 std::string export_digest(const measure::SloTimelineResult& result) {
   return util::format("%016llx",

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 namespace rootsim::util {
 namespace {
 
@@ -60,6 +64,48 @@ TEST(Time, RoundTripSweep) {
        t += 86400 * 7 + 3601) {
     CivilTime c = civil_from_unix(t);
     EXPECT_EQ(make_time(c.year, c.month, c.day, c.hour, c.minute, c.second), t);
+  }
+}
+
+// The digit writer behind format_datetime matches snprintf's
+// "%04d-%02d-%02dT%02d:%02d:%02dZ" at the epoch, the second before it, leap
+// days, year ends, the first and last four-digit years, and the years on
+// either side that take the snprintf fallback.
+TEST(Time, DatetimeWriterMatchesPrintf) {
+  const auto printf_datetime = [](UnixTime t) {
+    const CivilTime c = civil_from_unix(t);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ", c.year,
+                  c.month, c.day, c.hour, c.minute, c.second);
+    return std::string(buf);
+  };
+  std::vector<UnixTime> times = {
+      0,
+      -1,
+      make_time(2024, 2, 29, 12, 34, 56),
+      make_time(2000, 2, 29),
+      make_time(1900, 2, 28, 23, 59, 59),
+      make_time(1999, 12, 31, 23, 59, 59),
+      make_time(2023, 12, 31, 23, 59, 59),
+      make_time(2024, 1, 1),
+      make_time(0, 1, 1),
+      make_time(0, 1, 1) - 1,
+      make_time(9999, 12, 31, 23, 59, 59),
+      make_time(10000, 1, 1),
+      make_time(-12345, 6, 7, 8, 9, 10),
+      make_time(123456, 3, 4, 5, 6, 7),
+  };
+  for (UnixTime t = make_time(1960, 1, 1); t < make_time(2040, 1, 1);
+       t += 86400 * 3 + 3607)
+    times.push_back(t);
+  EXPECT_EQ(format_datetime(-1), "1969-12-31T23:59:59Z");
+  EXPECT_EQ(format_datetime(make_time(0, 1, 1) - 1), "-001-12-31T23:59:59Z");
+  EXPECT_EQ(format_datetime(make_time(10000, 1, 1)), "10000-01-01T00:00:00Z");
+  for (const UnixTime t : times) {
+    char buf[kDatetimeBufferSize];
+    char* end = write_datetime(buf, t);
+    EXPECT_EQ(std::string(buf, end), printf_datetime(t)) << t;
+    EXPECT_EQ(format_datetime(t), printf_datetime(t)) << t;
   }
 }
 
