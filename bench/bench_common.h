@@ -14,7 +14,6 @@
 #include <string>
 #include <thread>
 
-#include "exec/engine.h"
 #include "measure/campaign.h"
 #include "obs/report.h"
 #include "scenario/apply.h"
@@ -100,9 +99,9 @@ inline void print_run_report() {
 /// criteria track (probe and signature-check rates from the shared recorder).
 /// Committed copies of these files live in the repo root next to
 /// EXPERIMENTS.md so perf changes leave an auditable trail. Host parallelism
-/// (`hardware_concurrency`) and the scheduler mode are recorded so
-/// tools/bench_compare.py can refuse wall-time comparisons across hosts
-/// instead of calling a slower machine a regression.
+/// (`hardware_concurrency`) is recorded so tools/bench_compare.py can refuse
+/// wall-time comparisons across hosts instead of calling a slower machine a
+/// regression.
 /// `extra` (optional) is pre-rendered JSON appended as additional top-level
 /// fields — e.g. a "deterministic" object of seed-pure counters that
 /// tools/bench_compare.py diffs exactly. Pass without leading comma, e.g.
@@ -130,16 +129,13 @@ inline void write_bench_json(const std::string& name, size_t threads,
                "  \"signatures\": %llu,\n"
                "  \"signatures_per_s\": %.1f,\n"
                "  \"threads\": %zu,\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"sched\": \"%.*s\"",
+               "  \"hardware_concurrency\": %u",
                name.c_str(), wall_ms,
                static_cast<unsigned long long>(probes),
                seconds > 0 ? static_cast<double>(probes) / seconds : 0.0,
                static_cast<unsigned long long>(signatures),
                seconds > 0 ? static_cast<double>(signatures) / seconds : 0.0,
-               threads, std::thread::hardware_concurrency(),
-               static_cast<int>(to_string(exec::resolve_scheduler()).size()),
-               to_string(exec::resolve_scheduler()).data());
+               threads, std::thread::hardware_concurrency());
   if (!extra.empty()) std::fprintf(out, ",\n  %s", extra.c_str());
   std::fprintf(out, "\n}\n");
   std::fclose(out);

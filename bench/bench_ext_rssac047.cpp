@@ -13,6 +13,7 @@
 
 #include "analysis/rssac_metrics.h"
 #include "bench_common.h"
+#include "exec/engine.h"
 #include "netsim/flight_recorder.h"
 #include "obs/incident.h"
 #include "util/strings.h"

@@ -9,9 +9,10 @@
 // `run` applies the spec to a campaign, executes the streaming SLO monitor,
 // writes slo.jsonl / incidents.jsonl into DIR (default "<name>-run"), and
 // prints every detected incident with its attributed cause. The exports are
-// byte-identical for any --workers value and either ROOTSIM_SCHED mode.
+// byte-identical for any --workers value. --workers and --tld take whole
+// positive integers; --tld at most rss::kMaxTldCount.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -79,19 +80,40 @@ int check_files(int argc, char** argv, int first) {
   return failures == 0 ? 0 : 1;
 }
 
+/// The whole token as a positive integer: "abc", "8x", "-1", "0" and
+/// out-of-range values fail.
+bool parse_positive(const char* token, size_t* out) {
+  const char* end = token + std::strlen(token);
+  const auto [stop, ec] = std::from_chars(token, end, *out);
+  return ec == std::errc() && stop == end && *out > 0;
+}
+
 int run_scenario(int argc, char** argv) {
   std::string target;
   std::string out_dir;
   bool smoke = false;
   size_t workers = 0;
-  int tld_count = 60;
+  size_t tld_count = 60;
   for (int i = 2; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--smoke")) {
       smoke = true;
     } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
-      workers = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!parse_positive(argv[++i], &workers)) {
+        std::fprintf(stderr,
+                     "scenario_lab: --workers wants a positive integer, "
+                     "got '%s'\n",
+                     argv[i]);
+        return 1;
+      }
     } else if (!std::strcmp(argv[i], "--tld") && i + 1 < argc) {
-      tld_count = std::atoi(argv[++i]);
+      if (!parse_positive(argv[++i], &tld_count) ||
+          tld_count > rss::kMaxTldCount) {
+        std::fprintf(stderr,
+                     "scenario_lab: --tld wants an integer in 1..%zu, "
+                     "got '%s'\n",
+                     rss::kMaxTldCount, argv[i]);
+        return 1;
+      }
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (target.empty()) {

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "exec/profiler.h"
+#include "util/strings.h"
 
 namespace rootsim::exec {
 
@@ -19,22 +20,12 @@ size_t resolve_workers(size_t requested) {
   return 1;
 }
 
-std::string_view to_string(SchedulerMode mode) {
-  return mode == SchedulerMode::Static ? "static" : "steal";
-}
-
-SchedulerMode resolve_scheduler() {
-  if (const char* env = std::getenv("ROOTSIM_SCHED"))
-    if (std::strcmp(env, "static") == 0) return SchedulerMode::Static;
-  return SchedulerMode::WorkSteal;
-}
-
 namespace {
 
 // A worker's remaining range of units, packed {begin:high32, end:low32} into
 // one atomic word so owner pops and thief steals are single CASes. Empty when
-// begin >= end. The packing caps unit counts at 2^32 (the corpus is ~2^23);
-// larger regions fall back to the static scheduler.
+// begin >= end. The packing caps unit counts at 2^32 - 1 (the corpus is
+// ~2^23), which parallel_for checks before any thread starts.
 constexpr uint64_t pack_range(uint32_t begin, uint32_t end) {
   return (static_cast<uint64_t>(begin) << 32) | end;
 }
@@ -61,10 +52,15 @@ struct alignas(64) WorkerSlot {
 // split tail) is valid against the *value* regardless of the slot's history.
 // seq_cst everywhere: the scheduler does a few CASes per probe-sized unit,
 // so relaxed orderings buy nothing measurable and seq_cst keeps the
-// happens-before story trivial for TSan and for readers.
-void run_work_steal(size_t unit_count, size_t workers,
-                    const std::function<void(size_t, size_t)>& fn,
-                    uint64_t* steal_counts) {
+// happens-before story trivial for TSan and for readers. One worker runs
+// the units inline on the calling thread, in order.
+void run_units(size_t unit_count, size_t workers,
+               const std::function<void(size_t, size_t)>& fn,
+               uint64_t* steal_counts) {
+  if (workers == 1) {
+    for (size_t unit = 0; unit < unit_count; ++unit) fn(unit, 0);
+    return;
+  }
   std::vector<WorkerSlot> slots(workers);
   const size_t chunk = (unit_count + workers - 1) / workers;
   for (size_t w = 0; w < workers; ++w) {
@@ -127,73 +123,31 @@ void run_work_steal(size_t unit_count, size_t workers,
   for (auto& t : pool) t.join();
 }
 
-void run_static(size_t unit_count, size_t workers,
-                const std::function<void(size_t, size_t)>& fn) {
-  const size_t chunk = (unit_count + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    const size_t end = std::min(begin + chunk, unit_count);
-    if (begin >= end) break;
-    pool.emplace_back([&fn, w, begin, end] {
-      for (size_t unit = begin; unit < end; ++unit) fn(unit, w);
-    });
-  }
-  for (auto& t : pool) t.join();
-}
-
-void run_units(size_t unit_count, size_t workers, SchedulerMode mode,
-               const std::function<void(size_t, size_t)>& fn,
-               uint64_t* steal_counts) {
-  if (unit_count == 0) return;
-  if (workers == 0) workers = 1;
-  if (workers > unit_count) workers = unit_count;
-  if (workers == 1) {
-    for (size_t unit = 0; unit < unit_count; ++unit) fn(unit, 0);
-    return;
-  }
-  if (mode == SchedulerMode::WorkSteal &&
-      unit_count <= (uint64_t{1} << 32) - 1) {
-    run_work_steal(unit_count, workers, fn, steal_counts);
-  } else {
-    run_static(unit_count, workers, fn);
-  }
-}
-
 }  // namespace
 
 void parallel_for(size_t unit_count, size_t workers,
-                  const std::function<void(size_t, size_t)>& fn) {
-  run_units(unit_count, workers, resolve_scheduler(), fn, nullptr);
-}
-
-void parallel_for(size_t unit_count, size_t workers, SchedulerMode mode,
-                  const std::function<void(size_t, size_t)>& fn) {
-  run_units(unit_count, workers, mode, fn, nullptr);
-}
-
-void parallel_for(size_t unit_count, size_t workers, Profiler* profiler,
-                  const std::function<void(size_t, size_t)>& fn) {
+                  const std::function<void(size_t, size_t)>& fn,
+                  Profiler* profiler) {
+  if (unit_count > UINT32_MAX)
+    util::fatal("exec::parallel_for: %zu units; the scheduler packs unit "
+                "indices into 32 bits, so a region holds at most %u",
+                unit_count, UINT32_MAX);
+  workers = std::max<size_t>(1, std::min(workers, unit_count));
   if (!profiler) {
-    parallel_for(unit_count, workers, fn);
+    run_units(unit_count, workers, fn, nullptr);
     return;
   }
-  const SchedulerMode mode = resolve_scheduler();
-  const size_t effective =
-      std::max<size_t>(1, std::min(workers ? workers : 1, unit_count));
-  profiler->begin_region(unit_count, effective);
-  profiler->set_scheduler(to_string(mode));
-  std::vector<uint64_t> steals(effective, 0);
+  profiler->begin_region(unit_count, workers);
+  std::vector<uint64_t> steals(workers, 0);
   run_units(
-      unit_count, workers, mode,
+      unit_count, workers,
       [&](size_t unit, size_t worker) {
         const double begin_ms = profiler->now_ms();
         fn(unit, worker);
         profiler->unit_done(unit, worker, begin_ms, profiler->now_ms());
       },
       steals.data());
-  for (size_t w = 0; w < effective; ++w) profiler->note_steals(w, steals[w]);
+  for (size_t w = 0; w < workers; ++w) profiler->note_steals(w, steals[w]);
   profiler->end_region();
 }
 

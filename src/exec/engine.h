@@ -15,13 +15,11 @@
 //     matter which worker ran which unit, or in what order.
 //
 // Scheduling (which worker runs which unit, when) is therefore free to be
-// dynamic. The default scheduler is deterministic work stealing: each worker
+// dynamic. The one scheduler is deterministic work stealing: each worker
 // owns a contiguous range of units packed into one 64-bit atomic; owners pop
 // units from the front, idle workers steal the tail half of the richest
-// victim's remaining range. Long-pole units no longer strand the rest of a
-// static shard behind them (see DESIGN.md §9 for the determinism argument).
-// ROOTSIM_SCHED=static restores the old static contiguous partition for A/B
-// comparison; outputs are byte-identical either way.
+// victim's remaining range. Long-pole units never strand the rest of a
+// worker's range behind them (see DESIGN.md §9 for the determinism argument).
 #pragma once
 
 #include <cstddef>
@@ -40,41 +38,32 @@ class Profiler;
 /// environment variable, else 1. Never returns 0.
 size_t resolve_workers(size_t requested = 0);
 
-/// How parallel_for hands units to workers. Outputs never depend on the
-/// choice — only wall-clock behaviour does.
-enum class SchedulerMode {
-  Static,     ///< contiguous blocks, worker w owns [w*chunk, (w+1)*chunk)
-  WorkSteal,  ///< same initial blocks; idle workers steal tail halves
-};
-
-std::string_view to_string(SchedulerMode mode);
-
-/// Scheduler from the ROOTSIM_SCHED environment variable: "static" selects
-/// SchedulerMode::Static, anything else (or unset) the default WorkSteal.
-SchedulerMode resolve_scheduler();
+/// The scheduler parallel_for runs: work stealing, the only one. rootbench
+/// names it in its run manifest through these two functions, which is the
+/// only reason they exist; drop them once that manifest stops asking.
+enum class SchedulerMode { WorkSteal };
+constexpr SchedulerMode resolve_scheduler() { return SchedulerMode::WorkSteal; }
+constexpr std::string_view to_string(SchedulerMode) { return "steal"; }
 
 /// Runs `fn(unit, worker)` for every unit in [0, unit_count) on `workers`
-/// threads under `resolve_scheduler()`. With workers == 1 the loop runs
-/// inline on the calling thread (same code path, no pool, no atomics), so
-/// serial and parallel runs differ only in interleaving — never in results.
-/// The second argument to `fn` is the *worker* index (which thread is
-/// calling), not a partition: under work stealing any worker may run any
-/// unit, so per-worker state (probers, scratch) is keyed by it while
+/// threads. With workers == 1 the loop runs inline on the calling thread (no
+/// pool, no atomics), so serial and parallel runs differ only in
+/// interleaving — never in results. The second argument to `fn` is the
+/// *worker* index (which thread is calling), not a partition: any worker may
+/// run any unit, so per-worker state (probers, scratch) is keyed by it while
 /// per-unit state (RNG forks, output slots, obs shards) is keyed by `unit`.
+///
+/// A non-null `profiler` records every unit's wall span and per-worker steal
+/// counts (see profiler.h). Profiling only ever changes what is *measured*,
+/// never what runs: a null profiler runs the unprofiled loop, and outputs
+/// are identical with it on or off.
+///
+/// Precondition, checked in every build type before any thread starts:
+/// unit_count <= UINT32_MAX (the scheduler packs unit indices into 32 bits).
+/// A larger count stops the process with a message naming it.
 void parallel_for(size_t unit_count, size_t workers,
-                  const std::function<void(size_t unit, size_t worker)>& fn);
-
-/// Same with an explicit scheduler (tests and A/B benches).
-void parallel_for(size_t unit_count, size_t workers, SchedulerMode mode,
-                  const std::function<void(size_t unit, size_t worker)>& fn);
-
-/// Same, recording every unit's wall span, per-worker steal counts and the
-/// scheduler mode into `profiler` (see profiler.h). nullptr profiler takes
-/// exactly the plain overload's path — profiling only ever changes what is
-/// *measured*, never what runs, so deterministic outputs are identical with
-/// it on or off.
-void parallel_for(size_t unit_count, size_t workers, Profiler* profiler,
-                  const std::function<void(size_t unit, size_t worker)>& fn);
+                  const std::function<void(size_t unit, size_t worker)>& fn,
+                  Profiler* profiler = nullptr);
 
 /// Per-unit observability shards with deterministic merge.
 ///

@@ -210,16 +210,17 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
   exec::ObsShards shards(obs_, total_units);
   // Each worker owns one Prober (and its Transport); the unit body rebinds
   // it to the current unit's obs shard before probing. An attached flight
-  // recorder gets one lock-free shard per worker so recording stays off the
-  // parallel hot path (its ring is diagnostic, merged at read time).
-  std::vector<netsim::FlightRecorder::Shard*> flight_shards;
+  // recorder gives each worker a shard of its own, so workers never share a
+  // ring lock (the rings are diagnostic, merged at read time).
+  std::vector<netsim::FlightRecorder*> flight(workers,
+                                              config_.transport.flight_recorder);
   if (config_.transport.flight_recorder && workers > 1)
-    flight_shards = config_.transport.flight_recorder->make_shards(workers);
+    flight = config_.transport.flight_recorder->make_shards(workers);
   std::vector<std::unique_ptr<Prober>> probers;
   probers.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
     netsim::TransportConfig transport_config = config_.transport;
-    if (!flight_shards.empty()) transport_config.flight_shard = flight_shards[w];
+    transport_config.flight_recorder = flight[w];
     probers.push_back(std::make_unique<Prober>(*authority_, catalog_, *router_,
                                                std::move(transport_config),
                                                obs::Obs{}));
@@ -239,8 +240,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
       exec::Profiler::enabled_by_env() ? &profiler : nullptr;
 
   WallClock::time_point phase_start = WallClock::now();
-  exec::parallel_for(total_units, workers, prof,
-                     [&](size_t unit, size_t worker) {
+  exec::parallel_for(total_units, workers, [&](size_t unit, size_t worker) {
     obs::Obs sink = shards.shard(unit);
     Prober& prober = *probers[worker];
     prober.rebind_obs(sink);
@@ -313,7 +313,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
       if (prof) prof->add_unit_sim_ms(unit, probe.transport.time_ms);
       observations[unit] = validate_probe(probe, nullptr, sink);
     }
-  });
+  }, prof);
   shards.merge();
   if (prof) prof->write(exec::Profiler::env_output_path());
   if (obs_.metrics) {

@@ -105,14 +105,15 @@ struct SloTimelineOptions {
   size_t publication_samples = 6;
   /// 0 = ROOTSIM_WORKERS env var, else serial (same as run_zone_audit).
   size_t workers = 0;
-  /// Optional: failed probes are recorded here (per-worker shards when
-  /// workers > 1) and its deterministic failure_summary() feeds attribution.
+  /// Optional: failed probes are recorded here (into per-worker shards, see
+  /// FlightRecorder::make_shards, when workers > 1) and its deterministic
+  /// failure_summary() feeds attribution.
   netsim::FlightRecorder* flight_recorder = nullptr;
 };
 
 /// Everything one monitored timeline run produces. The JSONL strings are the
 /// canonical slo.jsonl / incidents.jsonl exports — byte-identical across
-/// worker counts and scheduler modes.
+/// worker counts and steal schedules.
 struct SloTimelineResult {
   std::vector<obs::SloWindow> windows;
   std::vector<obs::Incident> incidents;

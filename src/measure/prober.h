@@ -152,7 +152,7 @@ class Prober {
   obs::Counter* tcp_retries_ = nullptr;
   obs::Counter* axfr_ok_ = nullptr;
   obs::Counter* axfr_refused_ = nullptr;
-  obs::Histogram* rtt_ms_[2] = {nullptr, nullptr};  // v4, v6
+  obs::Histogram* rtt_us_[2] = {nullptr, nullptr};  // v4, v6
 };
 
 /// Applies a single-bit corruption to one record of a transferred zone,

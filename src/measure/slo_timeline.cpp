@@ -99,9 +99,11 @@ SloTimelineResult Campaign::run_slo_timeline(
   obs::Obs main = obs_;
   main.slo = &cells;
 
-  std::vector<netsim::FlightRecorder::Shard*> flight_shards;
+  // An attached flight recorder gives each worker a shard of its own, so
+  // workers never share a ring lock.
+  std::vector<netsim::FlightRecorder*> flight(workers, options.flight_recorder);
   if (options.flight_recorder && workers > 1)
-    flight_shards = options.flight_recorder->make_shards(workers);
+    flight = options.flight_recorder->make_shards(workers);
 
   const util::Rng timeline_rng = util::Rng(config_.seed).fork("slo-timeline");
   const netsim::Transport& transport = prober_->transport();
@@ -150,8 +152,6 @@ SloTimelineResult Campaign::run_slo_timeline(
     const util::UnixTime bucket_begin = obs::SloCollector::bucket_start(bucket);
     util::Rng rng = timeline_rng.fork(
         util::format("bucket-%lld", static_cast<long long>(bucket)));
-    netsim::FlightRecorder::Shard* flight_shard =
-        flight_shards.empty() ? nullptr : flight_shards[worker];
 
     for (uint32_t root = 0; root < obs::kSloRoots; ++root) {
       for (int fam = 0; fam < 2; ++fam) {
@@ -247,10 +247,7 @@ SloTimelineResult Campaign::run_slo_timeline(
             record.qtype = 6;  // SOA
             record.when = t;
             record.time_ms = 10500.0;  // full UDP retry budget
-            if (flight_shard)
-              flight_shard->record(std::move(record));
-            else if (options.flight_recorder)
-              options.flight_recorder->record(std::move(record));
+            if (flight[worker]) flight[worker]->record(std::move(record));
           }
         }
 

@@ -36,13 +36,6 @@ void FlightRecorder::note_summary(SummaryCells& cells,
   ++cell.count;
 }
 
-void FlightRecorder::Shard::record(FlightRecord record) {
-  note_summary(summary_, record);
-  if (ring_.size() >= capacity_) ring_.pop_front();
-  ++recorded_;
-  ring_.push_back(std::move(record));
-}
-
 void FlightRecorder::record(FlightRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   note_summary(summary_, record);
@@ -51,43 +44,53 @@ void FlightRecorder::record(FlightRecord record) {
   ring_.push_back(std::move(record));
 }
 
-std::vector<FlightRecorder::Shard*> FlightRecorder::make_shards(size_t count) {
+std::vector<FlightRecorder*> FlightRecorder::make_shards(size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Shard*> out;
+  std::vector<FlightRecorder*> out;
   out.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    shards_.emplace_back(Shard(capacity_));
-    out.push_back(&shards_.back());
+    shards_.push_back(std::make_unique<FlightRecorder>(capacity_));
+    out.push_back(shards_.back().get());
   }
   return out;
+}
+
+void FlightRecorder::fold_into(Fold& fold, bool with_records) const {
+  // Counts add, first is a min, last is a max — all order-insensitive, so
+  // the fold is independent of which shard recorded what.
+  fold.recorded += recorded_;
+  for (size_t i = 0; i < summary_.size(); ++i) {
+    const SummaryCell& cell = summary_[i];
+    SummaryCell& into = fold.summary[i];
+    if (cell.count == 0) continue;
+    if (into.count == 0 || cell.first < into.first) into.first = cell.first;
+    if (into.count == 0 || cell.last > into.last) into.last = cell.last;
+    into.count += cell.count;
+  }
+  if (with_records)
+    fold.records.insert(fold.records.end(), ring_.begin(), ring_.end());
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu_);
+    shard->fold_into(fold, with_records);
+  }
 }
 
 size_t FlightRecorder::size() const { return records().size(); }
 
 uint64_t FlightRecorder::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = recorded_;
-  for (const Shard& shard : shards_) total += shard.recorded_;
-  return total;
+  Fold fold;
+  fold_into(fold, /*with_records=*/false);
+  return fold.recorded;
 }
 
 uint64_t FlightRecorder::dropped() const { return recorded() - size(); }
 
 FlightFailureSummary FlightRecorder::failure_summary() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Fold: counts add, first is a min, last is a max — all order-insensitive,
-  // so the result is independent of which shard recorded what.
-  SummaryCells folded = summary_;
-  for (const Shard& shard : shards_) {
-    for (size_t i = 0; i < folded.size(); ++i) {
-      const SummaryCell& cell = shard.summary_[i];
-      if (cell.count == 0) continue;
-      if (folded[i].count == 0 || cell.first < folded[i].first)
-        folded[i].first = cell.first;
-      if (folded[i].count == 0 || cell.last > folded[i].last)
-        folded[i].last = cell.last;
-      folded[i].count += cell.count;
-    }
+  Fold fold;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fold_into(fold, /*with_records=*/false);
   }
   FlightFailureSummary summary;
   for (size_t root = 0; root < kSummaryRoots; ++root) {
@@ -96,7 +99,7 @@ FlightFailureSummary FlightRecorder::failure_summary() const {
         if (static_cast<FlightRecord::Cause>(cause) == FlightRecord::Cause::Ok)
           continue;
         const SummaryCell& cell =
-            folded[(root * 2 + family) * kSummaryCauses + cause];
+            fold.summary[(root * 2 + family) * kSummaryCauses + cause];
         if (cell.count == 0) continue;
         FlightFailureSummary::Entry entry;
         entry.root_index = static_cast<int>(root);
@@ -113,12 +116,14 @@ FlightFailureSummary FlightRecorder::failure_summary() const {
 }
 
 std::vector<FlightRecord> FlightRecorder::records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlightRecord> merged{ring_.begin(), ring_.end()};
-  for (const Shard& shard : shards_)
-    merged.insert(merged.end(), shard.ring_.begin(), shard.ring_.end());
+  Fold fold;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fold_into(fold, /*with_records=*/true);
+  }
+  std::vector<FlightRecord> merged = std::move(fold.records);
   // Order by simulated send time (scheduling put them in arbitrary shards);
-  // stable so owner-then-shard order breaks ties, then keep the newest
+  // stable so recorder-then-shard order breaks ties, then keep the newest
   // `capacity` like a single ring would have.
   std::stable_sort(merged.begin(), merged.end(),
                    [](const FlightRecord& a, const FlightRecord& b) {
@@ -132,21 +137,12 @@ std::vector<FlightRecord> FlightRecorder::records() const {
 
 void FlightRecorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  // recorded totals stay monotone per recorder across clear(): fold the
-  // dying shards' counts into the owner before dropping them. The failure
-  // summary keeps the same contract.
-  for (const Shard& shard : shards_) {
-    recorded_ += shard.recorded_;
-    for (size_t i = 0; i < summary_.size(); ++i) {
-      const SummaryCell& cell = shard.summary_[i];
-      if (cell.count == 0) continue;
-      if (summary_[i].count == 0 || cell.first < summary_[i].first)
-        summary_[i].first = cell.first;
-      if (summary_[i].count == 0 || cell.last > summary_[i].last)
-        summary_[i].last = cell.last;
-      summary_[i].count += cell.count;
-    }
-  }
+  // recorded() and failure_summary() stay monotone across clear(): the
+  // dying shards' counts fold into this recorder before they go.
+  Fold fold;
+  fold_into(fold, /*with_records=*/false);
+  recorded_ = fold.recorded;
+  summary_ = fold.summary;
   ring_.clear();
   shards_.clear();
 }

@@ -10,20 +10,22 @@
 // transport records every exchange() / axfr() completion. With no recorder
 // attached the transport pays one null-pointer branch per exchange.
 //
-// Concurrency: the owner ring is mutex-protected for ad-hoc sharing, but
-// parallel workers should each write a per-worker Shard (make_shards) —
-// single-writer rings with no lock at all, so the recorder stays enabled in
-// scaling benches without serializing workers on a mutex. Reads merge the
-// owner ring and every shard ordered by simulated send time. Either way the
-// recorder is a *diagnostic* surface — buffered order reflects scheduling
-// and never feeds the deterministic exports (metrics/trace/rssac002 stay
-// byte-identical with or without it); only the recorded() total is
+// Concurrency: every ring is a FlightRecorder, locked by its own mutex, so
+// any thread may record into any recorder. Parallel regions give each
+// worker a shard (make_shards): a FlightRecorder the parent owns and no
+// other worker writes, so its lock is never contended. Reads on the parent
+// fold in every shard, locking the parent before each shard, never the
+// reverse; records are ordered by simulated send time. The recorder is a
+// *diagnostic* surface — buffered order reflects scheduling and never feeds
+// the deterministic exports (metrics/trace/rssac002 stay byte-identical with
+// or without it); only recorded() and failure_summary() are
 // scheduling-independent.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -98,57 +100,33 @@ class FlightRecorder {
  public:
   static constexpr size_t kSummaryRoots = 13;
   static constexpr size_t kSummaryCauses = 4;
-  struct SummaryCell {
-    uint64_t count = 0;
-    util::UnixTime first = 0;
-    util::UnixTime last = 0;
-  };
-  using SummaryCells =
-      std::array<SummaryCell, kSummaryRoots * 2 * kSummaryCauses>;
-
-  /// One worker's lock-free view of the recorder. record() touches only this
-  /// shard's own bounded ring — no mutex, single writer by construction.
-  /// The parent folds shard contents into every read API.
-  class Shard {
-   public:
-    void record(FlightRecord record);
-
-   private:
-    friend class FlightRecorder;
-    explicit Shard(size_t capacity) : capacity_(capacity) {}
-    size_t capacity_;
-    uint64_t recorded_ = 0;
-    std::deque<FlightRecord> ring_;
-    SummaryCells summary_{};
-  };
 
   explicit FlightRecorder(size_t capacity = 256);
 
   void record(FlightRecord record);
 
-  /// Creates `count` per-worker shards and returns their pointers (owned by
-  /// the recorder, valid until clear()). Each call appends fresh shards;
-  /// earlier shards keep contributing to reads. Reading while a worker is
-  /// still writing its shard is a race — merge after the parallel region
-  /// (thread join gives the happens-before edge).
-  std::vector<Shard*> make_shards(size_t count);
+  /// Creates `count` per-worker shards — recorders of this capacity, owned
+  /// by this one — and returns their pointers, valid until clear(). Each
+  /// call appends fresh shards; earlier shards keep contributing to reads.
+  std::vector<FlightRecorder*> make_shards(size_t count);
 
   size_t capacity() const { return capacity_; }
+  /// Buffered records, at most capacity().
   size_t size() const;
-  /// Total records ever recorded, including evicted ones, across the owner
-  /// ring and all shards. Scheduling-independent.
+  /// Total records ever recorded, including evicted ones, across this
+  /// recorder and its shards. Scheduling-independent.
   uint64_t recorded() const;
   /// Records evicted by the ring bounds (recorded minus buffered).
   uint64_t dropped() const;
 
-  /// The deterministic failure rollup (see FlightFailureSummary). Folds the
-  /// owner's cells with every shard's; safe to read after the parallel
-  /// region joins. Records with root_index outside [0, kSummaryRoots)
-  /// (priming, local-root refresh) are not rolled up.
+  /// The deterministic failure rollup (see FlightFailureSummary) across
+  /// this recorder and its shards. Records with root_index outside
+  /// [0, kSummaryRoots) (priming, local-root refresh) are not rolled up.
   FlightFailureSummary failure_summary() const;
 
-  /// Merged copy of the buffered records, ordered by simulated send time
-  /// (ties keep owner-then-shard order), truncated to the newest `capacity`.
+  /// Merged copy of the buffered records of this recorder and its shards,
+  /// ordered by simulated send time (ties keep recorder-then-shard order),
+  /// truncated to the newest `capacity`.
   std::vector<FlightRecord> records() const;
 
   /// One JSON object per buffered record, oldest first:
@@ -158,19 +136,38 @@ class FlightRecorder {
   ///    "bytes_received":0,"time_ms":10500.0}
   std::string to_jsonl() const;
 
-  /// Drops all buffered records and all shards (their pointers die here).
-  /// Not safe while workers are still recording.
+  /// Drops all buffered records and all shards (their pointers die here);
+  /// recorded() and failure_summary() keep counting what they held. Not
+  /// safe while a worker still records into a shard.
   void clear();
 
  private:
+  struct SummaryCell {
+    uint64_t count = 0;
+    util::UnixTime first = 0;
+    util::UnixTime last = 0;
+  };
+  using SummaryCells =
+      std::array<SummaryCell, kSummaryRoots * 2 * kSummaryCauses>;
+  /// What a recorder and its shards hold between them.
+  struct Fold {
+    uint64_t recorded = 0;
+    SummaryCells summary{};
+    std::vector<FlightRecord> records;  ///< recorder-then-shard order
+  };
+
   static void note_summary(SummaryCells& cells, const FlightRecord& record);
+  /// Adds this recorder's counts (and, with `with_records`, its buffered
+  /// records) and then each shard's into `fold`. The caller holds mu_; each
+  /// shard is locked in turn, after its parent.
+  void fold_into(Fold& fold, bool with_records) const;
 
   mutable std::mutex mu_;
   size_t capacity_;
   uint64_t recorded_ = 0;
   std::deque<FlightRecord> ring_;
-  std::deque<Shard> shards_;
   SummaryCells summary_{};
+  std::vector<std::unique_ptr<FlightRecorder>> shards_;
 };
 
 }  // namespace rootsim::netsim

@@ -146,7 +146,7 @@ ExchangeOutcome Transport::exchange(Path& path, const Endpoint& endpoint,
     telemetry.response_bytes = outcome.delivered ? path.wire_.size() : 0;
     endpoint.note_exchange(telemetry);
   }
-  if (config_.flight_shard || config_.flight_recorder) {
+  if (config_.flight_recorder) {
     FlightRecord record;
     record.op = FlightRecord::Op::Query;
     record.cause = outcome.timed_out    ? FlightRecord::Cause::Timeout
@@ -169,10 +169,7 @@ ExchangeOutcome Transport::exchange(Path& path, const Endpoint& endpoint,
       record.qtype = static_cast<uint16_t>(query.questions[0].qtype);
     }
     record.when = now;
-    if (config_.flight_shard)
-      config_.flight_shard->record(std::move(record));
-    else
-      config_.flight_recorder->record(std::move(record));
+    config_.flight_recorder->record(std::move(record));
   }
   return outcome;
 }
@@ -299,7 +296,7 @@ AxfrOutcome Transport::axfr(Path& path, const Endpoint& endpoint,
         outcome.delivered ? outcome.stream.size() : uint64_t{64};
     endpoint.note_exchange(telemetry);
   }
-  if (config_.flight_shard || config_.flight_recorder) {
+  if (config_.flight_recorder) {
     FlightRecord record;
     record.op = FlightRecord::Op::Axfr;
     record.cause = outcome.tcp_refused  ? FlightRecord::Cause::TcpRefused
@@ -317,10 +314,7 @@ AxfrOutcome Transport::axfr(Path& path, const Endpoint& endpoint,
     record.bytes_received = outcome.stats.bytes_received;
     record.time_ms = outcome.stats.time_ms;
     record.when = now;
-    if (config_.flight_shard)
-      config_.flight_shard->record(std::move(record));
-    else
-      config_.flight_recorder->record(std::move(record));
+    config_.flight_recorder->record(std::move(record));
   }
   return outcome;
 }

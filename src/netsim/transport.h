@@ -121,14 +121,11 @@ struct TransportConfig {
   /// of this many bytes (stop-and-wait per window — crude but deterministic).
   size_t tcp_window_bytes = 64 * 1024;
   /// Optional flight recorder (non-owning): when set, every exchange()/axfr()
-  /// completion is pushed onto its ring for post-mortem. Diagnostic only —
-  /// never part of the deterministic export surface (see flight_recorder.h).
+  /// completion is pushed onto its ring for post-mortem. Parallel callers
+  /// point each worker's config at its own shard (FlightRecorder::
+  /// make_shards). Diagnostic only — never part of the deterministic export
+  /// surface (see flight_recorder.h).
   FlightRecorder* flight_recorder = nullptr;
-  /// Per-worker shard of the recorder (non-owning). When set it wins over
-  /// `flight_recorder`: records go to the shard's lock-free ring instead of
-  /// the owner's mutex-protected one, keeping the recorder off the parallel
-  /// hot path (see FlightRecorder::make_shards).
-  FlightRecorder::Shard* flight_shard = nullptr;
 
   const LinkConditions& conditions_for_site(uint32_t site_id) const {
     auto it = site_conditions.find(site_id);

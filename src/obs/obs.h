@@ -33,29 +33,19 @@ struct Obs {
     if (metrics) metrics->counter(name, std::move(labels)).inc(n);
   }
 
-  /// Null-safe histogram observation (default latency buckets).
-  void observe(std::string_view name, LabelSet labels, double value) const {
-    if (metrics) metrics->histogram(name, std::move(labels)).observe(value);
-  }
-
-  /// Resolves a counter handle once; returns nullptr on the null sink.
+  /// Resolve a counter or histogram handle once; nullptr on the null sink.
   Counter* counter_handle(std::string_view name, LabelSet labels = {}) const {
     return metrics ? &metrics->counter(name, std::move(labels)) : nullptr;
   }
-  Histogram* histogram_handle(std::string_view name, LabelSet labels = {},
-                              std::vector<double> bounds = {}) const {
-    return metrics ? &metrics->histogram(name, std::move(labels),
-                                         std::move(bounds))
-                   : nullptr;
+  Histogram* histogram_handle(std::string_view name,
+                              LabelSet labels = {}) const {
+    return metrics ? &metrics->histogram(name, std::move(labels)) : nullptr;
   }
 };
 
 /// Increments a pre-resolved handle; no-op on nullptr.
 inline void inc(Counter* counter, uint64_t n = 1) {
   if (counter) counter->inc(n);
-}
-inline void observe(Histogram* histogram, double value) {
-  if (histogram) histogram->observe(value);
 }
 
 /// Owns one registry + one tracer and hands out Obs handles. The usual

@@ -46,6 +46,12 @@ ZoneAuthority::ZoneAuthority(const RootCatalog& catalog, ZoneAuthorityConfig con
     sig_cache_misses_ = obs.counter_handle("rss.sig_cache.misses");
     zone_serial_ = &obs.metrics->gauge("rss.zone_serial");
   }
+  // The generator below draws labels until it has tld_count distinct ones,
+  // so a count it cannot reach would never return.
+  if (config_.tld_count > kMaxTldCount)
+    util::fatal("rss::ZoneAuthority: tld_count %zu exceeds the %zu TLDs the "
+                "synthetic zone can name",
+                config_.tld_count, kMaxTldCount);
   util::Rng rng(config_.seed);
   util::Rng tld_rng = rng.fork("tlds");
   tlds_ = make_tlds(config_.tld_count, tld_rng);

@@ -30,9 +30,16 @@
 
 namespace rootsim::rss {
 
+/// Most delegations the synthetic root zone can hold: its 36 fixed TLDs plus
+/// every distinct generated CVC, CVCV and CVCVC label (19 consonants, 5
+/// vowels), less the four fixed TLDs of that shape (com, net, biz, dev).
+inline constexpr size_t kMaxTldCount = 36 + 19 * 5 * 19 * (1 + 5 + 5 * 19) - 4;
+
 struct ZoneAuthorityConfig {
   uint64_t seed = 42;
-  size_t tld_count = 120;       // delegations in the synthetic root zone
+  /// Delegations in the synthetic root zone, at most kMaxTldCount: a larger
+  /// count stops the process when the authority is built.
+  size_t tld_count = 120;
   size_t rsa_modulus_bits = 768;  // small-but-real keys keep signing fast
   /// Phase instants are scenario data (0 = the phase never happens). The
   /// paper's 2023 dates — ZONEMD private algorithm 09-13, SHA-384 12-06,

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 
 namespace rootsim::util {
 
@@ -68,6 +69,15 @@ std::string format(const char* fmt, ...) {
   }
   va_end(args);
   return out;
+}
+
+void fatal(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::abort();
 }
 
 std::string join(const std::vector<std::string>& items, std::string_view sep) {

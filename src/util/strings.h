@@ -1,6 +1,6 @@
 // String helpers shared across modules: tokenization for the zone-file parser,
-// case folding for DNS name comparison (RFC 1035 4.3.3: case-insensitive), and
-// printf-style formatting into std::string.
+// case folding for DNS name comparison (RFC 1035 4.3.3: case-insensitive),
+// printf-style formatting into std::string, and printf-style fatal errors.
 #pragma once
 
 #include <cstdarg>
@@ -27,6 +27,12 @@ bool ends_with(std::string_view text, std::string_view suffix);
 
 /// printf into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// printf a line to stderr, then abort: a caller-error check that, unlike
+/// assert, holds in every build type. For preconditions whose violation
+/// would otherwise hang or corrupt memory.
+[[noreturn]] void fatal(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /// Joins items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);

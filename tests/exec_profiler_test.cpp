@@ -114,9 +114,9 @@ TEST(ParallelFor, ProfiledOverloadRecordsEveryUnitOnItsShard) {
   constexpr size_t kUnits = 23;
   Profiler profiler;
   std::vector<std::atomic<int>> hits(kUnits);
-  parallel_for(kUnits, 4, &profiler, [&](size_t unit, size_t) {
-    hits[unit].fetch_add(1);
-  });
+  parallel_for(
+      kUnits, 4, [&](size_t unit, size_t) { hits[unit].fetch_add(1); },
+      &profiler);
   for (size_t unit = 0; unit < kUnits; ++unit)
     ASSERT_EQ(hits[unit].load(), 1) << unit;
   EXPECT_EQ(profiler.unit_count(), kUnits);
@@ -131,7 +131,7 @@ TEST(ParallelFor, ProfiledOverloadRecordsEveryUnitOnItsShard) {
 
 TEST(ParallelFor, NullProfilerTakesThePlainPath) {
   std::vector<std::atomic<int>> hits(7);
-  parallel_for(7, 2, nullptr, [&](size_t unit, size_t) { hits[unit]++; });
+  parallel_for(7, 2, [&](size_t unit, size_t) { hits[unit]++; }, nullptr);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

@@ -55,27 +55,32 @@ TEST(Gauge, SetAddAndSetMax) {
 
 TEST(Histogram, BucketsObservationsAtBoundaries) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("rtt", {}, {10, 20, 50});
-  // A bound is an *upper* bound: observe(10) lands in the le10 bucket.
+  Histogram& h = registry.histogram("rtt_us");
+  // Log-linear buckets: exact below 32, then 16 per octave. A bucket's lower
+  // bound is inclusive and its upper bound exclusive: 32 and 33 share
+  // [32, 34), 34 opens [34, 36).
   h.observe(3);
-  h.observe(10);
-  h.observe(10.001);
-  h.observe(50);
-  h.observe(51);
-  auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);  // 3 bounds + inf
-  EXPECT_EQ(buckets[0], 2u);      // 3, 10
-  EXPECT_EQ(buckets[1], 1u);      // 10.001
-  EXPECT_EQ(buckets[2], 1u);      // 50
-  EXPECT_EQ(buckets[3], 1u);      // 51 -> +inf
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_NEAR(h.sum(), 3 + 10 + 10.001 + 50 + 51, 1e-9);
-}
-
-TEST(Histogram, DefaultBoundsAreUsedWhenNoneGiven) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("latency");
-  EXPECT_EQ(h.bounds(), default_latency_bounds_ms());
+  h.observe(31);
+  h.observe(32);
+  h.observe(33);
+  h.observe(34);
+  const LogLinearHistogram snapshot = h.snapshot();
+  const auto buckets = snapshot.nonzero_buckets();
+  ASSERT_EQ(buckets.size(), 4u);
+  EXPECT_EQ(buckets[0].lower, 3u);
+  EXPECT_EQ(buckets[0].count, 1u);
+  EXPECT_EQ(buckets[1].lower, 31u);
+  EXPECT_EQ(buckets[1].count, 1u);
+  EXPECT_EQ(buckets[2].lower, 32u);
+  EXPECT_EQ(buckets[2].upper, 34u);
+  EXPECT_EQ(buckets[2].count, 2u);
+  EXPECT_EQ(buckets[3].lower, 34u);
+  EXPECT_EQ(buckets[3].count, 1u);
+  EXPECT_EQ(snapshot.count(), 5u);
+  EXPECT_EQ(snapshot.sum(), 3u + 31u + 32u + 33u + 34u);
+  EXPECT_EQ(snapshot.max(), 34u);
+  // Same name + labels resolves to the same series.
+  EXPECT_EQ(&registry.histogram("rtt_us"), &h);
 }
 
 TEST(Registry, SnapshotIsDeterministicallyOrdered) {
@@ -99,11 +104,14 @@ TEST(Registry, SnapshotIsDeterministicallyOrdered) {
 TEST(Registry, TextExportFormat) {
   MetricsRegistry registry;
   registry.counter("prober.queries", {{"rcode", "NOERROR"}}).inc(12);
-  registry.histogram("rtt_ms", {}, {10, 20}).observe(15);
+  registry.histogram("rtt_us").observe(15);
+  registry.histogram("rtt_us").observe(40);
   std::string text = registry.to_text();
   EXPECT_NE(text.find("prober.queries{rcode=NOERROR} 12\n"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("rtt_ms count=1 sum=15.000 le10=0 le20=1 inf=0"),
+  // p50 sits at rank 1 of 2: the start of 40's bucket [40, 42).
+  EXPECT_NE(text.find("rtt_us count=2 sum=55 max=40 p50=40.0 p90=41.6 "
+                      "p99=42.0 p999=42.0\n"),
             std::string::npos)
       << text;
 }
@@ -111,9 +119,15 @@ TEST(Registry, TextExportFormat) {
 TEST(Registry, JsonlExportFormat) {
   MetricsRegistry registry;
   registry.counter("c", {{"k", "v"}}).inc(7);
+  registry.histogram("h", {{"family", "v4"}}).observe(15);
+  // A histogram line carries LogLinearHistogram::to_json()'s fields.
   EXPECT_EQ(registry.to_jsonl(),
             "{\"metric\":\"c\",\"labels\":{\"k\":\"v\"},\"type\":\"counter\","
-            "\"value\":7}\n");
+            "\"value\":7}\n"
+            "{\"metric\":\"h\",\"labels\":{\"family\":\"v4\"},"
+            "\"type\":\"histogram\",\"count\":1,\"sum\":15,\"max\":15,"
+            "\"p50\":15.5,\"p90\":15.9,\"p99\":16.0,\"p999\":16.0,"
+            "\"buckets\":[[15,16,1]]}\n");
 }
 
 TEST(Registry, VolatileMetricsExcludedByDefault) {
@@ -130,93 +144,80 @@ TEST(Registry, VolatileMetricsExcludedByDefault) {
 TEST(Registry, ConcurrentIncrementsDoNotLose) {
   MetricsRegistry registry;
   Counter& c = registry.counter("hot");
-  Histogram& h = registry.histogram("hist", {}, {100});
+  Histogram& h = registry.histogram("hist");
   constexpr int kThreads = 4, kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         c.inc();
-        h.observe(1.0);
+        // Each thread its own value, so concurrent inserts open new slots.
+        h.observe(static_cast<uint64_t>(1000 * t + i % 7));
       }
     });
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(h.sum(), kThreads * kPerThread * 1.0);
+  const LogLinearHistogram snapshot = h.snapshot();
+  EXPECT_EQ(snapshot.count(), static_cast<uint64_t>(kThreads) * kPerThread);
+  uint64_t sum = 0;
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i) sum += 1000 * t + i % 7;
+  EXPECT_EQ(snapshot.sum(), sum);
 }
 
-TEST(HistogramQuantile, InterpolatesWithinTheBucket) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("rtt", {}, {10, 20, 50, 100});
-  // 100 uniform values in (10, 20]: the median must sit near 15, inside the
-  // bucket, not snapped to the 20 upper bound.
-  for (int i = 0; i < 100; ++i) h.observe(10.0 + (i + 0.5) * 0.1);
-  double p50 = h.quantile(0.5);
-  EXPECT_GT(p50, 10.0);
-  EXPECT_LT(p50, 20.0);
-  EXPECT_NEAR(p50, 15.0, 1.0);
-  // Everything below the first bound interpolates from a floor of 0.
-  Histogram& low = registry.histogram("low", {}, {8.0});
-  for (int i = 0; i < 10; ++i) low.observe(4.0);
-  EXPECT_GT(low.quantile(0.5), 0.0);
-  EXPECT_LE(low.quantile(0.5), 8.0);
-  // The +inf bucket cannot be interpolated: it reports the top finite bound.
-  Histogram& top = registry.histogram("top", {}, {10, 20});
-  top.observe(500);
-  EXPECT_DOUBLE_EQ(top.quantile(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(registry.histogram("empty", {}, {1.0}).quantile(0.5), 0.0);
-}
-
-// Satellite property: because merge_from adds buckets element-wise,
-// merge(a, b) quantiles are *exactly* the single-pass quantiles — not
-// approximately, byte for byte on the double.
-TEST(HistogramQuantile, MergeEqualsSinglePass) {
-  const std::vector<double> bounds = {1, 2, 5, 10, 20, 50, 100, 200};
+// Shard merge is exact: because every series shares LogLinearHistogram's
+// fixed layout, merge(a, b) has a single pass's buckets, count, sum and max,
+// so its quantiles are byte for byte the single-pass quantiles.
+TEST(Histogram, MergeEqualsSinglePass) {
   MetricsRegistry single_reg, a_reg, b_reg;
-  Histogram& single = single_reg.histogram("h", {}, bounds);
-  Histogram& a = a_reg.histogram("h", {}, bounds);
-  Histogram& b = b_reg.histogram("h", {}, bounds);
+  Histogram& single = single_reg.histogram("h");
+  Histogram& a = a_reg.histogram("h");
+  Histogram& b = b_reg.histogram("h");
   uint64_t state = 7;
   for (int i = 0; i < 4000; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    double value = static_cast<double>((state >> 33) % 2500) / 10.0;
+    const uint64_t value = (state >> 33) % 250000;
     single.observe(value);
     (i % 3 ? a : b).observe(value);
   }
   a.merge_from(b);
-  ASSERT_EQ(a.count(), single.count());
-  for (double q : {0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_DOUBLE_EQ(a.quantile(q), single.quantile(q)) << "q=" << q;
-    EXPECT_DOUBLE_EQ(
-        histogram_quantile(a.bounds(), a.bucket_counts(), q),
-        histogram_quantile(single.bounds(), single.bucket_counts(), q))
-        << "q=" << q;
-  }
+  const LogLinearHistogram merged = a.snapshot();
+  const LogLinearHistogram want = single.snapshot();
+  ASSERT_EQ(merged.count(), want.count());
+  EXPECT_EQ(merged.sum(), want.sum());
+  EXPECT_EQ(merged.max(), want.max());
+  EXPECT_EQ(merged.to_json(), want.to_json());
+  for (double q : {0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_DOUBLE_EQ(merged.quantile(q), want.quantile(q)) << "q=" << q;
+  // The registry fold gives the same series, and a series merged into
+  // itself doubles without deadlocking (its copy is taken before the lock).
+  MetricsRegistry folded;
+  folded.merge_from(a_reg);
+  EXPECT_EQ(folded.to_jsonl(), single_reg.to_jsonl());
+  const uint64_t b_count = b.snapshot().count();
+  b.merge_from(b);
+  EXPECT_EQ(b.snapshot().count(), 2 * b_count);
 }
 
-TEST(HistogramQuantile, SampleQuantileMatchesLiveHistogram) {
+TEST(Histogram, SnapshotSampleCarriesTheHistogram) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("rtt", {}, {10, 20, 50});
-  for (int i = 0; i < 50; ++i) h.observe(12.0 + 0.1 * i);
+  Histogram& h = registry.histogram("rtt_us");
+  for (uint64_t v = 12000; v < 17000; v += 100) h.observe(v);
   auto samples = registry.snapshot();
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_DOUBLE_EQ(sample_quantile(samples[0], 0.5), h.quantile(0.5));
-  // Non-histogram samples have no quantile.
-  MetricSample counter_sample;
-  counter_sample.kind = MetricSample::Kind::Counter;
-  EXPECT_DOUBLE_EQ(sample_quantile(counter_sample, 0.5), 0.0);
+  EXPECT_EQ(samples[0].kind, MetricSample::Kind::Histogram);
+  EXPECT_EQ(samples[0].histogram.to_json(), h.snapshot().to_json());
+  EXPECT_DOUBLE_EQ(samples[0].histogram.quantile(0.5),
+                   h.snapshot().quantile(0.5));
 }
 
 TEST(NullSink, HelpersAreNoOps) {
   Obs null_sink;
   EXPECT_FALSE(null_sink.enabled());
-  null_sink.count("anything");                      // must not crash
-  null_sink.observe("h", {{"a", "b"}}, 1.0);        // must not crash
+  null_sink.count("anything");  // must not crash
   EXPECT_EQ(null_sink.counter_handle("x"), nullptr);
   EXPECT_EQ(null_sink.histogram_handle("x"), nullptr);
   inc(nullptr);
-  observe(nullptr, 3.0);
   RunReport report = RunReport::capture(null_sink);
   EXPECT_TRUE(report.metrics.empty());
   EXPECT_EQ(report.one_line(), "obs: (no samples recorded)");

@@ -44,6 +44,18 @@ TEST(ZoneAuthority, SerialsFollowRootConvention) {
   }
 }
 
+// The TLD generator draws labels until it has tld_count distinct ones; a
+// count past the labels it can make must stop the process with a message
+// (in every build type) instead of looping forever.
+TEST(ZoneAuthorityDeathTest, TldCountPastTheGeneratorStops) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(kMaxTldCount, 182337u);
+  RootCatalog catalog;
+  ZoneAuthorityConfig config = fast_config();
+  config.tld_count = kMaxTldCount + 1;
+  EXPECT_DEATH(ZoneAuthority(catalog, config), "tld_count 182338 exceeds");
+}
+
 TEST(ZoneAuthority, ZonemdTimelineMatchesFig2) {
   RootCatalog catalog;
   ZoneAuthority authority(catalog, fast_config());

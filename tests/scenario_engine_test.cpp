@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -264,23 +263,19 @@ TEST(ScenarioLibrary, SmokeVariantIsDeterministicAndShort) {
 
 // Runs a smoke variant's SLO timeline at a reduced zone scale and returns
 // the result (exports + incidents).
-measure::SloTimelineResult run_smoke(const ScenarioSpec& smoke, size_t workers,
-                                     const char* sched) {
-  ::setenv("ROOTSIM_SCHED", sched, 1);
+measure::SloTimelineResult run_smoke(const ScenarioSpec& smoke,
+                                     size_t workers) {
   Applied applied = apply(smoke);
   applied.campaign.zone.tld_count = 25;
   applied.campaign.zone.rsa_modulus_bits = 512;
   applied.slo.workers = workers;
   measure::Campaign campaign(applied.campaign);
-  measure::SloTimelineResult result =
-      campaign.run_slo_timeline(smoke, applied.slo);
-  ::unsetenv("ROOTSIM_SCHED");
-  return result;
+  return campaign.run_slo_timeline(smoke, applied.slo);
 }
 
 TEST(ScenarioRun, ExportsCarryTheScenarioHeader) {
   ScenarioSpec smoke = smoke_variant(ddos_c_globals());
-  measure::SloTimelineResult result = run_smoke(smoke, 1, "static");
+  measure::SloTimelineResult result = run_smoke(smoke, 1);
   const std::string header = "{\"scenario\":\"ddos-c-globals-smoke\"}\n";
   EXPECT_EQ(result.slo_jsonl.substr(0, header.size()), header);
   EXPECT_EQ(result.incidents_jsonl.substr(0, header.size()), header);
@@ -288,37 +283,34 @@ TEST(ScenarioRun, ExportsCarryTheScenarioHeader) {
 
 TEST(ScenarioRun, DdosIncidentClosesAndIsAttributedAtAnyWorkerCount) {
   ScenarioSpec smoke = smoke_variant(ddos_c_globals());
-  // Full worker x scheduler matrix: byte-identical exports, and the scripted
-  // DDoS on c.root must open, attribute, and close at every combination.
-  measure::SloTimelineResult reference = run_smoke(smoke, 1, "static");
+  // Byte-identical exports at every worker count, and the scripted DDoS on
+  // c.root must open, attribute, and close at each.
+  measure::SloTimelineResult reference = run_smoke(smoke, 1);
   for (size_t workers : {1u, 2u, 8u}) {
-    for (const char* sched : {"static", "worksteal"}) {
-      measure::SloTimelineResult result = run_smoke(smoke, workers, sched);
-      EXPECT_EQ(result.slo_jsonl, reference.slo_jsonl)
-          << workers << " workers, " << sched;
-      EXPECT_EQ(result.incidents_jsonl, reference.incidents_jsonl)
-          << workers << " workers, " << sched;
-      bool attributed = false;
-      for (const obs::Incident& incident : result.incidents) {
-        if (incident.cause != "ddos-c-globals") continue;
-        attributed = true;
-        EXPECT_EQ(incident.root, 2u);  // c.root
-        EXPECT_EQ(incident.metric, obs::SloMetric::Availability);
-        EXPECT_GT(incident.closed, incident.opened);  // closed, not open
-      }
-      EXPECT_TRUE(attributed) << workers << " workers, " << sched
-                              << ": no incident attributed to the DDoS";
+    measure::SloTimelineResult result = run_smoke(smoke, workers);
+    EXPECT_EQ(result.slo_jsonl, reference.slo_jsonl) << workers << " workers";
+    EXPECT_EQ(result.incidents_jsonl, reference.incidents_jsonl)
+        << workers << " workers";
+    bool attributed = false;
+    for (const obs::Incident& incident : result.incidents) {
+      if (incident.cause != "ddos-c-globals") continue;
+      attributed = true;
+      EXPECT_EQ(incident.root, 2u);  // c.root
+      EXPECT_EQ(incident.metric, obs::SloMetric::Availability);
+      EXPECT_GT(incident.closed, incident.opened);  // closed, not open
     }
+    EXPECT_TRUE(attributed)
+        << workers << " workers: no incident attributed to the DDoS";
   }
 }
 
 TEST(ScenarioRun, EveryLibraryScenarioIsWorkerAndScheduleInvariant) {
-  // One cross-combination per scenario keeps this cheap; the CI smoke job
-  // runs the full matrix through scenario_lab.
+  // One parallel run per scenario keeps this cheap; the CI smoke job runs
+  // 1, 2 and 8 workers through scenario_lab.
   for (const ScenarioSpec& spec : library()) {
     ScenarioSpec smoke = smoke_variant(spec);
-    measure::SloTimelineResult serial = run_smoke(smoke, 1, "static");
-    measure::SloTimelineResult parallel = run_smoke(smoke, 3, "worksteal");
+    measure::SloTimelineResult serial = run_smoke(smoke, 1);
+    measure::SloTimelineResult parallel = run_smoke(smoke, 3);
     EXPECT_EQ(serial.slo_jsonl, parallel.slo_jsonl) << spec.name;
     EXPECT_EQ(serial.incidents_jsonl, parallel.incidents_jsonl) << spec.name;
     EXPECT_GT(serial.windows.size(), 0u) << spec.name;
@@ -339,7 +331,7 @@ TEST(ScenarioRun, ZonemdRolloutWithoutASwitchIsAttributed) {
       &spec, &error))
       << error;
   ASSERT_EQ(spec.zone.zonemd_sha384_start, 0);
-  const measure::SloTimelineResult result = run_smoke(spec, 2, "worksteal");
+  const measure::SloTimelineResult result = run_smoke(spec, 2);
   size_t integrity = 0;
   for (const obs::Incident& incident : result.incidents) {
     if (incident.metric != obs::SloMetric::Integrity) continue;
@@ -373,7 +365,7 @@ TEST(ScenarioRun, SmokeExportsMatchRecordedDigests) {
   for (const ScenarioSpec& spec : library()) {
     const auto it = expected.find(spec.name);
     ASSERT_NE(it, expected.end()) << spec.name << ": no recorded digest";
-    EXPECT_EQ(export_digest(run_smoke(smoke_variant(spec), 1, "worksteal")),
+    EXPECT_EQ(export_digest(run_smoke(smoke_variant(spec), 1)),
               it->second)
         << spec.name;
   }
