@@ -176,18 +176,19 @@ class Campaign {
   /// availability/latency (via the anycast router + outage models),
   /// publication latency and zone staleness (vs. the zone authority's serial
   /// cadence) and ZONEMD integrity for all 13 letters x both families into
-  /// per-unit SloCollector shards, merged in unit order. The units run in
-  /// 30-day chunks; after each, the windows it completed are swept and the
-  /// cells no later window reads are freed, so the call holds one chunk of
-  /// cells, not the horizon's. Incidents are then detected with hysteresis
-  /// and causes attributed against scripted outages, zone-pipeline events
-  /// and the flight recorder's failure summary. Pure function of (config,
-  /// options) — the worker count and steal schedule never change a byte of
-  /// the exports, and neither do earlier calls.
+  /// its own slots of one chunk's cell array. The units run in 30-day
+  /// chunks; after each, every stream's run of cells is swept into the
+  /// windows it completed (SloCollector::Drain), which keeps only the cells
+  /// a later window reads, so the call holds one chunk of cells, not the
+  /// horizon's. Incidents are then detected with hysteresis and causes
+  /// attributed against scripted outages, zone-pipeline events and the
+  /// flight recorder's failure summary. Pure function of (config, options)
+  /// — the worker count and steal schedule never change a byte of the
+  /// exports, and neither do earlier calls.
   ///
-  /// Samples land in a run-local SloCollector, never in a Recorder's
-  /// (obs_.slo); the metric, trace and RSSAC002 shards still merge into
-  /// obs_.
+  /// Samples land only in the call's own cells, never in a Recorder's
+  /// (obs_.slo). The router's counters and the call's own two
+  /// (campaign.slo_timeline_probes and _incidents) still count into obs_.
   SloTimelineResult run_slo_timeline(const SloTimelineOptions& options = {}) const;
 
   /// Scenario-first entry point (defined in scenario/apply.cpp; callers link

@@ -3,9 +3,9 @@
 // One work unit per 6 h bucket of simulated time (the SloCollector's bucket
 // width, so a unit writes exactly its own cells). Each unit draws its RNG by
 // forking the campaign seed by bucket index — never a shared sequential
-// stream — and hands its cells to a per-unit obs shard merged in unit order,
-// which is the whole determinism argument: the same cells exist with the
-// same contents no matter how many workers ran or who stole what.
+// stream — and fills its own slots of the chunk's cell array, which is the
+// whole determinism argument: the same cells exist with the same contents
+// no matter how many workers ran or who stole what.
 //
 // Before the units run, the call prepares every VP's catchment per (letter,
 // family) into one flat table (a Selection depends only on the VP, the
@@ -48,9 +48,13 @@ namespace {
 constexpr int64_t kBucketSeconds = obs::SloCollector::kBucketSeconds;
 /// 30 days per region: longer chunks peaked higher, shorter ones no lower.
 constexpr size_t kChunkBuckets = 120;
+/// (letter, family) streams; stream s is letter s / 2, v6 when s is odd.
+constexpr size_t kStreams = obs::kSloRoots * 2;
 /// The zone authority publishes a new serial at 00:00 and 12:00 UTC
 /// (ZoneAuthority::serial_at's NN digit).
 constexpr int64_t kPublishIntervalSeconds = 12 * 3600;
+/// The longest a site keeps serving the old zone after a publication.
+constexpr int64_t kMaxPublicationDelaySeconds = 30 * 60;
 
 util::UnixTime last_publish_at_or_before(util::UnixTime t) {
   return t - (t % kPublishIntervalSeconds);
@@ -74,7 +78,8 @@ double publication_delay_s(uint64_t seed, uint32_t root, uint32_t site_id,
   p = std::to_chars(p, p + 20, publish).ptr;
   util::Rng rng = util::Rng(seed).fork(
       std::string_view(key, static_cast<size_t>(p - key)));
-  return std::min(rng.lognormal(std::log(600.0), 0.5), 1800.0);
+  return std::min(rng.lognormal(std::log(600.0), 0.5),
+                  static_cast<double>(kMaxPublicationDelaySeconds));
 }
 
 }  // namespace
@@ -90,14 +95,6 @@ SloTimelineResult Campaign::run_slo_timeline(
   size_t workers =
       std::max<size_t>(1, std::min(exec::resolve_workers(options.workers),
                                    total_units));
-
-  // Samples land in a run-local collector, never in the campaign's own
-  // (Recorder-built campaigns attach one): the call must not read what
-  // earlier calls or probes left there. The metric, trace and RSSAC002
-  // shards still merge into obs_.
-  obs::SloCollector cells;
-  obs::Obs main = obs_;
-  main.slo = &cells;
 
   // An attached flight recorder gives each worker a shard of its own, so
   // workers never share a ring lock.
@@ -146,8 +143,15 @@ SloTimelineResult Campaign::run_slo_timeline(
     return catchments[(vp * obs::kSloRoots + root) * 2 + fam];
   };
 
-  const auto run_unit = [&](size_t unit, obs::SloCollector* slo,
-                            size_t worker) {
+  // One chunk's cells, [stream][bucket - chunk start], kept across chunks
+  // so that a unit refills its slots without allocating. The call's samples
+  // land only here, never in a Recorder's collector: the call must not read
+  // what earlier calls or probes left there.
+  const size_t chunk_width = std::min(kChunkBuckets, total_units);
+  std::vector<obs::SloCollector::Cell> chunk_cells(kStreams * chunk_width);
+
+  // `slot` is the unit's bucket less its chunk's first.
+  const auto run_unit = [&](size_t unit, size_t slot, size_t worker) {
     const int64_t bucket = first_bucket + static_cast<int64_t>(unit);
     const util::UnixTime bucket_begin = obs::SloCollector::bucket_start(bucket);
     util::Rng rng = timeline_rng.fork(
@@ -158,14 +162,15 @@ SloTimelineResult Campaign::run_slo_timeline(
         const bool v6 = fam == 1;
         const util::IpFamily family =
             v6 ? util::IpFamily::V6 : util::IpFamily::V4;
-        // Every sample of this stream lands in the unit's own bucket, so it
-        // fills one local cell, handed to the shard once at the end.
-        obs::SloCollector::Cell cell;
-        bool recorded = false;
+        // Every sample of this stream lands in the unit's own bucket: its
+        // slot, which no other unit writes.
+        obs::SloCollector::Cell& cell =
+            chunk_cells[(root * 2 + static_cast<size_t>(fam)) * chunk_width +
+                        slot];
+        cell.clear();
         const auto add_sample = [&](const obs::SloSample& sample) {
           assert(obs::SloCollector::bucket_index(sample.when) == bucket);
           cell.record(sample);
-          recorded = true;
         };
 
         for (size_t p = 0; p < options.probes_per_bucket; ++p) {
@@ -216,17 +221,17 @@ SloTimelineResult Campaign::run_slo_timeline(
             sample.value = rtt_ms;
             add_sample(sample);
 
-            // Staleness of the serial this site is serving right now.
+            // Staleness of the serial this site is serving right now. Past
+            // the longest delay the site serves the new serial whatever its
+            // delay is, so the delay is drawn only inside it.
             const util::UnixTime publish = last_publish_at_or_before(t);
             if (publish >= start) {
-              const double delay =
-                  publication_delay_s(config_.seed, root, serving_site,
-                                      publish);
+              const bool stale =
+                  t - publish < kMaxPublicationDelaySeconds &&
+                  t < publish + static_cast<int64_t>(publication_delay_s(
+                                    config_.seed, root, serving_site, publish));
               sample.kind = obs::SloSample::Kind::Staleness;
-              sample.value =
-                  t < publish + static_cast<int64_t>(delay)
-                      ? static_cast<double>(t - publish)
-                      : 0.0;
+              sample.value = stale ? static_cast<double>(t - publish) : 0.0;
               add_sample(sample);
             }
           } else {
@@ -290,32 +295,27 @@ SloTimelineResult Campaign::run_slo_timeline(
             add_sample(sample);
           }
         }
-        if (recorded)
-          slo->add_cell(static_cast<uint8_t>(root), v6, bucket, std::move(cell));
       }
     }
   };
 
   // The units run in chunks of the horizon, one region each. After a chunk,
-  // the windows it completed are swept into their final slots and the cells
-  // behind the trailing window are freed, so the call holds one chunk of
-  // cells rather than the horizon's. Shards merge in unit order within a
-  // chunk and chunks run in order, so every merge sees global unit order.
-  const auto for_each = [&](size_t count,
-                            const std::function<void(size_t)>& fn) {
-    exec::parallel_for(count, workers,
-                       [&](size_t index, size_t) { fn(index); });
-  };
+  // each stream's run of cells is swept, on the workers, into its windows'
+  // final slots; the drain carries the few cells a later window still reads,
+  // so the call holds one chunk of cells rather than the horizon's. Chunks
+  // run in order, so every stream's runs arrive in time order.
   obs::SloCollector::Drain drained(options.thresholds, first_bucket,
                                    total_units);
   for (size_t begin = 0; begin < total_units; begin += kChunkBuckets) {
     const size_t count = std::min(kChunkBuckets, total_units - begin);
-    exec::ObsShards shards(main, count);
     exec::parallel_for(count, workers, [&](size_t index, size_t worker) {
-      run_unit(begin + index, shards.shard(index).slo, worker);
+      run_unit(begin + index, index, worker);
     });
-    shards.merge();
-    cells.drain(drained, for_each);
+    exec::parallel_for(kStreams, workers, [&](size_t s, size_t) {
+      drained.add(static_cast<uint8_t>(s / 2), s % 2 == 1,
+                  first_bucket + static_cast<int64_t>(begin),
+                  std::span(chunk_cells).subspan(s * chunk_width, count));
+    });
   }
 
   SloTimelineResult result;
@@ -394,7 +394,6 @@ SloTimelineResult Campaign::run_slo_timeline(
   // are sized on the workers, and then written on the workers straight into
   // their place in slo.jsonl, after the scenario header line
   // (windows_to_jsonl of no windows). No stream holds a string of its own.
-  constexpr size_t kStreams = obs::kSloRoots * 2;
   std::array<size_t, kStreams + 1> runs{};
   for (const obs::SloWindow& w : result.windows)
     ++runs[w.root * 2 + (w.v6 ? 1 : 0) + 1];
@@ -420,12 +419,12 @@ SloTimelineResult Campaign::run_slo_timeline(
 
   for (uint8_t root = 0; root < obs::kSloRoots; ++root) {
     for (const bool v6 : {false, true}) {
-      const obs::SloCollector::Cell& totals = drained.totals(root, v6);
+      const obs::SloCollector::Drain::Totals& totals = drained.totals(root, v6);
       result.probes += totals.probes;
       result.failed_probes += totals.probes - totals.answered;
-      result.latency_samples += totals.rtt_us.count();
-      result.publication_count += totals.publication_s.count();
-      result.staleness_samples += totals.staleness_s.count();
+      result.latency_samples += totals.latency_count;
+      result.publication_count += totals.publication_count;
+      result.staleness_samples += totals.staleness_count;
       result.integrity_checks += totals.integrity_checks;
       result.integrity_failures += totals.integrity_checks - totals.integrity_ok;
     }

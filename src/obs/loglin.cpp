@@ -97,6 +97,13 @@ void LogLinearHistogram::remove(const LogLinearHistogram& other) {
   if (count_ == 0) max_ = 0;
 }
 
+void LogLinearHistogram::clear() {
+  slots_.clear();
+  count_ = 0;
+  sum_ = 0;
+  max_ = 0;
+}
+
 double LogLinearHistogram::quantile(double q) const {
   if (count_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);

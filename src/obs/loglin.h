@@ -58,6 +58,10 @@ class LogLinearHistogram {
   /// quantile(1.0) and to_json()'s "max", which read it.
   void remove(const LogLinearHistogram& other);
 
+  /// Empties the histogram but keeps its slot storage, so refilling it
+  /// allocates only past the buckets it held before.
+  void clear();
+
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }
   uint64_t max() const { return max_; }

@@ -1,13 +1,13 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
 #include "obs/metrics.h"  // json_escape
+#include "util/strings.h"
 
 namespace rootsim::obs {
 
@@ -129,6 +129,16 @@ void SloCollector::Cell::merge_from(const Cell& other) {
   integrity_ok += other.integrity_ok;
 }
 
+void SloCollector::Cell::clear() {
+  probes = 0;
+  answered = 0;
+  rtt_us.clear();
+  publication_s.clear();
+  staleness_s.clear();
+  integrity_checks = 0;
+  integrity_ok = 0;
+}
+
 void SloCollector::Cell::record(const SloSample& sample) {
   switch (sample.kind) {
     case SloSample::Kind::Availability:
@@ -162,16 +172,6 @@ void SloCollector::record(const SloSample& sample) {
   cells_[{sample.root, static_cast<uint8_t>(sample.v6 ? 1 : 0),
           bucket_index(sample.when)}]
       .record(sample);
-}
-
-void SloCollector::add_cell(uint8_t root, bool v6, int64_t bucket,
-                            Cell&& cell) {
-  if (root >= kSloRoots) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  // try_emplace leaves `cell` alone when the key is already there.
-  const auto [it, inserted] = cells_.try_emplace(
-      {root, static_cast<uint8_t>(v6 ? 1 : 0), bucket}, std::move(cell));
-  if (!inserted) it->second.merge_from(cell);
 }
 
 void SloCollector::merge_from(const SloCollector& other) {
@@ -218,8 +218,8 @@ SloCollector::snapshot() const {
 SloCollector::Cell SloCollector::totals(uint8_t root, bool v6) const {
   Cell total;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry* entry : stream_cells(root, v6))
-    total.merge_from(entry->second);
+  for (const auto& [bucket, cell] : stream_cells(root, v6))
+    total.merge_from(*cell);
   return total;
 }
 
@@ -230,12 +230,11 @@ std::vector<SloWindow> SloCollector::windows(
   std::vector<SloWindow> out;
   for (uint8_t root = 0; root < kSloRoots; ++root) {
     for (const bool v6 : {false, true}) {
-      const std::vector<const Entry*> cells = stream_cells(root, v6);
+      const std::vector<BucketCell> cells = stream_cells(root, v6);
       if (cells.empty()) continue;
-      const int64_t first = std::get<2>(cells.front()->first);
+      const int64_t first = cells.front().first;
       const size_t at = out.size();
-      out.resize(at + static_cast<size_t>(std::get<2>(cells.back()->first) -
-                                          first + 1));
+      out.resize(at + static_cast<size_t>(cells.back().first - first + 1));
       sweep(thresholds, root, v6, cells, first, out.data() + at);
     }
   }
@@ -247,7 +246,69 @@ SloCollector::Drain::Drain(const SloThresholds& thresholds,
     : thresholds_(thresholds),
       first_bucket_(first_bucket),
       buckets_(buckets),
-      windows_(kSloRoots * 2 * buckets) {}
+      windows_(kSloRoots * 2 * buckets) {
+  for (Stream& stream : streams_) stream.fed = first_bucket;
+}
+
+void SloCollector::Drain::add(uint8_t root, bool v6, int64_t first_bucket,
+                              std::span<const Cell> cells) {
+  const int64_t end = first_bucket_ + static_cast<int64_t>(buckets_);
+  const size_t index = static_cast<size_t>(root) * 2 + (v6 ? 1 : 0);
+  // Checked in every build: the windows are written by slot index, so a run
+  // past the timeline would write past windows_.
+  if (root >= kSloRoots || first_bucket < streams_[index].fed ||
+      first_bucket > end ||
+      cells.size() > static_cast<uint64_t>(end - first_bucket))
+    util::fatal(
+        "SloCollector::Drain: a run of %zu buckets from bucket %lld of root "
+        "%u lies outside the timeline [%lld, %lld) or before the end of its "
+        "stream's previous run",
+        cells.size(), static_cast<long long>(first_bucket),
+        static_cast<unsigned>(root), static_cast<long long>(first_bucket_),
+        static_cast<long long>(end));
+  Stream& stream = streams_[index];
+  stream.fed = first_bucket + static_cast<int64_t>(cells.size());
+
+  // The carried cells, then the run's non-empty ones: the stream's cells in
+  // bucket order, from the oldest a window at the cursor reads.
+  std::vector<BucketCell> run;
+  run.reserve(stream.carry.size() + cells.size());
+  for (const auto& [bucket, cell] : stream.carry) run.emplace_back(bucket, &cell);
+  Totals& totals = stream.totals;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Cell& cell = cells[i];
+    if (cell.empty()) continue;
+    run.emplace_back(first_bucket + static_cast<int64_t>(i), &cell);
+    totals.probes += cell.probes;
+    totals.answered += cell.answered;
+    totals.latency_count += cell.rtt_us.count();
+    totals.publication_count += cell.publication_s.count();
+    totals.staleness_count += cell.staleness_s.count();
+    totals.integrity_checks += cell.integrity_checks;
+    totals.integrity_ok += cell.integrity_ok;
+  }
+  // Silent buckets wait for the stream's next cell: a stream's windows end
+  // at its last one.
+  if (run.size() == stream.carry.size()) return;
+  if (stream.next == kNotStarted) stream.begin = stream.next = run.front().first;
+  const int64_t from = stream.next;
+  stream.next = from + static_cast<int64_t>(sweep(
+                           thresholds_, root, v6, run, from,
+                           windows_.data() + index * buckets_ +
+                               (from - first_bucket_)));
+
+  // Keep the cells a window from the new cursor on still reads.
+  const int64_t keep_from =
+      stream.next -
+      static_cast<int64_t>(std::max<size_t>(1, thresholds_.window_buckets)) + 1;
+  std::erase_if(stream.carry,
+                [&](const auto& carried) { return carried.first < keep_from; });
+  for (int64_t bucket = std::max(keep_from, first_bucket);
+       bucket < stream.fed; ++bucket) {
+    const Cell& cell = cells[static_cast<size_t>(bucket - first_bucket)];
+    if (!cell.empty()) stream.carry.emplace_back(bucket, cell);
+  }
+}
 
 std::vector<SloWindow> SloCollector::Drain::take_windows() {
   // Each stream's windows are the slots of its [begin, next) buckets; move
@@ -269,70 +330,33 @@ std::vector<SloWindow> SloCollector::Drain::take_windows() {
   return std::move(windows_);
 }
 
-const SloCollector::Cell& SloCollector::Drain::totals(uint8_t root,
-                                                      bool v6) const {
+const SloCollector::Drain::Totals& SloCollector::Drain::totals(
+    uint8_t root, bool v6) const {
   return streams_[root * 2 + (v6 ? 1 : 0)].totals;
 }
 
-void SloCollector::drain(Drain& drain, const ForEach& for_each) {
-  const int64_t window =
-      static_cast<int64_t>(std::max<size_t>(1, drain.thresholds_.window_buckets));
-  std::lock_guard<std::mutex> lock(mu_);
-  // Held across for_each: its workers only read the cells, each its own
-  // stream's, and write only that stream's state and window slots.
-  for_each(drain.streams_.size(), [&](size_t index) {
-    const auto root = static_cast<uint8_t>(index / 2);
-    const bool v6 = index % 2 == 1;
-    const std::vector<const Entry*> cells = stream_cells(root, v6);
-    if (cells.empty()) return;
-    Drain::Stream& stream = drain.streams_[index];
-    // Silent buckets since the cursor still get their (empty) windows.
-    if (stream.next == Drain::kNotStarted)
-      stream.begin = stream.next = std::get<2>(cells.front()->first);
-    const int64_t from = stream.next;
-    for (const Entry* entry : cells)
-      if (std::get<2>(entry->first) >= from)
-        stream.totals.merge_from(entry->second);
-    assert(from >= drain.first_bucket_ &&
-           std::get<2>(cells.back()->first) <
-               drain.first_bucket_ + static_cast<int64_t>(drain.buckets_));
-    stream.next =
-        from + static_cast<int64_t>(sweep(
-                   drain.thresholds_, root, v6, cells, from,
-                   drain.windows_.data() + index * drain.buckets_ +
-                       (from - drain.first_bucket_)));
-  });
-  // Erasing restructures the one map all streams share, so it runs here,
-  // after the workers.
-  for (size_t index = 0; index < drain.streams_.size(); ++index) {
-    const int64_t next = drain.streams_[index].next;
-    if (next == Drain::kNotStarted) continue;
-    const auto root = static_cast<uint8_t>(index / 2);
-    const auto family = static_cast<uint8_t>(index % 2);
-    cells_.erase(
-        cells_.lower_bound({root, family, std::numeric_limits<int64_t>::min()}),
-        cells_.lower_bound({root, family, next - window + 1}));
-  }
+size_t SloCollector::Drain::carried(uint8_t root, bool v6) const {
+  return streams_[root * 2 + (v6 ? 1 : 0)].carry.size();
 }
 
-std::vector<const SloCollector::Entry*> SloCollector::stream_cells(
+std::vector<SloCollector::BucketCell> SloCollector::stream_cells(
     uint8_t root, bool v6) const {
   const uint8_t family = v6 ? 1 : 0;
-  std::vector<const Entry*> cells;
+  std::vector<BucketCell> cells;
   for (auto it = cells_.lower_bound(
            {root, family, std::numeric_limits<int64_t>::min()});
        it != cells_.end() && std::get<0>(it->first) == root &&
        std::get<1>(it->first) == family;
        ++it)
-    cells.push_back(&*it);
+    cells.emplace_back(std::get<2>(it->first), &it->second);
   return cells;
 }
 
 size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
-                           bool v6, const std::vector<const Entry*>& cells,
+                           bool v6, std::span<const BucketCell> cells,
                            int64_t from, SloWindow* out) {
   const size_t window = std::max<size_t>(1, thresholds.window_buckets);
-  const int64_t last_bucket = std::get<2>(cells.back()->first);
+  const int64_t last_bucket = cells.back().first;
 
   const double band =
       thresholds.rtt_p95_letter_ms[root] > 0
@@ -350,16 +374,15 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
   size_t count = 0;
   Cell agg;
   for (int64_t bucket = from; bucket <= last_bucket; ++bucket) {
-    for (; back < cells.size() && std::get<2>(cells[back]->first) <= bucket;
-         ++back)
-      agg.merge_from(cells[back]->second);
-    for (; front < back && std::get<2>(cells[front]->first) <=
-                               bucket - static_cast<int64_t>(window);
+    for (; back < cells.size() && cells[back].first <= bucket; ++back)
+      agg.merge_from(*cells[back].second);
+    for (; front < back &&
+           cells[front].first <= bucket - static_cast<int64_t>(window);
          ++front)
-      remove_from(agg, cells[front]->second);
+      remove_from(agg, *cells[front].second);
     uint64_t staleness_max = 0;
     for (size_t k = front; k < back; ++k)
-      staleness_max = std::max(staleness_max, cells[k]->second.staleness_s.max());
+      staleness_max = std::max(staleness_max, cells[k].second->staleness_s.max());
 
     SloWindow w;
     w.root = root;

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -141,11 +140,13 @@ struct SloWindow {
 };
 
 /// Accumulates SloSamples into per-(root, family, bucket) cells and sweeps
-/// them into evaluated sliding windows: all at once (windows()), or chunk
-/// by chunk as a timeline advances, freeing the cells behind the window
-/// (drain()). Both run the one sweep. Thread-safe; the exec engine gives
-/// each unit its own collector shard and folds them with merge_from in unit
-/// order (obs::Recorder owns one, exec::ObsShards wires the shards).
+/// them into evaluated sliding windows (windows()). Thread-safe; the exec
+/// engine gives each unit its own collector shard and folds them with
+/// merge_from in unit order (obs::Recorder owns one, exec::ObsShards wires
+/// the shards). A producer that fills whole buckets in time order, as
+/// run_slo_timeline does, skips the map: it keeps its cells in a dense array
+/// of its own and hands each stream's run to a Drain, which runs the same
+/// sweep.
 class SloCollector {
  public:
   /// Bucket width of simulated time. Fixed (not configured) so any two
@@ -170,13 +171,17 @@ class SloCollector {
     /// Adds one sample; which cell it belongs in is the caller's business.
     void record(const SloSample& sample);
     void merge_from(const Cell& other);
+    /// No sample recorded: every sample kind counts in one of these.
+    bool empty() const {
+      return probes == 0 && rtt_us.count() == 0 &&
+             publication_s.count() == 0 && staleness_s.count() == 0 &&
+             integrity_checks == 0;
+    }
+    /// Back to a default cell, keeping the histograms' storage.
+    void clear();
   };
 
   void record(const SloSample& sample);
-  /// Folds a whole cell into (root, family, bucket) under one lock: the same
-  /// cell as record()ing each of its samples here. A producer that fills a
-  /// cell locally pays one lock and one lookup per cell, not per sample.
-  void add_cell(uint8_t root, bool v6, int64_t bucket, Cell&& cell);
   void merge_from(const SloCollector& other);
   /// Same result as the copying overload, but moves `other`'s cells in: a
   /// cell whose key is new here is spliced over as a map node, and only
@@ -206,28 +211,58 @@ class SloCollector {
   /// IncidentTracker::observe expects.
   std::vector<SloWindow> windows(const SloThresholds& thresholds) const;
 
-  /// windows() and totals() of a collector filled bucket by bucket in time
-  /// order and drained as it goes (drain()), so that it never holds more
-  /// than the cells a later window still reads.
+  /// windows() of cells that arrive as dense runs, one stream's buckets at
+  /// a time and in time order, without a collector: the caller keeps one
+  /// chunk of cells, and the Drain keeps copies of the few cells a later
+  /// window still reads and, of the totals, only the counts.
   class Drain {
    public:
-    /// A timeline of `buckets` buckets from `first_bucket`; every cell
-    /// drained must lie in it.
+    /// A timeline of `buckets` buckets from `first_bucket`; every run added
+    /// must lie in it.
     Drain(const SloThresholds& thresholds, int64_t first_bucket,
           size_t buckets);
 
-    /// windows() of every cell drained. Call once, after the last drain().
+    /// One stream's cells of buckets [first_bucket, first_bucket +
+    /// cells.size()): cells[i] is bucket first_bucket + i, and an empty
+    /// cell is a bucket without a sample. Sweeps the stream's windows from
+    /// its first bucket not yet swept through its newest non-empty cell into
+    /// their final slots, adds the cells' counts to its totals, and carries
+    /// copies of the non-empty cells a later window reads (at most
+    /// window_buckets - 1) into the stream's next run. A run that does not
+    /// lie inside the timeline, or that starts before the stream's previous
+    /// run ends, stops the process in every build. Runs of different
+    /// streams share no state, so they may be added concurrently.
+    void add(uint8_t root, bool v6, int64_t first_bucket,
+             std::span<const Cell> cells);
+
+    /// windows() of every run added. Call once, after the last add().
     std::vector<SloWindow> take_windows();
-    /// totals() of one stream's drained cells.
-    const Cell& totals(uint8_t root, bool v6) const;
+
+    /// The counts of totals(): one stream's cells added up, without the
+    /// histograms' buckets.
+    struct Totals {
+      uint64_t probes = 0;
+      uint64_t answered = 0;
+      uint64_t latency_count = 0;
+      uint64_t publication_count = 0;
+      uint64_t staleness_count = 0;
+      uint64_t integrity_checks = 0;
+      uint64_t integrity_ok = 0;
+    };
+    const Totals& totals(uint8_t root, bool v6) const;
+    /// Cells the stream carries into its next run.
+    size_t carried(uint8_t root, bool v6) const;
 
    private:
-    friend class SloCollector;
     static constexpr int64_t kNotStarted = std::numeric_limits<int64_t>::min();
     struct Stream {
       int64_t begin = 0;           ///< bucket of the stream's first window
       int64_t next = kNotStarted;  ///< the cursor: first bucket not swept
-      Cell totals;
+      int64_t fed = 0;             ///< first bucket after the runs added
+      Totals totals;
+      /// The non-empty cells of [next - window_buckets + 1, next), in
+      /// bucket order.
+      std::vector<std::pair<int64_t, Cell>> carry;
     };
     SloThresholds thresholds_;
     int64_t first_bucket_;
@@ -237,17 +272,6 @@ class SloCollector {
     /// s * buckets_ + (b - first_bucket_) until take_windows().
     std::vector<SloWindow> windows_;
   };
-  /// Runs fn(i) once for every i in [0, count), possibly concurrently.
-  using ForEach =
-      std::function<void(size_t count, const std::function<void(size_t)>& fn)>;
-  /// For every stream: sweeps the windows from its cursor through its
-  /// newest cell into `drain`, folds the cells at or after the cursor into
-  /// its totals, then erases the cells no later window reads, so at most
-  /// window_buckets - 1 remain. Cells recorded since the previous drain must
-  /// lie at or after their stream's cursor, as they do when buckets are
-  /// filled in time order. Streams share no cells, so `for_each` may sweep
-  /// them concurrently (obs has no thread pool; the caller brings one).
-  void drain(Drain& drain, const ForEach& for_each);
 
   /// One JSON object per evaluated window (the slo.jsonl export):
   ///   {"letter":"b","family":"v4","start":"2023-11-27T00:00:00Z",...,
@@ -268,13 +292,14 @@ class SloCollector {
                    const SloThresholds& thresholds) const;
 
  private:
-  using Entry = std::pair<const CellKey, Cell>;
+  /// A cell and its bucket, as the sweep reads them.
+  using BucketCell = std::pair<int64_t, const Cell*>;
   /// One stream's cells in bucket order; the caller holds mu_.
-  std::vector<const Entry*> stream_cells(uint8_t root, bool v6) const;
+  std::vector<BucketCell> stream_cells(uint8_t root, bool v6) const;
   /// The windows of buckets [from, last cell's bucket] over one stream's
   /// cells, written to out[0], out[1], ...; returns how many.
   static size_t sweep(const SloThresholds& thresholds, uint8_t root, bool v6,
-                      const std::vector<const Entry*>& cells, int64_t from,
+                      std::span<const BucketCell> cells, int64_t from,
                       SloWindow* out);
 
   mutable std::mutex mu_;

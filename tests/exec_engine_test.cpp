@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -391,8 +392,9 @@ measure::CampaignConfig slo_config() {
   return config;
 }
 
-// The SLO plane rides the same shard/merge path, so its exports inherit the
-// same acceptance bar: slo.jsonl and incidents.jsonl byte-identical at every
+// The SLO plane's units fill disjoint slots of one chunk array and its drain
+// sweeps the streams on the workers, so its exports inherit the same
+// acceptance bar: slo.jsonl and incidents.jsonl byte-identical at every
 // worker count — the steal schedule must be as invisible as the worker
 // count.
 TEST(SloTimeline, ExportsByteIdenticalAcrossWorkerCounts) {
@@ -436,6 +438,55 @@ TEST(SloTimeline, RecorderCampaignRepeatsThePlainExports) {
     EXPECT_EQ(result.probes, plain.probes) << "call " << call;
     EXPECT_EQ(result.slo_jsonl, plain.slo_jsonl) << "call " << call;
     EXPECT_EQ(result.incidents_jsonl, plain.incidents_jsonl) << "call " << call;
+  }
+}
+
+// What the call returns besides its JSONL: the seven roll-up counters and
+// the window count, pinned with the exports' digests at every worker count.
+// With no probes only the buckets of the 00:00 and 12:00 publications hold
+// samples (this campaign's zone carries no ZONEMD, so there are no integrity
+// checks): every other bucket and the last one are silent, and each stream
+// ends one window short. Re-record a value only for an intended change of
+// the call's output.
+TEST(SloTimeline, RollUpCountersMatchRecordedValuesAtEveryWorkerCount) {
+  const measure::Campaign campaign(slo_config());
+  struct Case {
+    size_t probes_per_bucket;
+    // probes, failed_probes, latency_samples, publication_count,
+    // staleness_samples, integrity_checks, integrity_failures, windows
+    std::array<uint64_t, 8> want;
+    const char* slo_digest;
+    const char* incidents_digest;
+  };
+  const Case cases[] = {
+      {12,
+       {139776, 45, 139731, 34944, 139731, 0, 0, 11648},
+       "cf7db8ed2a96c075",
+       "7bc7ad213f505c20"},
+      {0,
+       {0, 0, 0, 34944, 0, 0, 0, 11622},
+       "5a9a28ae1f83f45e",
+       "cbf29ce484222325"},
+  };
+  for (const Case& c : cases) {
+    for (size_t workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << c.probes_per_bucket
+                                        << " probes per bucket, " << workers
+                                        << " workers");
+      measure::SloTimelineOptions options;
+      options.probes_per_bucket = c.probes_per_bucket;
+      options.workers = workers;
+      const measure::SloTimelineResult result =
+          campaign.run_slo_timeline(options);
+      const std::array<uint64_t, 8> got = {
+          result.probes,             result.failed_probes,
+          result.latency_samples,    result.publication_count,
+          result.staleness_samples,  result.integrity_checks,
+          result.integrity_failures, result.windows.size()};
+      EXPECT_EQ(got, c.want);
+      EXPECT_EQ(digest(result.slo_jsonl), c.slo_digest);
+      EXPECT_EQ(digest(result.incidents_jsonl), c.incidents_digest);
+    }
   }
 }
 

@@ -11,9 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
-#include <map>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -463,40 +461,6 @@ TEST(SloCollector, ConcurrentMovingMergesMatchTheCopyingMerge) {
   expect_same_cells(moved, copied);
 }
 
-// A producer may fill cells locally and hand each over whole: into an
-// empty key or onto one that already holds samples, the collector ends up
-// with the cells recording every sample gives.
-TEST(SloCollector, AddedCellsEqualRecordedSamples) {
-  const std::vector<SloSample> samples = bucket_samples(0, 0);
-  SloCollector recorded, added;
-  for (const SloSample& sample : samples) recorded.record(sample);
-  // Every other sample is recorded directly; the rest go into local cells,
-  // one per key, added afterwards.
-  std::map<SloCollector::CellKey, SloCollector::Cell> local;
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const SloSample& sample = samples[i];
-    if (i % 2 == 0) {
-      added.record(sample);
-      continue;
-    }
-    local[{sample.root, static_cast<uint8_t>(sample.v6 ? 1 : 0),
-           SloCollector::bucket_index(sample.when)}]
-        .record(sample);
-  }
-  for (auto& [key, cell] : local)
-    added.add_cell(std::get<0>(key), std::get<1>(key) == 1, std::get<2>(key),
-                   std::move(cell));
-  expect_same_cells(added, recorded);
-  // A key with no samples yet takes the cell as it is.
-  SloCollector fresh;
-  SloCollector::Cell cell;
-  cell.record(probe(util::make_time(2023, 7, 3), false, 7, true));
-  fresh.add_cell(7, true, SloCollector::bucket_index(util::make_time(2023, 7, 3)),
-                 std::move(cell));
-  EXPECT_EQ(fresh.totals(7, true).probes, 1u);
-  EXPECT_EQ(fresh.totals(7, true).answered, 0u);
-}
-
 TEST(SloCollector, TotalsFoldEveryBucketOfOneStream) {
   SloCollector collector;
   const util::UnixTime t0 = util::make_time(2023, 7, 3);
@@ -537,19 +501,10 @@ TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
   SloCollector full;
   for (const SloSample& sample : samples) full.record(sample);
 
-  // Four threads drain the 26 streams concurrently.
-  const auto four_threads = [](size_t count,
-                               const std::function<void(size_t)>& fn) {
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < 4; ++t)
-      threads.emplace_back([&, t] {
-        for (size_t i = t; i < count; i += 4) fn(i);
-      });
-    for (std::thread& thread : threads) thread.join();
-  };
   const auto stream_of = [](uint8_t root, bool v6) {
     return static_cast<size_t>(root) * 2 + (v6 ? 1 : 0);
   };
+  constexpr size_t kStreams = kSloRoots * 2;
 
   for (size_t window = 1; window <= 8; ++window) {
     SloThresholds thresholds = tiny_thresholds();
@@ -559,27 +514,61 @@ TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
     for (int64_t chunk = 1; chunk <= kBuckets; ++chunk) {
       SCOPED_TRACE(::testing::Message()
                    << "window " << window << ", chunk " << chunk);
-      SloCollector drained;
       SloCollector::Drain drain(thresholds, first_bucket, kBuckets);
+      // One slot array, [stream][bucket - chunk start], cleared and refilled
+      // for every chunk as run_slo_timeline reuses it.
+      const auto width = static_cast<size_t>(chunk);
+      std::vector<SloCollector::Cell> slots(kStreams * width);
       for (int64_t lo = 0; lo < kBuckets; lo += chunk) {
+        const auto count = static_cast<size_t>(std::min(chunk, kBuckets - lo));
+        for (SloCollector::Cell& cell : slots) cell.clear();
+        std::vector<SloCollector::Cell> fresh(slots.size());
         for (const SloSample& sample : samples) {
           const int64_t b = SloCollector::bucket_index(sample.when) - first_bucket;
-          if (b >= lo && b < lo + chunk) drained.record(sample);
+          if (b < lo || b >= lo + chunk) continue;
+          const size_t slot = stream_of(sample.root, sample.v6) * width +
+                              static_cast<size_t>(b - lo);
+          slots[slot].record(sample);
+          fresh[slot].record(sample);
         }
-        drained.drain(drain, four_threads);
-        // Only the cells a later window reads are left.
-        std::array<size_t, kSloRoots * 2> held{};
-        for (const auto& [key, cell] : drained.snapshot())
-          ++held[stream_of(std::get<0>(key), std::get<1>(key) == 1)];
-        for (size_t s = 0; s < held.size(); ++s)
-          EXPECT_LE(held[s], window - 1) << "stream " << s << " after bucket "
-                                         << lo + chunk - 1;
+        // A cleared slot refills to exactly a fresh cell: no count, sum or
+        // max of the chunk before survives.
+        for (size_t slot = 0; slot < slots.size(); ++slot) {
+          EXPECT_EQ(slots[slot].probes, fresh[slot].probes) << slot;
+          EXPECT_EQ(slots[slot].answered, fresh[slot].answered) << slot;
+          EXPECT_EQ(slots[slot].rtt_us.to_json(), fresh[slot].rtt_us.to_json())
+              << slot;
+          EXPECT_EQ(slots[slot].publication_s.to_json(),
+                    fresh[slot].publication_s.to_json())
+              << slot;
+          EXPECT_EQ(slots[slot].staleness_s.to_json(),
+                    fresh[slot].staleness_s.to_json())
+              << slot;
+          EXPECT_EQ(slots[slot].integrity_checks, fresh[slot].integrity_checks)
+              << slot;
+          EXPECT_EQ(slots[slot].integrity_ok, fresh[slot].integrity_ok) << slot;
+        }
+        // Four threads add the 26 streams' runs concurrently.
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < 4; ++t)
+          threads.emplace_back([&, t] {
+            for (size_t s = t; s < kStreams; s += 4)
+              drain.add(static_cast<uint8_t>(s / 2), s % 2 == 1,
+                        first_bucket + lo,
+                        std::span(slots).subspan(s * width, count));
+          });
+        for (std::thread& thread : threads) thread.join();
+        // Only the cells a later window reads are carried.
+        for (size_t s = 0; s < kStreams; ++s)
+          EXPECT_LE(drain.carried(static_cast<uint8_t>(s / 2), s % 2 == 1),
+                    window - 1)
+              << "stream " << s << " after bucket " << lo + chunk - 1;
       }
       const std::vector<SloWindow> windows = drain.take_windows();
       EXPECT_EQ(windows.size(), want.size());
       EXPECT_EQ(SloCollector::windows_to_jsonl(windows), want_jsonl);
 
-      std::array<size_t, kSloRoots * 2> per_stream{};
+      std::array<size_t, kStreams> per_stream{};
       for (const SloWindow& w : windows) ++per_stream[stream_of(w.root, w.v6)];
       EXPECT_EQ(per_stream[stream_of(0, false)], 12u);  // buckets 0..11, gap included
       EXPECT_EQ(per_stream[stream_of(12, true)], 1u);
@@ -589,23 +578,50 @@ TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
       EXPECT_EQ(drain.totals(2, false).probes, 0u);
       for (uint8_t root = 0; root < kSloRoots; ++root) {
         for (const bool v6 : {false, true}) {
-          const SloCollector::Cell& got = drain.totals(root, v6);
+          const SloCollector::Drain::Totals& got = drain.totals(root, v6);
           const SloCollector::Cell want_totals = full.totals(root, v6);
           const size_t s = stream_of(root, v6);
           EXPECT_EQ(got.probes, want_totals.probes) << s;
           EXPECT_EQ(got.answered, want_totals.answered) << s;
-          EXPECT_EQ(got.rtt_us.to_json(), want_totals.rtt_us.to_json()) << s;
-          EXPECT_EQ(got.publication_s.to_json(),
-                    want_totals.publication_s.to_json())
+          EXPECT_EQ(got.latency_count, want_totals.rtt_us.count()) << s;
+          EXPECT_EQ(got.publication_count, want_totals.publication_s.count())
               << s;
-          EXPECT_EQ(got.staleness_s.to_json(), want_totals.staleness_s.to_json())
-              << s;
+          EXPECT_EQ(got.staleness_count, want_totals.staleness_s.count()) << s;
           EXPECT_EQ(got.integrity_checks, want_totals.integrity_checks) << s;
           EXPECT_EQ(got.integrity_ok, want_totals.integrity_ok) << s;
         }
       }
     }
   }
+}
+
+// The drain writes each window into a slot picked by its bucket, so a run
+// that does not lie inside the timeline, or that starts before its stream's
+// previous run ends, stops the process in every build type instead of
+// writing past the windows.
+TEST(SloCollectorDeathTest, DrainRunOutsideTheTimelineStops) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  constexpr int64_t kFirst = 100;
+  constexpr size_t kBuckets = 20;
+  // Eight buckets, only the last one with a sample.
+  std::vector<SloCollector::Cell> cells(8);
+  cells.back().record(probe(0, true));
+  const auto drain_runs = [&](uint8_t root,
+                              std::initializer_list<int64_t> starts) {
+    SloCollector::Drain drain(tiny_thresholds(), kFirst, kBuckets);
+    for (const int64_t start : starts) drain.add(root, false, start, cells);
+    return drain.take_windows().size();
+  };
+  const char* message = "outside the timeline \\[100, 120\\)";
+  EXPECT_DEATH(drain_runs(0, {kFirst + 13}), message);    // one bucket past
+  EXPECT_DEATH(drain_runs(0, {kFirst + 21}), message);    // wholly past
+  EXPECT_DEATH(drain_runs(0, {kFirst - 1}), message);     // one bucket before
+  EXPECT_DEATH(drain_runs(0, {kFirst, kFirst + 4}), message);  // overlapping
+  EXPECT_DEATH(drain_runs(kSloRoots, {kFirst}), message);  // no such letter
+  // A run that ends at the timeline's end lies inside it, and so do runs
+  // with a gap between them: windows of buckets 107..119.
+  EXPECT_EQ(drain_runs(0, {kFirst + 12}), 1u);
+  EXPECT_EQ(drain_runs(0, {kFirst, kFirst + 12}), 13u);
 }
 
 // One bad bucket smears across window_buckets sliding windows; open_after
