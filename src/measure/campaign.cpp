@@ -80,6 +80,14 @@ Campaign::Campaign(CampaignConfig config, obs::Obs obs)
     if (override_spec.root_index < 0 ||
         static_cast<size_t>(override_spec.root_index) >= deployments.size())
       continue;
+    // Every probe routes to the letter through a global site: each VP
+    // reaches all of them, but only the local sites visible to it.
+    if (std::none_of(override_spec.global_sites.begin(),
+                     override_spec.global_sites.end(),
+                     [](int count) { return count > 0; }))
+      util::fatal("Campaign: the deployment override of root %d has no global "
+                  "site",
+                  override_spec.root_index);
     auto& spec = deployments[static_cast<size_t>(override_spec.root_index)];
     spec.global_sites = override_spec.global_sites;
     spec.local_sites = override_spec.local_sites;

@@ -92,9 +92,12 @@ struct SloTimelineOptions {
   /// scenario outages — what attribution can *name*.
   std::vector<rss::ScriptedOutage> scripted_outages;
   /// When a probe's selected site is dark and this is > 0, the probe falls
-  /// back to the best announced alternative among this many candidate
+  /// back to the first site that answers among the VP's this many cheapest
   /// routes (the anycast catchment view scenarios ask for); 0 = a dark
-  /// site is simply a failed probe, as the paper's monitor treated it.
+  /// site is simply a failed probe, as the paper's monitor treated it. The
+  /// call's catchment table keeps each (VP, letter, family)'s candidates
+  /// from the same ranking pass as its selection, so the fallback ranks
+  /// nothing per probe.
   size_t route_fallback_candidates = 0;
   /// Availability probes per (letter, family) per 6 h bucket. Windows hold
   /// probes_per_bucket x window_buckets probes, so with the defaults a
@@ -171,8 +174,12 @@ class Campaign {
       const scenario::ScenarioSpec& spec, size_t clean_samples = 200,
       size_t workers = 0) const;
 
-  /// Runs the streaming RSSAC047 SLO monitor over the campaign's schedule:
-  /// one work unit per 6 h bucket of simulated time, each sampling
+  /// Runs the streaming RSSAC047 SLO monitor over the campaign's schedule.
+  /// First it builds a catchment table: one ranking of each letter's sites
+  /// per VP (AnycastRouter::prepare_selections) gives both families'
+  /// selections and, with route fallback on, each family's
+  /// route_fallback_candidates cheapest sites, which a dark probe tries in
+  /// order. Then one work unit per 6 h bucket of simulated time samples
   /// availability/latency (via the anycast router + outage models),
   /// publication latency and zone staleness (vs. the zone authority's serial
   /// cadence) and ZONEMD integrity for all 13 letters x both families into

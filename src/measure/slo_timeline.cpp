@@ -9,8 +9,10 @@
 //
 // Before the units run, the call prepares every VP's catchment per (letter,
 // family) into one flat table (a Selection depends only on the VP, the
-// letter, the family and the static topology; see DESIGN.md §10). Probes
-// then only make the round's churn draw on their row.
+// letter, the family and the static topology; see DESIGN.md §10), with one
+// ranking of the letter's sites per (VP, letter) for both families. Probes
+// then only make the round's churn draw on their row, and a dark probe's
+// route fallback reads its alternatives from the same row.
 //
 // What a unit samples, per (letter, family):
 //   * availability/latency probes: VP drawn per probe, its catchment picked
@@ -32,6 +34,7 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string_view>
 
@@ -55,6 +58,8 @@ constexpr size_t kStreams = obs::kSloRoots * 2;
 constexpr int64_t kPublishIntervalSeconds = 12 * 3600;
 /// The longest a site keeps serving the old zone after a publication.
 constexpr int64_t kMaxPublicationDelaySeconds = 30 * 60;
+/// A route-fallback slot past the last site the VP reaches.
+constexpr uint32_t kNoSite = std::numeric_limits<uint32_t>::max();
 
 util::UnixTime last_publish_at_or_before(util::UnixTime t) {
   return t - (t % kPublishIntervalSeconds);
@@ -125,23 +130,34 @@ SloTimelineResult Campaign::run_slo_timeline(
                                 static_cast<int>(site.type));
   };
 
-  // The catchment table, [vp][letter][family]. Built per call rather than
-  // with the campaign, so callers that never run the monitor do not pay
-  // for it at construction.
-  std::vector<netsim::AnycastRouter::Selection> catchments(
-      vps_.size() * obs::kSloRoots * 2);
-  exec::parallel_for(vps_.size(), workers, [&](size_t vp, size_t) {
-    for (uint32_t root = 0; root < obs::kSloRoots; ++root)
-      for (int fam = 0; fam < 2; ++fam)
-        catchments[(vp * obs::kSloRoots + root) * 2 + fam] =
-            router_->prepare_selection(
-                vps_[vp].view, root,
-                fam == 1 ? util::IpFamily::V6 : util::IpFamily::V4);
-  });
-  const auto catchment = [&](size_t vp, uint32_t root, int fam)
-      -> const netsim::AnycastRouter::Selection& {
-    return catchments[(vp * obs::kSloRoots + root) * 2 + fam];
+  // The catchment table, [vp][letter][family]: each row's selection, and,
+  // for the route fallback, the row's `fallback` cheapest sites (kNoSite
+  // past the last the VP reaches). One ranking pass per (VP, letter) fills
+  // both families' rows. Built per call rather than with the campaign, so
+  // callers that never run the monitor do not pay for it at construction.
+  const size_t fallback = options.route_fallback_candidates;
+  const auto row_of = [](size_t vp, uint32_t root, int fam) {
+    return (vp * obs::kSloRoots + root) * 2 + static_cast<size_t>(fam);
   };
+  std::vector<netsim::AnycastRouter::Selection> catchments(
+      row_of(vps_.size(), 0, 0));
+  std::vector<uint32_t> alternatives(catchments.size() * fallback, kNoSite);
+  exec::parallel_for(vps_.size(), workers, [&](size_t vp, size_t) {
+    const size_t k = std::max<size_t>(2, fallback);
+    std::vector<netsim::AnycastRouter::RankedSite> top(2 * k);
+    const std::span<netsim::AnycastRouter::RankedSite> v4(top.data(), k);
+    const std::span<netsim::AnycastRouter::RankedSite> v6(top.data() + k, k);
+    for (uint32_t root = 0; root < obs::kSloRoots; ++root) {
+      const size_t row = row_of(vp, root, 0);
+      const size_t ranked = router_->prepare_selections(
+          vps_[vp].view, root,
+          std::span(catchments).subspan(row).first<2>(), {v4, v6});
+      for (size_t i = 0; i < std::min(ranked, fallback); ++i) {
+        alternatives[row * fallback + i] = v4[i].site_id;
+        alternatives[(row + 1) * fallback + i] = v6[i].site_id;
+      }
+    }
+  });
 
   // One chunk's cells, [stream][bucket - chunk start], kept across chunks
   // so that a unit refills its slots without allocating. The call's samples
@@ -182,27 +198,27 @@ SloTimelineResult Campaign::run_slo_timeline(
           const size_t vp_index = rng.uniform(vps_.size());
           const VantagePoint& vp = vps_[vp_index];
           const uint64_t round = schedule_.round_at(t);
+          const size_t row = row_of(vp_index, root, fam);
           const netsim::RouteResult route =
-              router_->pick(catchment(vp_index, root, fam), family, round);
+              router_->pick(catchments[row], family, round);
           uint32_t serving_site = route.site_id;
           bool up = available(serving_site, root, t);
           double rtt_ms = up ? transport.effective_rtt_ms(route,
                                                           static_cast<int>(root),
                                                           t)
                              : 0.0;
-          if (!up && options.route_fallback_candidates > 0) {
+          if (!up) {
             // Catchment-view fallback: the VP's BGP table still carries
-            // routes to other sites; the first announced alternative that
-            // answers takes the probe, at the RTT its distance implies.
-            for (const auto& alt : router_->announced_routes(
-                     vp.view, root, family,
-                     options.route_fallback_candidates)) {
-              if (alt.site_id == route.site_id) continue;
-              if (!available(alt.site_id, root, t)) continue;
-              serving_site = alt.site_id;
+            // routes to other sites; the first of its cheapest that answers
+            // takes the probe, at the RTT its distance implies.
+            for (const uint32_t alt : std::span(alternatives)
+                                          .subspan(row * fallback, fallback)) {
+              if (alt == kNoSite) break;
+              if (alt == route.site_id) continue;
+              if (!available(alt, root, t)) continue;
+              serving_site = alt;
               up = true;
-              rtt_ms = util::fiber_rtt_ms(
-                           router_->distance_km(vp.view, alt.site_id)) +
+              rtt_ms = util::fiber_rtt_ms(router_->distance_km(vp.view, alt)) +
                        2.0;
               break;
             }
@@ -283,7 +299,8 @@ SloTimelineResult Campaign::run_slo_timeline(
           const uint64_t round = schedule_.round_at(publish);
           for (size_t s = 0; s < options.publication_samples; ++s) {
             const netsim::RouteResult route = router_->pick(
-                catchment(rng.uniform(vps_.size()), root, fam), family, round);
+                catchments[row_of(rng.uniform(vps_.size()), root, fam)],
+                family, round);
             obs::SloSample sample;
             sample.root = static_cast<uint8_t>(root);
             sample.v6 = v6;

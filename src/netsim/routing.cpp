@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/strings.h"
+
 namespace rootsim::netsim {
 
 namespace {
@@ -21,6 +23,30 @@ double unit_from_hash(uint64_t h) {
 
 uint64_t family_tag(util::IpFamily family) {
   return family == util::IpFamily::V4 ? 4 : 6;
+}
+
+/// The family of rank_sites' top[f].
+constexpr std::array<util::IpFamily, 2> kFamilies = {util::IpFamily::V4,
+                                                     util::IpFamily::V6};
+
+/// The ranking's order: cheaper path first, then the lower site id, so
+/// that the full sort and the partial selection agree even on a tie.
+bool cheaper(const AnycastRouter::RankedSite& a,
+             const AnycastRouter::RankedSite& b) {
+  return a.cost < b.cost || (a.cost == b.cost && a.site_id < b.site_id);
+}
+
+/// Adds `site` to best[0, size), the cheapest sites so far in ranking
+/// order, keeping at most best.size() (> 0) of them.
+void keep_cheapest(std::span<AnycastRouter::RankedSite> best, size_t size,
+                   const AnycastRouter::RankedSite& site) {
+  if (size == best.size()) {
+    if (!cheaper(site, best[size - 1])) return;
+    --size;  // the dearest kept site makes room
+  }
+  size_t at = size;
+  for (; at > 0 && cheaper(site, best[at - 1]); --at) best[at] = best[at - 1];
+  best[at] = site;
 }
 
 // The churn draw: at `round` the selection sits on its secondary candidate.
@@ -94,44 +120,54 @@ const AnycastSite& AnycastRouter::closest_global_site(const VantageView& vp,
       best_distance = d;
     }
   }
+  if (!best)
+    util::fatal("AnycastRouter: root %u has no global site", root_index);
   return *best;
 }
 
-std::vector<AnycastRouter::RankedSite> AnycastRouter::ranked_sites(
-    const VantageView& vp, uint32_t root_index, util::IpFamily family) const {
-  const uint64_t ftag = family_tag(family);
-  std::vector<RankedSite> ranked;
-  ranked.reserve(topology_->sites_by_root[root_index].size());
-  for (uint32_t site_id : topology_->sites_by_root[root_index]) {
-    const AnycastSite& site = topology_->sites[site_id];
-    if (site.type == SiteType::Local) {
-      if (site.local_scope == LocalScope::AsLocal) {
-        // Inside some ISP's network; a RING-style VP is almost never a
-        // customer of exactly that ISP.
-        bool insider =
-            unit_from_hash(mix(seed_mix_, vp.asn, site_id, 0xA5)) < 0.01;
-        if (!insider) continue;
-      } else {
-        // NO_EXPORT at an IXP: visible only through the VP's own facilities.
-        bool visible = std::find(vp.connectivity.begin(), vp.connectivity.end(),
-                                 site.facility) != vp.connectivity.end();
-        if (!visible) continue;
-      }
-    }
-    double distance = util::haversine_km(vp.location, site.location);
-    // Per-(VP, site, family) policy perturbation: BGP path choice is not
-    // geographic. Lognormal multiplier, median 1.
-    double u1 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag));
-    double u2 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag + 100));
-    double z = std::sqrt(-2.0 * std::log(std::max(u1, 1e-12))) *
-               std::cos(6.283185307179586 * u2);
-    double cost = (distance + 200.0) * std::exp(config_.policy_noise_sigma * z);
-    // Local sites are preferred when visible (shorter AS path).
-    if (site.type == SiteType::Local) cost *= 0.5;
-    ranked.push_back({site_id, cost, distance});
+bool AnycastRouter::reaches(const VantageView& vp, uint32_t site_id) const {
+  const AnycastSite& site = topology_->sites[site_id];
+  if (site.type != SiteType::Local) return true;
+  if (site.local_scope == LocalScope::AsLocal) {
+    // Inside some ISP's network; a RING-style VP is almost never a customer
+    // of exactly that ISP.
+    return unit_from_hash(mix(seed_mix_, vp.asn, site_id, 0xA5)) < 0.01;
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedSite& a, const RankedSite& b) { return a.cost < b.cost; });
+  // NO_EXPORT at an IXP: visible only through the VP's own facilities.
+  return std::find(vp.connectivity.begin(), vp.connectivity.end(),
+                   site.facility) != vp.connectivity.end();
+}
+
+double AnycastRouter::path_cost(const VantageView& vp, uint32_t site_id,
+                                double distance_km,
+                                util::IpFamily family) const {
+  // Per-(VP, site, family) policy perturbation: BGP path choice is not
+  // geographic. Lognormal multiplier, median 1.
+  const uint64_t ftag = family_tag(family);
+  double u1 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag));
+  double u2 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag + 100));
+  double z = std::sqrt(-2.0 * std::log(std::max(u1, 1e-12))) *
+             std::cos(6.283185307179586 * u2);
+  double cost = (distance_km + 200.0) * std::exp(config_.policy_noise_sigma * z);
+  // Local sites are preferred when visible (shorter AS path).
+  if (topology_->sites[site_id].type == SiteType::Local) cost *= 0.5;
+  return cost;
+}
+
+size_t AnycastRouter::rank_sites(const VantageView& vp, uint32_t root_index,
+                                 std::array<std::span<RankedSite>, 2> top) const {
+  const size_t k = std::max(top[0].size(), top[1].size());
+  size_t ranked = 0;
+  for (uint32_t site_id : topology_->sites_by_root[root_index]) {
+    if (!reaches(vp, site_id)) continue;
+    const double distance = distance_km(vp, site_id);
+    for (size_t f = 0; f < 2; ++f)
+      if (!top[f].empty())
+        keep_cheapest(top[f], ranked,
+                      {site_id, path_cost(vp, site_id, distance, kFamilies[f]),
+                       distance});
+    ranked = std::min(ranked + 1, k);
+  }
   return ranked;
 }
 
@@ -140,7 +176,14 @@ std::vector<AnycastRouter::AnnouncedRoute> AnycastRouter::announced_routes(
     size_t max_routes) const {
   // The selection's ranking, kept whole — the control-plane table a route
   // collector at the VP would export.
-  std::vector<RankedSite> ranked = ranked_sites(vp, root_index, family);
+  std::vector<RankedSite> ranked;
+  ranked.reserve(topology_->sites_by_root[root_index].size());
+  for (uint32_t site_id : topology_->sites_by_root[root_index]) {
+    if (!reaches(vp, site_id)) continue;
+    const double distance = distance_km(vp, site_id);
+    ranked.push_back({site_id, path_cost(vp, site_id, distance, family), distance});
+  }
+  std::sort(ranked.begin(), ranked.end(), cheaper);
   if (ranked.size() > max_routes) ranked.resize(max_routes);
 
   const uint64_t ftag = family_tag(family);
@@ -178,8 +221,9 @@ double AnycastRouter::flip_probability(const VantageView& vp, uint32_t root_inde
   return std::min(0.5, p * vp.churn_multiplier);
 }
 
-AnycastRouter::Selection AnycastRouter::prepare_selection(
-    const VantageView& vp, uint32_t root_index, util::IpFamily family) const {
+AnycastRouter::Selection AnycastRouter::select(
+    const VantageView& vp, uint32_t root_index, util::IpFamily family,
+    std::span<const RankedSite> ranked) const {
   Selection s;
   s.flip_probability = flip_probability(vp, root_index, family);
   s.flip_stream = mix(seed_mix_ ^ 0x5151515151515151ULL, vp.vp_id,
@@ -230,7 +274,9 @@ AnycastRouter::Selection AnycastRouter::prepare_selection(
   }
 
   // Normal BGP-proxy selection: the two cheapest paths.
-  const std::vector<RankedSite> ranked = ranked_sites(vp, root_index, family);
+  if (ranked.empty())
+    util::fatal("AnycastRouter: VP %u reaches no site of root %u", vp.vp_id,
+                root_index);
   const RankedSite& primary = ranked[0];
   const RankedSite& secondary = ranked.size() > 1 ? ranked[1] : ranked[0];
   auto rtt_of = [&](const RankedSite& site) {
@@ -245,6 +291,25 @@ AnycastRouter::Selection AnycastRouter::prepare_selection(
   s.primary_rtt_ms = rtt_of(primary);
   s.secondary_rtt_ms = rtt_of(secondary);
   return s;
+}
+
+AnycastRouter::Selection AnycastRouter::prepare_selection(
+    const VantageView& vp, uint32_t root_index, util::IpFamily family) const {
+  std::array<RankedSite, 2> cheapest;
+  std::array<std::span<RankedSite>, 2> top{};
+  top[family == util::IpFamily::V4 ? 0 : 1] = cheapest;
+  const size_t ranked = rank_sites(vp, root_index, top);
+  return select(vp, root_index, family, std::span(cheapest).first(ranked));
+}
+
+size_t AnycastRouter::prepare_selections(
+    const VantageView& vp, uint32_t root_index,
+    std::span<Selection, 2> selections,
+    std::array<std::span<RankedSite>, 2> top) const {
+  const size_t ranked = rank_sites(vp, root_index, top);
+  for (size_t f = 0; f < 2; ++f)
+    selections[f] = select(vp, root_index, kFamilies[f], top[f].first(ranked));
+  return ranked;
 }
 
 RouteResult AnycastRouter::pick(const Selection& selection,

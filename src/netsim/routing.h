@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netsim/topology.h"
@@ -110,6 +111,9 @@ class AnycastRouter {
   /// the static topology, never on the round, so loops that route the same
   /// VP many times prepare it once and pick per round: the stability
   /// analysis makes ~180M such lookups, the SLO timeline one per probe.
+  /// Absent a detour, primary and secondary are the two cheapest sites of
+  /// the VP's ranking of the root's sites: entries 0 and 1 of
+  /// announced_routes.
   struct Selection {
     uint32_t primary_site = 0;
     uint32_t secondary_site = 0;  // flip target (== primary if one candidate)
@@ -120,8 +124,31 @@ class AnycastRouter {
     double flip_probability = 0;
     uint64_t flip_stream = 0;  // hash stream key for per-round decisions
   };
+  /// Ranks the root's sites for `family` alone, keeping the top 2; a
+  /// matching detour rule then decides first, as a hijack of the VP's
+  /// routes, and otherwise the top 2 are the candidates. Stops the process
+  /// if the VP reaches no site of the root.
   Selection prepare_selection(const VantageView& vp, uint32_t root_index,
                               util::IpFamily family) const;
+  /// A site the VP's routes reach and its BGP-proxy path cost for one
+  /// family: geographic distance with a per-(VP, site, family) policy
+  /// perturbation, halved for a visible local site.
+  struct RankedSite {
+    uint32_t site_id = 0;
+    double cost = 0;
+    double distance_km = 0;
+  };
+  /// prepare_selection for both families, selections[0] for v4 and [1] for
+  /// v6, from one ranking pass over the root's sites, which computes each
+  /// reachable site's distance once. The pass leaves each family's k
+  /// cheapest sites in top[0] and top[1] (k = each span's size, at least
+  /// 2): the first k site ids announced_routes lists, in order. Detour
+  /// rules override the selection only, never `top`: the VP's BGP table
+  /// still carries those routes. Returns how many sites each span received,
+  /// min(k, the sites the VP reaches).
+  size_t prepare_selections(const VantageView& vp, uint32_t root_index,
+                            std::span<Selection, 2> selections,
+                            std::array<std::span<RankedSite>, 2> top) const;
   /// The route at `round` from a selection prepared for `family`: the churn
   /// draw picks the site and its RTT, and the selection, flip and churn
   /// counters advance exactly as route_at's do. No traceroute hops are
@@ -132,15 +159,18 @@ class AnycastRouter {
   static uint32_t site_at_round(const Selection& selection, uint64_t round);
 
   /// Geographically closest *global* site of a root to this VP (the Fig. 5
-  /// reference point).
+  /// reference point). Stops the process if the root has no global site.
   const AnycastSite& closest_global_site(const VantageView& vp,
                                          uint32_t root_index) const;
 
   /// Control-plane view (the data the paper's Appendix E wishes it had
   /// collected): the routes for this root's prefix as visible in the VP's
   /// BGP table — every reachable site with its path cost and a synthetic
-  /// AS path. Entry 0 is the best path (= what route() selects, absent a
-  /// detour override).
+  /// AS path, fully sorted, then cut to `max_routes`. Entry 0 is the best
+  /// path (= what route() selects, absent a detour override). For the long
+  /// tables (the control-plane bench, the failover impact); the selections
+  /// and the SLO monitor's route fallback read the same ranking cut to its
+  /// top k, without the full sort.
   struct AnnouncedRoute {
     uint32_t site_id = 0;
     double path_cost = 0;
@@ -158,16 +188,27 @@ class AnycastRouter {
   const RouterConfig& config() const { return config_; }
 
  private:
-  struct RankedSite {
-    uint32_t site_id = 0;
-    double cost = 0;
-    double distance_km = 0;
-  };
-  /// Every site of the root the VP can reach (global sites plus the local
-  /// sites visible to it), cheapest BGP-proxy path cost first.
-  std::vector<RankedSite> ranked_sites(const VantageView& vp,
-                                       uint32_t root_index,
-                                       util::IpFamily family) const;
+  /// The ranking every selection reads: of the root's sites the VP reaches
+  /// (every global site, the local sites visible to it), the k cheapest
+  /// for v4 into top[0] and for v6 into top[1], in (cost, site id) order.
+  /// k is each span's size; an empty span skips its family. Each site's
+  /// visibility and distance are computed once, its cost once per family,
+  /// and the k cheapest are kept by insertion, not by a sort. Returns
+  /// min(k, the sites the VP reaches).
+  size_t rank_sites(const VantageView& vp, uint32_t root_index,
+                    std::array<std::span<RankedSite>, 2> top) const;
+  /// The cost model, used by rank_sites and announced_routes alike: whether
+  /// the VP's routes reach a site, and a reachable site's path cost.
+  bool reaches(const VantageView& vp, uint32_t site_id) const;
+  double path_cost(const VantageView& vp, uint32_t site_id,
+                   double distance_km, util::IpFamily family) const;
+  /// The selection for `family` given the cheapest sites of its ranking,
+  /// `ranked`: a detour rule that hijacks this (VP, root, family) decides
+  /// first, and otherwise the top 2 of `ranked` do. Stops the process if
+  /// no rule does and `ranked` is empty.
+  Selection select(const VantageView& vp, uint32_t root_index,
+                   util::IpFamily family,
+                   std::span<const RankedSite> ranked) const;
   /// Synthesizes the traceroute hops of a picked route.
   void finish(const VantageView& vp, uint32_t root_index,
               util::IpFamily family, RouteResult& route) const;

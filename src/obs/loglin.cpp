@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "util/strings.h"
 
@@ -79,24 +78,6 @@ void LogLinearHistogram::merge_from(const LogLinearHistogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void LogLinearHistogram::remove(const LogLinearHistogram& other) {
-  // Every bucket of `other` is occupied here with at least its count, so one
-  // forward pass subtracts and compacts in place.
-  size_t out = 0;
-  size_t next = 0;
-  for (const Slot& slot : slots_) {
-    Slot kept = slot;
-    if (next < other.slots_.size() && other.slots_[next].index == slot.index)
-      kept.count -= other.slots_[next++].count;
-    if (kept.count) slots_[out++] = kept;
-  }
-  assert(next == other.slots_.size());
-  slots_.resize(out);
-  count_ -= other.count_;
-  sum_ -= other.sum_;
-  if (count_ == 0) max_ = 0;
-}
-
 void LogLinearHistogram::clear() {
   slots_.clear();
   count_ = 0;
@@ -104,27 +85,37 @@ void LogLinearHistogram::clear() {
   max_ = 0;
 }
 
+LogLinearHistogram::QuantileRank::QuantileRank(double q, uint64_t count)
+    : rank_(std::clamp(q, 0.0, 1.0) * static_cast<double>(count)) {}
+
+bool LogLinearHistogram::QuantileRank::within(uint64_t cumulative) const {
+  return rank_ < static_cast<double>(cumulative);
+}
+
+double LogLinearHistogram::QuantileRank::value_in(uint32_t index,
+                                                  uint64_t below,
+                                                  uint64_t in_bucket) const {
+  const double lower = static_cast<double>(bucket_lower(index));
+  const double upper = static_cast<double>(bucket_upper(index));
+  const double offset =
+      (rank_ - static_cast<double>(below)) / static_cast<double>(in_bucket);
+  return lower + (upper - lower) * offset;
+}
+
 double LogLinearHistogram::quantile(double q) const {
   if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
   // Rank-based with within-bucket linear interpolation: rank r falls into
   // the bucket where the cumulative count first exceeds it, and the value
   // is placed proportionally inside that bucket's [lower, upper) range —
   // never snapped to the upper bound. Rank q*count (not q*(count-1)) keeps
   // the estimate invariant under doubling every bucket, i.e. merging k
   // identical collector shards cannot move a quantile.
-  const double rank = q * static_cast<double>(count_);
-  uint64_t cumulative = 0;
+  const QuantileRank rank(q, count_);
+  uint64_t below = 0;
   for (const Slot& slot : slots_) {
-    const uint64_t in_bucket = slot.count;
-    if (rank < static_cast<double>(cumulative + in_bucket)) {
-      const double lower = static_cast<double>(bucket_lower(slot.index));
-      const double upper = static_cast<double>(bucket_upper(slot.index));
-      const double offset =
-          (rank - static_cast<double>(cumulative)) / static_cast<double>(in_bucket);
-      return lower + (upper - lower) * offset;
-    }
-    cumulative += in_bucket;
+    if (rank.within(below + slot.count))
+      return rank.value_in(slot.index, below, slot.count);
+    below += slot.count;
   }
   return static_cast<double>(max_);
 }

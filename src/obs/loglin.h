@@ -18,7 +18,10 @@
 // holds about a dozen RTTs of 20-300 ms).
 // Identical layout everywhere makes merge a sorted merge that adds counts
 // at equal indices: associative, commutative, and bit-exact regardless of
-// shard count or merge order.
+// shard count or merge order. It also lets a running sum of many
+// histograms live outside them: the SLO window sweep (obs/slo.cpp) adds
+// and subtracts cells' buckets in dense per-bucket counts and reads its
+// quantiles through QuantileRank, the arithmetic quantile() uses.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +53,6 @@ class LogLinearHistogram {
   /// `other` is already occupied here.
   void merge_from(const LogLinearHistogram& other);
 
-  /// Undoes merge_from(other) for an `other` merged in earlier: subtracts
-  /// its counts bucket by bucket and drops the buckets that empty, leaving
-  /// the buckets, count, sum and quantile(q < 1) of a histogram that never
-  /// saw `other`. A max cannot be undone: until the histogram empties (when
-  /// it returns to 0), max() stays where it was, an upper bound, and so do
-  /// quantile(1.0) and to_json()'s "max", which read it.
-  void remove(const LogLinearHistogram& other);
-
   /// Empties the histogram but keeps its slot storage, so refilling it
   /// allocates only past the buckets it held before.
   void clear();
@@ -74,6 +69,31 @@ class LogLinearHistogram {
   /// the property the collector merge path relies on. Exact for values < 16
   /// (unit buckets); within one sub-bucket width (~3%) above. 0 when empty.
   double quantile(double q) const;
+
+  /// quantile()'s arithmetic, for any counts over this layout: the SLO
+  /// sweep's dense window sums read their quantiles through it too, so the
+  /// two read the same bits. The rank is q*count, q clamped to [0, 1].
+  class QuantileRank {
+   public:
+    QuantileRank(double q, uint64_t count);
+    /// Whether the rank lies among the first `cumulative` counts: the
+    /// bucket holding it is the first whose running total exceeds it.
+    bool within(uint64_t cumulative) const;
+    /// The rank's value in bucket `index`, which holds `in_bucket` counts
+    /// above the `below` counts of the buckets under it: placed linearly
+    /// inside the bucket's [lower, upper) range.
+    double value_in(uint32_t index, uint64_t below, uint64_t in_bucket) const;
+
+   private:
+    double rank_ = 0;
+  };
+
+  /// Calls visit(index, count) for each occupied bucket, ascending by
+  /// index; reads only.
+  template <typename Visit>
+  void for_each_bucket(Visit&& visit) const {
+    for (const Slot& slot : slots_) visit(slot.index, slot.count);
+  }
 
   /// Sparse occupied buckets, ascending: {lower, upper, count}.
   struct Bucket {

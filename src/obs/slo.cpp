@@ -13,17 +13,53 @@ namespace rootsim::obs {
 
 namespace {
 
-/// Undoes agg.merge_from(cell) for a cell merged into `agg` earlier; the
-/// histograms' max() stays an upper bound (LogLinearHistogram::remove).
-void remove_from(SloCollector::Cell& agg, const SloCollector::Cell& cell) {
-  agg.probes -= cell.probes;
-  agg.answered -= cell.answered;
-  agg.rtt_us.remove(cell.rtt_us);
-  agg.publication_s.remove(cell.publication_s);
-  agg.staleness_s.remove(cell.staleness_s);
-  agg.integrity_checks -= cell.integrity_checks;
-  agg.integrity_ok -= cell.integrity_ok;
-}
+/// The sum of one histogram's counts over the cells inside a sliding
+/// window, dense over LogLinearHistogram's fixed layout: a count per bucket
+/// and a total per octave, the 16 unit buckets counting as octave 0. A cell
+/// enters and leaves through its few occupied buckets, and a quantile skips
+/// the whole octaves below its rank, then scans the one octave that holds
+/// it.
+class WindowSum {
+ public:
+  void add(const LogLinearHistogram& histogram) {
+    histogram.for_each_bucket([this](uint32_t index, uint64_t count) {
+      buckets_[index] += count;
+      octaves_[index / kSub] += count;
+    });
+    count_ += histogram.count();
+  }
+  void subtract(const LogLinearHistogram& histogram) {
+    histogram.for_each_bucket([this](uint32_t index, uint64_t count) {
+      buckets_[index] -= count;
+      octaves_[index / kSub] -= count;
+    });
+    count_ -= histogram.count();
+  }
+  uint64_t count() const { return count_; }
+
+  /// LogLinearHistogram::quantile(q) of the merged cells, bit for bit, for
+  /// q < 1 (the sweep reads p50 and p95).
+  double quantile(double q) const {
+    if (count_ == 0) return 0;
+    const LogLinearHistogram::QuantileRank rank(q, count_);
+    uint64_t below = 0;
+    uint32_t octave = 0;
+    while (octave + 1 < kOctaves && !rank.within(below + octaves_[octave]))
+      below += octaves_[octave++];
+    uint32_t index = octave * kSub;
+    while (index + 1 < (octave + 1) * kSub &&
+           !rank.within(below + buckets_[index]))
+      below += buckets_[index++];
+    return rank.value_in(index, below, buckets_[index]);
+  }
+
+ private:
+  static constexpr uint32_t kSub = LogLinearHistogram::kSubBuckets;
+  static constexpr uint32_t kOctaves = LogLinearHistogram::kBucketCount / kSub;
+  std::array<uint64_t, LogLinearHistogram::kBucketCount> buckets_{};
+  std::array<uint64_t, kOctaves> octaves_{};
+  uint64_t count_ = 0;
+};
 
 // slo.jsonl's fields are written with to_chars, whose fixed-precision form
 // is defined as printf's %.*f in the C locale, into a stack buffer sized for
@@ -365,21 +401,45 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
 
   // The stream's cells inside the trailing window [bucket - window + 1,
   // bucket] are the run [front, back); cells are sparse, so both ends
-  // slide by key, not by count. `agg` is the run's aggregate: each cell is
-  // merged in as it enters and removed as it leaves. Counts and sums are
-  // integers, so that is exact. The staleness max is not removable, so it
-  // is read from the run's cells.
+  // slide by key, not by count. Each cell is added to the window's sums as
+  // it enters and subtracted as it leaves: running counts, and dense sums
+  // of the RTT and publication histograms (16.6 KB, a local of this sweep).
+  // All are integers, so every window holds exactly the counts a fresh
+  // merge of its cells would. The staleness max cannot be subtracted, so
+  // it is read from the run's cells.
   size_t front = 0;
   size_t back = 0;
   size_t count = 0;
-  Cell agg;
+  uint64_t probes = 0;
+  uint64_t answered = 0;
+  uint64_t staleness_count = 0;
+  uint64_t integrity_checks = 0;
+  uint64_t integrity_ok = 0;
+  WindowSum rtt_us;
+  WindowSum publication_s;
   for (int64_t bucket = from; bucket <= last_bucket; ++bucket) {
-    for (; back < cells.size() && cells[back].first <= bucket; ++back)
-      agg.merge_from(*cells[back].second);
+    for (; back < cells.size() && cells[back].first <= bucket; ++back) {
+      const Cell& cell = *cells[back].second;
+      probes += cell.probes;
+      answered += cell.answered;
+      rtt_us.add(cell.rtt_us);
+      publication_s.add(cell.publication_s);
+      staleness_count += cell.staleness_s.count();
+      integrity_checks += cell.integrity_checks;
+      integrity_ok += cell.integrity_ok;
+    }
     for (; front < back &&
            cells[front].first <= bucket - static_cast<int64_t>(window);
-         ++front)
-      remove_from(agg, *cells[front].second);
+         ++front) {
+      const Cell& cell = *cells[front].second;
+      probes -= cell.probes;
+      answered -= cell.answered;
+      rtt_us.subtract(cell.rtt_us);
+      publication_s.subtract(cell.publication_s);
+      staleness_count -= cell.staleness_s.count();
+      integrity_checks -= cell.integrity_checks;
+      integrity_ok -= cell.integrity_ok;
+    }
     uint64_t staleness_max = 0;
     for (size_t k = front; k < back; ++k)
       staleness_max = std::max(staleness_max, cells[k].second->staleness_s.max());
@@ -389,20 +449,20 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
     w.v6 = v6;
     w.start = bucket_start(bucket - static_cast<int64_t>(window) + 1);
     w.end = bucket_start(bucket + 1);
-    w.probes = agg.probes;
-    w.answered = agg.answered;
+    w.probes = probes;
+    w.answered = answered;
     w.availability =
-        agg.probes ? static_cast<double>(agg.answered) / agg.probes : 1.0;
-    w.latency_count = agg.rtt_us.count();
-    w.rtt_p50_ms = agg.rtt_us.quantile(0.5) / 1000.0;
-    w.rtt_p95_ms = agg.rtt_us.quantile(0.95) / 1000.0;
-    w.publication_count = agg.publication_s.count();
-    w.publication_p95_s = agg.publication_s.quantile(0.95);
-    w.staleness_count = agg.staleness_s.count();
+        probes ? static_cast<double>(answered) / probes : 1.0;
+    w.latency_count = rtt_us.count();
+    w.rtt_p50_ms = rtt_us.quantile(0.5) / 1000.0;
+    w.rtt_p95_ms = rtt_us.quantile(0.95) / 1000.0;
+    w.publication_count = publication_s.count();
+    w.publication_p95_s = publication_s.quantile(0.95);
+    w.staleness_count = staleness_count;
     w.staleness_max_s = static_cast<double>(staleness_max);
-    w.integrity_checks = agg.integrity_checks;
-    w.integrity_ok = agg.integrity_ok;
-    w.evaluated = agg.probes >= thresholds.min_probes;
+    w.integrity_checks = integrity_checks;
+    w.integrity_ok = integrity_ok;
+    w.evaluated = probes >= thresholds.min_probes;
     if (w.evaluated) {
       if (w.availability < thresholds.availability_min)
         w.breaches |= 1u << static_cast<unsigned>(SloMetric::Availability);

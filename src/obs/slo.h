@@ -297,7 +297,13 @@ class SloCollector {
   /// One stream's cells in bucket order; the caller holds mu_.
   std::vector<BucketCell> stream_cells(uint8_t root, bool v6) const;
   /// The windows of buckets [from, last cell's bucket] over one stream's
-  /// cells, written to out[0], out[1], ...; returns how many.
+  /// cells, written to out[0], out[1], ...; returns how many. The one sweep
+  /// behind windows() and the Drain: it slides running sums along the
+  /// cells, adding a cell's counts as it enters the window and subtracting
+  /// them as it leaves, and keeps the RTT and publication histograms as
+  /// dense sums over LogLinearHistogram's layout, with a total per octave,
+  /// so a window's quantiles equal a fresh merge's bit for bit. Those sums
+  /// are locals of the call.
   static size_t sweep(const SloThresholds& thresholds, uint8_t root, bool v6,
                       std::span<const BucketCell> cells, int64_t from,
                       SloWindow* out);

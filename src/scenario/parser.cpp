@@ -1,5 +1,6 @@
 #include "scenario/parser.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -249,6 +250,9 @@ bool parse_scenario(std::string_view text, ScenarioSpec* out,
         return fail(
             "deployment wants <letter> global <6 counts> local <6 counts>, "
             "each a whole number >= 0");
+      if (std::none_of(dep.global_sites.begin(), dep.global_sites.end(),
+                       [](int count) { return count > 0; }))
+        return fail("deployment needs at least one global site");
       spec.deployments.push_back(dep);
     } else if (directive == "event") {
       if (tokens.size() < 2) return fail("event wants a kind");

@@ -15,6 +15,7 @@
 //   czds-broken <start> <end>
 //   route-fallback on|off
 //   deployment <letter> global <n,n,n,n,n,n> local <n,n,n,n,n,n>
+//         (per-region site counts; at least one global site)
 //   event <kind> letter=<a..m|-> region=<AF|AS|EU|NA|SA|OC|-> start=<t>
 //         end=<t> fraction=<f> loss=<f> extra-rtt=<f> jitter=<f>
 //         stages=<n> label=<free text>

@@ -45,6 +45,22 @@ TEST(Campaign, VpScaleShrinksProportionally) {
   EXPECT_EQ(regions.size(), util::kRegionCount);  // every region survives
 }
 
+// A deployment override built in code, past the parser's check, that leaves
+// a letter without a global site stops the constructor with a message: the
+// router would otherwise read a ranking of no sites.
+TEST(CampaignDeathTest, DeploymentOverrideWithoutAGlobalSiteStops) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const int local : {0, 1}) {
+    CampaignConfig config = fast_config();
+    CampaignConfig::DeploymentOverride override_spec;
+    override_spec.root_index = 2;
+    override_spec.local_sites[0] = local;
+    config.deployment_overrides.push_back(override_spec);
+    EXPECT_DEATH(Campaign{config},
+                 "deployment override of root 2 has no global site");
+  }
+}
+
 TEST(Campaign, ZoneAuditFindsAllFaultClasses) {
   Campaign campaign(fast_config());
   auto observations = campaign.run_zone_audit(/*clean_samples=*/40);

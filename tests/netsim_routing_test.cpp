@@ -4,11 +4,17 @@
 
 #include <array>
 #include <bit>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 
+#include "measure/campaign.h"
 #include "obs/metrics.h"
 #include "rss/catalog.h"
+#include "scenario/apply.h"
+#include "scenario/library.h"
 #include "util/stats.h"
 
 namespace rootsim::netsim {
@@ -340,6 +346,145 @@ TEST(Routing, AnnouncedRoutesRespectMaxAndVisibility) {
   EXPECT_LE(b_routes.size(), 6u);
   for (const auto& route : b_routes)
     EXPECT_EQ(f.topology.sites[route.site_id].root_index, 1u);
+}
+
+// The campaigns of the four library scenarios, built once per process: the
+// topologies their deployment overrides make and every VP they route.
+const std::vector<std::unique_ptr<measure::Campaign>>& library_campaigns() {
+  static const auto* campaigns = [] {
+    auto* built = new std::vector<std::unique_ptr<measure::Campaign>>;
+    for (const scenario::ScenarioSpec& spec : scenario::library())
+      built->push_back(std::make_unique<measure::Campaign>(
+          scenario::apply(spec).campaign));
+    return built;
+  }();
+  return *campaigns;
+}
+
+constexpr std::array<util::IpFamily, 2> kFamilies = {util::IpFamily::V4,
+                                                     util::IpFamily::V6};
+// The SLO monitor's route-fallback width (scenario `route-fallback on`).
+constexpr size_t kFallbackWidth = 8;
+
+// FNV-1a over the bytes of a 64-bit value.
+void fnv(uint64_t& hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+// The full sort (announced_routes) is the reference the one-pass ranking is
+// held to below, so it is pinned itself: its site ids and cost bits over
+// every VP x letter x family of the four library campaigns hash to a
+// recorded value. A cost-model change that both would share (visibility,
+// noise, the local discount) moves it. std::sort leaves equal costs in an
+// order of its choosing, and a partial selection matches it only without
+// ties, so no two reachable sites of one (VP, letter, family) may share a
+// cost either: the ranking's tie-break by site id then never decides an
+// order on the library scenarios, and their exports do not depend on it.
+TEST(Routing, LibraryRankingsHaveNoTiesAndMatchRecordedDigest) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  size_t rankings = 0;
+  size_t ties = 0;
+  for (const auto& campaign : library_campaigns()) {
+    const AnycastRouter& router = campaign->router();
+    for (const auto& vp : campaign->vantage_points()) {
+      for (uint32_t root = 0; root < 13; ++root) {
+        for (util::IpFamily family : kFamilies) {
+          const auto routes = router.announced_routes(
+              vp.view, root, family, std::numeric_limits<size_t>::max());
+          ++rankings;
+          fnv(digest, routes.size());
+          for (size_t i = 0; i < routes.size(); ++i) {
+            fnv(digest, routes[i].site_id);
+            fnv(digest, std::bit_cast<uint64_t>(routes[i].path_cost));
+            if (i > 0 && !(routes[i - 1].path_cost < routes[i].path_cost) &&
+                ties++ == 0)
+              ADD_FAILURE() << "vp " << vp.view.vp_id << " root " << root
+                            << " family " << util::to_string(family)
+                            << ": sites " << routes[i - 1].site_id << " and "
+                            << routes[i].site_id << " share cost "
+                            << routes[i].path_cost;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ties, 0u);
+  EXPECT_EQ(rankings, 4u * 675 * 13 * 2);
+  EXPECT_EQ(digest, 0xb5a33cb3b599c9a9ULL) << std::hex << digest;
+}
+
+// Every selection reads the ranking, on every VP x letter x family of the
+// library campaigns:
+// - prepare_selection takes the top 2, so absent a detour its primary and
+//   secondary are entries 0 and 1 of the full sort;
+// - the SLO monitor's catchment table makes one prepare_selections pass
+//   per (VP, letter), whose k cheapest sites per family must be the full
+//   sort's first k site ids in order, and whose two selections must be
+//   prepare_selection's for each family, bit for bit, detours included.
+TEST(Routing, SelectionsAndCatchmentRankingFollowTheFullSort) {
+  const size_t k = kFallbackWidth;
+  std::vector<AnycastRouter::RankedSite> top(2 * k);
+  const std::array<std::span<AnycastRouter::RankedSite>, 2> spans = {
+      std::span(top).first(k), std::span(top).subspan(k)};
+  size_t mismatches = 0;
+  size_t detoured = 0;
+  size_t short_rankings = 0;
+  for (const auto& campaign : library_campaigns()) {
+    const AnycastRouter& router = campaign->router();
+    for (const auto& vp : campaign->vantage_points()) {
+      for (uint32_t root = 0; root < 13; ++root) {
+        std::array<AnycastRouter::Selection, 2> selections;
+        const size_t ranked =
+            router.prepare_selections(vp.view, root, selections, spans);
+        if (ranked < k) ++short_rankings;
+        for (size_t f = 0; f < 2; ++f) {
+          const util::IpFamily family = kFamilies[f];
+          const auto routes = router.announced_routes(vp.view, root, family, k);
+          ASSERT_FALSE(routes.empty());
+          std::vector<uint32_t> want, got;
+          for (const auto& route : routes) want.push_back(route.site_id);
+          for (size_t i = 0; i < ranked; ++i) got.push_back(spans[f][i].site_id);
+          const auto single = router.prepare_selection(vp.view, root, family);
+          const auto& both = selections[f];
+          if (single.via_detour) ++detoured;
+          const bool top_two =
+              single.via_detour ||
+              (single.primary_site == want[0] &&
+               single.secondary_site == want[want.size() > 1 ? 1 : 0]);
+          const bool same =
+              both.primary_site == single.primary_site &&
+              both.secondary_site == single.secondary_site &&
+              std::bit_cast<uint64_t>(both.primary_rtt_ms) ==
+                  std::bit_cast<uint64_t>(single.primary_rtt_ms) &&
+              std::bit_cast<uint64_t>(both.secondary_rtt_ms) ==
+                  std::bit_cast<uint64_t>(single.secondary_rtt_ms) &&
+              both.via_detour == single.via_detour &&
+              both.detour_as == single.detour_as &&
+              std::bit_cast<uint64_t>(both.flip_probability) ==
+                  std::bit_cast<uint64_t>(single.flip_probability) &&
+              both.flip_stream == single.flip_stream;
+          if ((got != want || !top_two || !same) && mismatches++ == 0)
+            ADD_FAILURE() << "vp " << vp.view.vp_id << " root " << root
+                          << " family " << util::to_string(family) << ": "
+                          << got.size() << " of " << want.size()
+                          << " top sites ranked, equal: " << (got == want)
+                          << "; selection " << single.primary_site << "/"
+                          << single.secondary_site << ", full sort's top two "
+                          << top_two << "; both-family selection "
+                          << both.primary_site << "/" << both.secondary_site
+                          << ", equal: " << same;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Detoured VPs and letters with fewer sites than k (b.root has 6) are
+  // both covered.
+  EXPECT_GT(detoured, 0u);
+  EXPECT_GT(short_rankings, 0u);
 }
 
 TEST(Routing, TracerouteHopsEndAtSite) {

@@ -189,31 +189,6 @@ TEST(LogLinearHistogram, MergeEqualsSinglePass) {
         EXPECT_EQ(dense_buckets(*merged), dense) << what;
         expect_same_histogram(*merged, single, what);
       }
-
-      // Removing shards from the merge, first to last, leaves the merge of
-      // the rest: buckets, count, sum and every quantile below 1 (max()
-      // stays an upper bound). Removing them all leaves an empty histogram,
-      // max and quantile(1.0) included.
-      LogLinearHistogram rest = left;
-      for (size_t k = 0; k < shard_count; ++k) {
-        const std::string what = std::string(order_name) + " x" +
-                                 std::to_string(shard_count) + " without 0.." +
-                                 std::to_string(k);
-        rest.remove(shards[k]);
-        LogLinearHistogram want;
-        for (size_t j = k + 1; j < shard_count; ++j) want.merge_from(shards[j]);
-        EXPECT_EQ(dense_buckets(rest), dense_buckets(want)) << what;
-        EXPECT_EQ(rest.count(), want.count()) << what;
-        EXPECT_EQ(rest.sum(), want.sum()) << what;
-        EXPECT_GE(rest.max(), want.max()) << what;
-        for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999})
-          EXPECT_DOUBLE_EQ(rest.quantile(q), want.quantile(q))
-              << what << " q=" << q;
-      }
-      EXPECT_EQ(rest.count(), 0u);
-      EXPECT_EQ(rest.max(), 0u);
-      EXPECT_EQ(rest.quantile(1.0), 0.0);
-      EXPECT_TRUE(rest.nonzero_buckets().empty());
     }
   }
 

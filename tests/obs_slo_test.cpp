@@ -753,9 +753,83 @@ TEST(IncidentTracker, JsonlIsStableAndMarksOpenIncidents) {
   EXPECT_EQ(jsonl, tracker.to_jsonl());  // pure function of state
 }
 
-// The sweep slides one aggregate along each stream, merging each cell as it
-// enters the window and removing it as it leaves. Every window must read
-// what a fresh merge of its own trailing cells reads.
+// Root c's v4 stream for the dense window sums: per bucket, 20 RTTs and 20
+// publication delays whose values span the layout. The RTTs run from 0 us
+// through the unit buckets and both edges of several octaves: 10 of them in
+// octaves up to [128, 256) us, 9 up to [2^18, 2^19) us and 1 past 2^40 us.
+// The delays are 19 up to [1024, 2048) s and 1 near 2^63 s. So a window of
+// w such buckets holds 20w values of each, and its p50 rank (10w) and p95
+// rank (19w) land exactly on an octave's running total, an octave whose
+// last sub-bucket is empty. Bucket 7 holds half as many (5/4/1 and 10/0),
+// and buckets 5 and 8 none.
+std::vector<SloSample> octave_samples() {
+  const util::UnixTime t0 = util::make_time(2023, 7, 3);
+  const std::array<uint64_t, 10> low_us = {0, 1, 7, 15, 16, 31, 32, 63, 100, 200};
+  const std::array<uint64_t, 9> mid_us = {300,   1000,  1023,  1024,  2047,
+                                          20000, 65535, 65536, 300000};
+  const std::array<uint64_t, 3> high_us = {uint64_t{1} << 40,
+                                           (uint64_t{1} << 41) - 1,
+                                           uint64_t{1} << 45};
+  const std::array<uint64_t, 19> delays_s = {0,   1,   5,   9,    15,   16,  31,
+                                             32,  40,  64,  127,  128,  600, 900,
+                                             1023, 1024, 1200, 1500, 1800};
+  const std::array<uint64_t, 3> huge_s = {(uint64_t{1} << 63) - 2048,
+                                          (uint64_t{1} << 63) - 1024,
+                                          uint64_t{1} << 62};
+  std::vector<SloSample> samples;
+  for (int bucket : {0, 1, 2, 3, 4, 6, 7, 9}) {
+    const bool half = bucket == 7;
+    SloSample sample = probe(t0 + bucket * kBucket, true, 2);
+    samples.push_back(sample);
+    const auto add = [&](SloSample::Kind kind, double value) {
+      sample.kind = kind;
+      sample.value = value;
+      ++sample.when;
+      samples.push_back(sample);
+    };
+    // Rotated per bucket, so the buckets hold the same values in a
+    // different order and, for bucket 7, a different half.
+    for (size_t i = 0; i < (half ? 5 : low_us.size()); ++i)
+      add(SloSample::Kind::Latency,
+          static_cast<double>(low_us[(i + bucket) % low_us.size()]) / 1000.0);
+    for (size_t i = 0; i < (half ? 4 : mid_us.size()); ++i)
+      add(SloSample::Kind::Latency,
+          static_cast<double>(mid_us[(i + bucket) % mid_us.size()]) / 1000.0);
+    add(SloSample::Kind::Latency,
+        static_cast<double>(high_us[bucket % high_us.size()]) / 1000.0);
+    for (size_t i = 0; i < (half ? 9 : delays_s.size()); ++i)
+      add(SloSample::Kind::Publication,
+          static_cast<double>(delays_s[(i + bucket) % delays_s.size()]));
+    add(SloSample::Kind::Publication,
+        static_cast<double>(huge_s[bucket % huge_s.size()]));
+  }
+  return samples;
+}
+
+// Whether quantile(q)'s rank equals the running total at the end of one of
+// the histogram's octaves (the 16 unit buckets are octave 0).
+bool rank_on_octave_total(const LogLinearHistogram& histogram, double q) {
+  const double rank = q * static_cast<double>(histogram.count());
+  const auto buckets = histogram.nonzero_buckets();
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    cumulative += buckets[i].count;
+    const uint32_t octave = LogLinearHistogram::bucket_index(buckets[i].lower) /
+                            LogLinearHistogram::kSubBuckets;
+    const bool octave_ends =
+        i + 1 == buckets.size() ||
+        LogLinearHistogram::bucket_index(buckets[i + 1].lower) /
+                LogLinearHistogram::kSubBuckets !=
+            octave;
+    if (octave_ends && rank == static_cast<double>(cumulative)) return true;
+  }
+  return false;
+}
+
+// The sweep slides its sums along each stream, adding each cell as it
+// enters the window and subtracting it as it leaves; the quantiles skip
+// whole octaves of the dense window sums. Every window must read what a
+// fresh merge of its own trailing cells reads.
 TEST(SloCollector, SlidingWindowsEqualAFreshMergePerWindow) {
   SloCollector collector;
   // Overlapping runs (buckets 0-3, 2-5) and a gap (6-8) before buckets 9-12;
@@ -764,6 +838,10 @@ TEST(SloCollector, SlidingWindowsEqualAFreshMergePerWindow) {
   for (const SloSample& sample : bucket_samples(0, 0)) collector.record(sample);
   for (const SloSample& sample : bucket_samples(2, 3)) collector.record(sample);
   for (const SloSample& sample : bucket_samples(9, 1)) collector.record(sample);
+  for (const SloSample& sample : octave_samples()) collector.record(sample);
+  // Windows of root c whose p50 RTT, p95 RTT and p95 publication ranks land
+  // on an octave total.
+  std::array<size_t, 3> on_octave_total{};
   const auto cells = collector.snapshot();
   for (size_t window = 1; window <= 6; ++window) {
     SloThresholds thresholds = tiny_thresholds();
@@ -792,8 +870,14 @@ TEST(SloCollector, SlidingWindowsEqualAFreshMergePerWindow) {
       EXPECT_EQ(w.staleness_max_s, static_cast<double>(agg.staleness_s.max()));
       EXPECT_EQ(w.integrity_checks, agg.integrity_checks);
       EXPECT_EQ(w.integrity_ok, agg.integrity_ok);
+      if (w.root == 2) {
+        on_octave_total[0] += rank_on_octave_total(agg.rtt_us, 0.5);
+        on_octave_total[1] += rank_on_octave_total(agg.rtt_us, 0.95);
+        on_octave_total[2] += rank_on_octave_total(agg.publication_s, 0.95);
+      }
     }
   }
+  for (size_t count : on_octave_total) EXPECT_GT(count, 10u);
 }
 
 }  // namespace

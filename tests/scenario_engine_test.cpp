@@ -130,6 +130,12 @@ TEST(ScenarioParser, RejectsBadNumbersWithLineNumber) {
        "deployment wants"},
       {"deployment", "", "deployment c global 0,0,0,1x,0,0 local 0,0,0,0,0,0",
        "deployment wants"},
+      // A letter without a global site has no site most VPs reach: the run
+      // crashed routing to it.
+      {"deployment", "", "deployment c global 0,0,0,0,0,0 local 0,0,0,0,0,0",
+       "deployment needs at least one global site"},
+      {"deployment", "", "deployment c global 0,0,0,0,0,0 local 1,0,0,0,0,0",
+       "deployment needs at least one global site"},
       {"event", "fraction", "fraction=7", nullptr},
       {"event", "fraction", "fraction=-0.1", nullptr},
       {"event", "fraction", "fraction=abc", nullptr},
