@@ -9,7 +9,11 @@
 //   +norec    clear RD (default for authoritatives anyway)
 //   +vp=N     use vantage point N (default 0) — changes anycast catchment
 //   +time=YYYY-MM-DD  query at a specific campaign date (default 2023-12-10)
+//   +loss=P   drop each packet with probability P in [0, 1] (default 0)
 //   +flight   dump the transport flight recorder (always dumped on failure)
+//
+// A value that is not a whole number, a probability or a calendar date
+// exits 1 naming its flag, before the campaign is built.
 //
 // Examples:
 //   rootdig @199.9.14.201 . SOA            # old b.root address
@@ -18,7 +22,9 @@
 //   rootdig . AXFR | head
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "measure/campaign.h"
 #include "netsim/flight_recorder.h"
@@ -29,6 +35,23 @@
 using namespace rootsim;
 
 namespace {
+
+// "YYYY-MM-DD" at noon UTC, if it names a real calendar date: one that
+// comes back unchanged from the instant it maps to.
+std::optional<util::UnixTime> parse_date(std::string_view text) {
+  const std::vector<std::string> fields = util::split(text, '-');
+  int year = 0, month = 0, day = 0;
+  if (fields.size() != 3 || fields[0].size() != 4 || fields[1].size() != 2 ||
+      fields[2].size() != 2 || !util::parse_number(fields[0], &year) ||
+      !util::parse_number(fields[1], &month) ||
+      !util::parse_number(fields[2], &day))
+    return std::nullopt;
+  const util::UnixTime when = util::make_time(year, month, day, 12, 0);
+  const util::CivilTime civil = util::civil_from_unix(when);
+  if (civil.year != year || civil.month != month || civil.day != day)
+    return std::nullopt;
+  return when;
+}
 
 // Scans the probe's trace for query-level failures (timeouts, REFUSED,
 // refused transfers) and surfaces them dig-style. Without this, a probe
@@ -144,7 +167,7 @@ int main(int argc, char** argv) {
   bool show_flight = false;
   size_t vp_index = 0;
   double loss = 0.0;
-  std::string date = "2023-12-10";
+  util::UnixTime when = util::make_time(2023, 12, 10, 12, 0);
 
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -158,11 +181,33 @@ int main(int argc, char** argv) {
     } else if (arg == "+norec") {
       // authoritative queries never recurse; accepted for dig compatibility
     } else if (util::starts_with(arg, "+vp=")) {
-      vp_index = static_cast<size_t>(std::atoll(arg.c_str() + 4));
+      if (!util::parse_number(std::string_view(arg).substr(4), &vp_index)) {
+        std::fprintf(stderr,
+                     "rootdig: +vp wants a vantage point index, got '%s'\n",
+                     arg.c_str() + 4);
+        return 1;
+      }
     } else if (util::starts_with(arg, "+loss=")) {
-      loss = std::atof(arg.c_str() + 6);
+      // Written so that NaN fails too.
+      if (!util::parse_number(std::string_view(arg).substr(6), &loss) ||
+          !(loss >= 0.0 && loss <= 1.0)) {
+        std::fprintf(stderr,
+                     "rootdig: +loss wants a probability in [0, 1], got "
+                     "'%s'\n",
+                     arg.c_str() + 6);
+        return 1;
+      }
     } else if (util::starts_with(arg, "+time=")) {
-      date = arg.substr(6);
+      const std::optional<util::UnixTime> date =
+          parse_date(std::string_view(arg).substr(6));
+      if (!date) {
+        std::fprintf(stderr,
+                     "rootdig: +time wants a calendar date YYYY-MM-DD, got "
+                     "'%s'\n",
+                     arg.c_str() + 6);
+        return 1;
+      }
+      when = *date;
     } else if (arg == "-h" || arg == "--help") {
       std::printf("usage: rootdig [@server] [qname] [qtype] [+dnssec] [+vp=N] "
                   "[+time=YYYY-MM-DD] [+flight] [+loss=P]\n");
@@ -184,15 +229,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rootdig: bad qname '%s'\n", qname.c_str());
     return 1;
   }
-  auto fields = util::split(date, '-');
-  if (fields.size() != 3) {
-    std::fprintf(stderr, "rootdig: bad +time (want YYYY-MM-DD)\n");
-    return 1;
-  }
-  util::UnixTime when =
-      util::make_time(std::atoi(fields[0].c_str()), std::atoi(fields[1].c_str()),
-                      std::atoi(fields[2].c_str()), 12, 0);
-
   measure::CampaignConfig config = scenario::paper_campaign_config();
   config.zone.tld_count = 60;
   // Every transport exchange of the probe lands in this bounded ring; on a

@@ -11,7 +11,6 @@
 // prints every detected incident with its attributed cause. The exports are
 // byte-identical for any --workers value. --workers and --tld take whole
 // positive integers; --tld at most rss::kMaxTldCount.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +22,7 @@
 #include "scenario/apply.h"
 #include "scenario/library.h"
 #include "scenario/parser.h"
+#include "util/strings.h"
 
 using namespace rootsim;
 
@@ -83,9 +83,7 @@ int check_files(int argc, char** argv, int first) {
 /// The whole token as a positive integer: "abc", "8x", "-1", "0" and
 /// out-of-range values fail.
 bool parse_positive(const char* token, size_t* out) {
-  const char* end = token + std::strlen(token);
-  const auto [stop, ec] = std::from_chars(token, end, *out);
-  return ec == std::errc() && stop == end && *out > 0;
+  return util::parse_number(token, out) && *out > 0;
 }
 
 int run_scenario(int argc, char** argv) {

@@ -8,9 +8,8 @@
 
 namespace rootsim::analysis {
 
-void replay_rssac_samples(const measure::Campaign& campaign,
-                          const RssacOptions& options,
-                          obs::SloCollector& collector) {
+RssacCells replay_rssac_samples(const measure::Campaign& campaign,
+                                const RssacOptions& options) {
   const netsim::AnycastRouter& router = campaign.router();
   const measure::Schedule& schedule = campaign.schedule();
   util::UnixTime start = schedule.config().start;
@@ -27,18 +26,18 @@ void replay_rssac_samples(const measure::Campaign& campaign,
   auto propagation =
       measure_soa_propagation(campaign, edit, propagation_options);
 
+  RssacCells cells;
   for (uint32_t root = 0; root < rss::kRootCount; ++root) {
     obs::SloSample sample;
-    sample.root = static_cast<uint8_t>(root);
     for (const auto& vp : campaign.vantage_points()) {
       for (util::IpFamily family : {util::IpFamily::V4, util::IpFamily::V6}) {
-        sample.v6 = family == util::IpFamily::V6;
+        obs::SloCollector::Cell& cell =
+            cells[root * 2 + (family == util::IpFamily::V6 ? 1 : 0)];
         auto selection = router.prepare_selection(vp.view, root, family);
         netsim::RouteResult route = router.route(vp.view, root, family);
         sample.kind = obs::SloSample::Kind::Latency;
-        sample.when = start;
         sample.value = route.rtt_ms;
-        collector.record(sample);
+        cell.record(sample);
         // Sample rounds: the probe fails when the selected site is dark.
         for (size_t s = 0; s < options.sampled_rounds; ++s) {
           uint64_t round =
@@ -46,32 +45,28 @@ void replay_rssac_samples(const measure::Campaign& campaign,
           uint32_t site =
               netsim::AnycastRouter::site_at_round(selection, round);
           sample.kind = obs::SloSample::Kind::Availability;
-          sample.when = schedule.round_time(round);
-          sample.ok = rss::site_available(site, sample.when, start, end,
-                                          options.outages);
-          collector.record(sample);
+          sample.ok = rss::site_available(site, schedule.round_time(round),
+                                          start, end, options.outages);
+          cell.record(sample);
         }
       }
     }
-    sample.v6 = false;
     sample.kind = obs::SloSample::Kind::Publication;
-    sample.when = start;
     for (double delay_s : propagation.per_root[root].delays_s) {
       sample.value = delay_s;
-      collector.record(sample);
+      cells[root * 2].record(sample);
     }
   }
+  return cells;
 }
 
-RssacReport rssac_report_from_collector(const obs::SloCollector& collector) {
+RssacReport rssac_report_from_cells(const RssacCells& cells) {
   RssacReport report;
   for (uint32_t root = 0; root < rss::kRootCount; ++root) {
     RootServiceMetrics& metrics = report.per_root[root];
     metrics.letter = static_cast<char>('a' + root);
-    const obs::SloCollector::Cell v4 =
-        collector.totals(static_cast<uint8_t>(root), false);
-    const obs::SloCollector::Cell v6 =
-        collector.totals(static_cast<uint8_t>(root), true);
+    const obs::SloCollector::Cell& v4 = cells[root * 2];
+    const obs::SloCollector::Cell& v6 = cells[root * 2 + 1];
     metrics.availability_v4 =
         v4.probes ? static_cast<double>(v4.answered) / v4.probes : 1.0;
     metrics.availability_v6 =
@@ -90,9 +85,7 @@ RssacReport rssac_report_from_collector(const obs::SloCollector& collector) {
 
 RssacReport compute_rssac_metrics(const measure::Campaign& campaign,
                                   const RssacOptions& options) {
-  obs::SloCollector collector;
-  replay_rssac_samples(campaign, options, collector);
-  return rssac_report_from_collector(collector);
+  return rssac_report_from_cells(replay_rssac_samples(campaign, options));
 }
 
 ClusterFailureImpact simulate_cluster_failure(const measure::Campaign& campaign) {

@@ -10,13 +10,14 @@
 //     facility offline and measure how many (VP, root) selections move and
 //     how much their RTT changes.
 //
-// The batch path is a *replay over the streaming SLO collector* (obs/slo.h):
-// compute_rssac_metrics feeds its sampling plan into an SloCollector sample
-// by sample and reads the report out of the collector's end-of-campaign
-// totals. The post-hoc numbers and the online monitor therefore share one
-// accumulator implementation and cannot drift — any change to how a metric
-// is defined changes both or neither (pinned by the replay-equivalence
-// test).
+// The batch path is a *replay into the SLO plane's accumulator*
+// (obs/slo.h): compute_rssac_metrics records its sampling plan sample by
+// sample with SloCollector::Cell::record, into one Cell per (letter,
+// family) stream — the accumulator and stream order the SLO call uses — and
+// reads the report out of those cells. The post-hoc numbers and the online
+// monitor therefore share one accumulator implementation and cannot drift —
+// any change to how a metric is defined changes both or neither (pinned by
+// the replay-equivalence and digest tests).
 #pragma once
 
 #include <array>
@@ -53,22 +54,22 @@ struct RssacOptions {
   size_t propagation_instances = 16;
 };
 
-/// Streams the batch sampling plan into `collector`: one Availability sample
-/// per sampled (VP, root, family, round) — stamped with the round's
-/// simulated time, so the collector buckets them exactly as live probes —
-/// one Latency sample per (VP, root, family) steady route, and the
-/// propagation experiment's per-instance delays as Publication samples
-/// (recorded on the v4 stream; the batch metric has no family dimension).
-void replay_rssac_samples(const measure::Campaign& campaign,
-                          const RssacOptions& options,
-                          obs::SloCollector& collector);
+/// The whole campaign's samples of each (letter, family) stream, in one cell
+/// per stream: stream root * 2 + v6, as in the SLO call.
+using RssacCells = std::array<obs::SloCollector::Cell, rss::kRootCount * 2>;
 
-/// Reads the RSSAC047 report out of a collector's cumulative end-of-campaign
-/// totals (SloCollector::totals) — works on a replayed collector and on one
-/// fed live by Campaign::run_slo_timeline alike.
-RssacReport rssac_report_from_collector(const obs::SloCollector& collector);
+/// Records the batch sampling plan into one cell per stream: one
+/// Availability sample per sampled (VP, root, family, round), one Latency
+/// sample per (VP, root, family) steady route, and the propagation
+/// experiment's per-instance delays as Publication samples (recorded on the
+/// v4 stream; the batch metric has no family dimension).
+RssacCells replay_rssac_samples(const measure::Campaign& campaign,
+                                const RssacOptions& options);
 
-/// replay_rssac_samples + rssac_report_from_collector over a fresh collector.
+/// Reads the RSSAC047 report out of the streams' cells.
+RssacReport rssac_report_from_cells(const RssacCells& cells);
+
+/// replay_rssac_samples + rssac_report_from_cells.
 RssacReport compute_rssac_metrics(const measure::Campaign& campaign,
                                   const RssacOptions& options = {});
 

@@ -45,11 +45,6 @@ SigningKey make_ksk(util::Rng& rng, size_t modulus_bits) {
   return key;
 }
 
-bool is_delegation(const dns::Zone& zone, const dns::Name& name) {
-  if (name == zone.origin()) return false;
-  return zone.find(name, dns::RRType::NS) != nullptr;
-}
-
 std::vector<uint8_t> SignatureCache::sign(const crypto::RsaSignContext& ctx,
                                           std::span<const uint8_t> key_id,
                                           crypto::RsaHash hash,

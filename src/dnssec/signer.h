@@ -123,7 +123,4 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
 std::vector<uint8_t> compute_zonemd_digest(const dns::Zone& zone,
                                            uint8_t hash_algorithm);
 
-/// True if `name` is a delegation point in `zone` (has NS but no SOA at it).
-bool is_delegation(const dns::Zone& zone, const dns::Name& name);
-
 }  // namespace rootsim::dnssec

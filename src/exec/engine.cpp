@@ -167,7 +167,6 @@ obs::Obs ObsShards::shard(size_t index) {
   if (!main_.tracer) obs.tracer = nullptr;
   if (!main_.metrics) obs.metrics = nullptr;
   if (!main_.rssac002) obs.rssac002 = nullptr;
-  if (!main_.slo) obs.slo = nullptr;
   return obs;
 }
 
@@ -176,7 +175,6 @@ void ObsShards::merge() {
     if (main_.metrics) main_.metrics->merge_from(shard->metrics());
     if (main_.tracer) main_.tracer->absorb(std::move(shard->tracer()));
     if (main_.rssac002) main_.rssac002->merge_from(shard->rssac002());
-    if (main_.slo) main_.slo->merge_from(std::move(shard->slo()));
   }
   shards_.clear();
 }

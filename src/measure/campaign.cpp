@@ -79,7 +79,9 @@ Campaign::Campaign(CampaignConfig config, obs::Obs obs)
   for (const auto& override_spec : config_.deployment_overrides) {
     if (override_spec.root_index < 0 ||
         static_cast<size_t>(override_spec.root_index) >= deployments.size())
-      continue;
+      util::fatal("Campaign: a deployment override names root %d, outside "
+                  "0..%zu",
+                  override_spec.root_index, deployments.size() - 1);
     // Every probe routes to the letter through a global site: each VP
     // reaches all of them, but only the local sites visible to it.
     if (std::none_of(override_spec.global_sites.begin(),

@@ -193,8 +193,8 @@ class Campaign {
   /// — the worker count and steal schedule never change a byte of the
   /// exports, and neither do earlier calls.
   ///
-  /// Samples land only in the call's own cells, never in a Recorder's
-  /// (obs_.slo). The router's counters and the call's own two
+  /// Samples land only in the call's own cells; a Recorder holds no SLO
+  /// state. The router's counters and the call's own two
   /// (campaign.slo_timeline_probes and _incidents) still count into obs_.
   SloTimelineResult run_slo_timeline(const SloTimelineOptions& options = {}) const;
 

@@ -288,31 +288,6 @@ ProbeRecord Prober::probe(const VantagePoint& vp, const util::IpAddress& address
          {"site", site.identity}});
   }
   record.axfr = std::move(axfr);
-
-  // Service-level view of this probe for the streaming SLO plane: the
-  // address was "available" if any of the round's queries got an answer
-  // (RSSAC047 counts a responding service, not a clean one), and an
-  // available probe contributes its path RTT to the letter's latency band.
-  if (obs_.slo && record.root_index >= 0) {
-    bool answered = false;
-    for (const QueryResult& query : record.queries)
-      if (!query.timed_out) {
-        answered = true;
-        break;
-      }
-    obs::SloSample sample;
-    sample.root = static_cast<uint8_t>(record.root_index);
-    sample.v6 = record.family == util::IpFamily::V6;
-    sample.when = record.true_time;
-    sample.kind = obs::SloSample::Kind::Availability;
-    sample.ok = answered;
-    obs_.slo->record(sample);
-    if (answered) {
-      sample.kind = obs::SloSample::Kind::Latency;
-      sample.value = record.rtt_ms;
-      obs_.slo->record(sample);
-    }
-  }
   return record;
 }
 

@@ -7,10 +7,6 @@
 
 namespace rootsim::netsim {
 
-std::string_view to_string(TransportProto proto) {
-  return proto == TransportProto::Udp ? "udp" : "tcp";
-}
-
 Transport::Transport(const AnycastRouter& router, TransportConfig config,
                      obs::Obs obs)
     : router_(&router), config_(std::move(config)) {

@@ -44,8 +44,6 @@ namespace rootsim::netsim {
 /// The protocol a response (finally) arrived over.
 enum class TransportProto : uint8_t { Udp, Tcp };
 
-std::string_view to_string(TransportProto proto);
-
 /// Server-side summary of one exchange, handed to Endpoint::note_exchange
 /// when an RSSAC002 collector is attached — everything the instance needs to
 /// account the exchange the way a real root operator's telemetry pipeline

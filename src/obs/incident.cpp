@@ -1,7 +1,6 @@
 #include "obs/incident.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics.h"  // json_escape
 #include "util/strings.h"
@@ -124,12 +123,6 @@ void IncidentTracker::add_hints(const std::vector<CauseHint>& hints) {
   hints_.insert(hints_.end(), hints.begin(), hints.end());
 }
 
-void IncidentTracker::reset() {
-  states_.assign(states_.size(), StreamState{});
-  incidents_.clear();
-  hints_.clear();
-}
-
 size_t IncidentTracker::open_count() const {
   size_t n = 0;
   for (const Incident& incident : incidents_)
@@ -206,14 +199,6 @@ std::string IncidentTracker::incidents_to_jsonl(
 
 std::string IncidentTracker::to_jsonl() const {
   return incidents_to_jsonl(incidents());
-}
-
-bool IncidentTracker::write_jsonl(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (!file) return false;
-  const std::string body = to_jsonl();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), file) == body.size();
-  return std::fclose(file) == 0 && ok;
 }
 
 }  // namespace rootsim::obs

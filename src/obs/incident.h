@@ -71,9 +71,6 @@ class IncidentTracker {
   void add_hint(const CauseHint& hint);
   void add_hints(const std::vector<CauseHint>& hints);
 
-  /// Forget all incidents, stream state, and hints.
-  void reset();
-
   size_t open_count() const;
 
   /// All incidents (open and closed), attributed against the hints, sorted
@@ -91,7 +88,6 @@ class IncidentTracker {
   static std::string incidents_to_jsonl(const std::vector<Incident>& incidents,
                                         const std::string& scenario = "");
   std::string to_jsonl() const;
-  bool write_jsonl(const std::string& path) const;
 
   const SloThresholds& thresholds() const { return thresholds_; }
 

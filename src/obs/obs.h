@@ -1,4 +1,4 @@
-// The sink handle the runtime layers carry: two nullable pointers.
+// The sink handle the runtime layers carry: three nullable pointers.
 //
 // A default-constructed Obs is the null sink — every helper is a no-op and
 // instrumented code stays on its uninstrumented path (one branch on a null
@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/rssac002.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 
 namespace rootsim::obs {
@@ -17,11 +16,9 @@ struct Obs {
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
   Rssac002Collector* rssac002 = nullptr;
-  SloCollector* slo = nullptr;
 
   bool enabled() const {
-    return metrics != nullptr || tracer != nullptr || rssac002 != nullptr ||
-           slo != nullptr;
+    return metrics != nullptr || tracer != nullptr || rssac002 != nullptr;
   }
 
   /// Null-safe counter increment. Prefer caching the Counter* handle (via
@@ -48,8 +45,8 @@ inline void inc(Counter* counter, uint64_t n = 1) {
   if (counter) counter->inc(n);
 }
 
-/// Owns one registry + one tracer and hands out Obs handles. The usual
-/// pattern:
+/// Owns one registry, one tracer and one RSSAC002 collector and hands out
+/// Obs handles. The usual pattern:
 ///
 ///   obs::Recorder recorder;
 ///   measure::Campaign campaign(config, recorder.obs());
@@ -63,21 +60,18 @@ class Recorder {
     tracer_.bind_drop_counter(&metrics_.counter("tracer.dropped_spans"));
   }
 
-  Obs obs() { return Obs{&metrics_, &tracer_, &rssac002_, &slo_}; }
+  Obs obs() { return Obs{&metrics_, &tracer_, &rssac002_}; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
   Rssac002Collector& rssac002() { return rssac002_; }
   const Rssac002Collector& rssac002() const { return rssac002_; }
-  SloCollector& slo() { return slo_; }
-  const SloCollector& slo() const { return slo_; }
 
  private:
   MetricsRegistry metrics_;
   Tracer tracer_;
   Rssac002Collector rssac002_;
-  SloCollector slo_;
 };
 
 }  // namespace rootsim::obs

@@ -45,19 +45,6 @@ uint64_t RunReport::counter_value(std::string_view name,
   return 0;
 }
 
-std::string RunReport::to_text() const {
-  std::string out;
-  for (const MetricSample& sample : metrics) {
-    out += sample_to_text(sample);
-    out += "\n";
-  }
-  out += util::format("trace: recorded=%llu buffered=%llu dropped=%llu\n",
-                      static_cast<unsigned long long>(trace_recorded),
-                      static_cast<unsigned long long>(trace_buffered),
-                      static_cast<unsigned long long>(trace_dropped));
-  return out;
-}
-
 std::string RunReport::one_line() const {
   bool any = false;
   std::string out = "obs:";

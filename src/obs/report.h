@@ -25,9 +25,6 @@ struct RunReport {
   /// One exact counter series (0 when absent).
   uint64_t counter_value(std::string_view name, const LabelSet& labels) const;
 
-  /// Multi-line rendering: every series, one per line, plus trace totals.
-  std::string to_text() const;
-
   /// One-line summary for bench footers:
   ///   obs: probes=94 queries=4418 timeouts=0 tcp-retries=94 axfr-ok=94 ...
   std::string one_line() const;

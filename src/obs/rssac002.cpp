@@ -59,14 +59,6 @@ uint64_t Rssac002Collector::Day::total_queries() const {
   return total;
 }
 
-uint64_t Rssac002Collector::Day::total_responses() const {
-  uint64_t total = 0;
-  for (int proto = 0; proto < 2; ++proto)
-    for (int family = 0; family < 2; ++family)
-      total += responses[proto][family];
-  return total;
-}
-
 void Rssac002Collector::record(const Rssac002Sample& sample) {
   std::lock_guard<std::mutex> lock(mu_);
   Day& day = days_[{std::string(sample.instance), util::day_start(sample.when)}];

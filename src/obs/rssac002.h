@@ -95,7 +95,6 @@ class Rssac002Collector {
 
     void merge_from(const Day& other);
     uint64_t total_queries() const;
-    uint64_t total_responses() const;
   };
 
   void record(const Rssac002Sample& sample);

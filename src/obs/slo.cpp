@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "obs/metrics.h"  // json_escape
@@ -218,28 +217,6 @@ void SloCollector::merge_from(const SloCollector& other) {
   for (auto& [key, cell] : cells) cells_[key].merge_from(cell);
 }
 
-void SloCollector::merge_from(SloCollector&& other) {
-  std::map<CellKey, Cell> cells;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    cells.swap(other.cells_);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  // map::merge leaves behind exactly the nodes whose keys collide.
-  cells_.merge(cells);
-  for (auto& [key, cell] : cells) cells_[key].merge_from(cell);
-}
-
-void SloCollector::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.clear();
-}
-
-bool SloCollector::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cells_.empty();
-}
-
 size_t SloCollector::cell_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cells_.size();
@@ -249,14 +226,6 @@ std::vector<std::pair<SloCollector::CellKey, SloCollector::Cell>>
 SloCollector::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {cells_.begin(), cells_.end()};
-}
-
-SloCollector::Cell SloCollector::totals(uint8_t root, bool v6) const {
-  Cell total;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [bucket, cell] : stream_cells(root, v6))
-    total.merge_from(*cell);
-  return total;
 }
 
 std::vector<SloWindow> SloCollector::windows(
@@ -504,19 +473,6 @@ size_t SloCollector::write_window_lines(std::span<const SloWindow> windows,
     bytes += size;
   }
   return bytes;
-}
-
-std::string SloCollector::to_jsonl(const SloThresholds& thresholds) const {
-  return windows_to_jsonl(windows(thresholds));
-}
-
-bool SloCollector::write_jsonl(const std::string& path,
-                               const SloThresholds& thresholds) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (!file) return false;
-  const std::string body = to_jsonl(thresholds);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), file) == body.size();
-  return std::fclose(file) == 0 && ok;
 }
 
 }  // namespace rootsim::obs

@@ -13,14 +13,14 @@
 // Determinism contract (the same one Rssac002Collector keeps): a cell is a
 // pile of merge-associative, merge-commutative accumulators — plain adds and
 // fixed-layout log-linear histograms — keyed by (root, family, bucket) where
-// the bucket boundary is a pure function of simulated time. Per-unit shards
-// folded in any order therefore reproduce a serial run's cells bit for bit,
-// and the window sweep + threshold evaluation is a pure function of the
-// cells, so slo.jsonl is byte-identical at any worker count and under any
-// steal schedule. "Streaming" means evaluation needs one ordered pass over
-// the bucket timeline, never the raw samples — the batch RSSAC047 analysis
-// is re-expressed as a replay over this collector (analysis/rssac_metrics.h)
-// so the two paths cannot drift.
+// the bucket boundary is a pure function of simulated time. Cells filled in
+// any order therefore hold a serial run's counts bit for bit, and the
+// window sweep + threshold evaluation is a pure function of the cells, so
+// slo.jsonl is byte-identical at any worker count and under any steal
+// schedule. "Streaming" means evaluation needs one ordered pass over the
+// bucket timeline, never the raw samples — the batch RSSAC047 analysis
+// records its samples into the same Cell, one per stream
+// (analysis/rssac_metrics.h), so the two paths cannot drift.
 //
 // This header is deliberately free of dns/netsim/rss types: the measurement
 // layer translates probe outcomes into plain-integer SloSamples, so obs
@@ -139,14 +139,14 @@ struct SloWindow {
   }
 };
 
-/// Accumulates SloSamples into per-(root, family, bucket) cells and sweeps
-/// them into evaluated sliding windows (windows()). Thread-safe; the exec
-/// engine gives each unit its own collector shard and folds them with
-/// merge_from in unit order (obs::Recorder owns one, exec::ObsShards wires
-/// the shards). A producer that fills whole buckets in time order, as
-/// run_slo_timeline does, skips the map: it keeps its cells in a dense array
-/// of its own and hands each stream's run to a Drain, which runs the same
-/// sweep.
+/// The SLO plane's accumulator and its sweep. The program's one SLO path
+/// uses the parts: Cell accumulates one (root, family) stream's samples, the
+/// bucket helpers place them in time, and Drain sweeps the dense runs of
+/// cells that run_slo_timeline fills, a chunk at a time, into evaluated
+/// sliding windows. The collector object itself, a mutex-guarded map of
+/// (root, family, bucket) cells with record, merge_from, snapshot and the
+/// same sweep over the map (windows()), stays only as rootbench's replay
+/// collector and as the reference sweep the tests hold the Drain to.
 class SloCollector {
  public:
   /// Bucket width of simulated time. Fixed (not configured) so any two
@@ -183,24 +183,13 @@ class SloCollector {
 
   void record(const SloSample& sample);
   void merge_from(const SloCollector& other);
-  /// Same result as the copying overload, but moves `other`'s cells in: a
-  /// cell whose key is new here is spliced over as a map node, and only
-  /// keys present on both sides are folded. Leaves `other` empty.
-  void merge_from(SloCollector&& other);
-  void clear();
 
-  bool empty() const;
   /// Distinct (root, family, bucket) cells accumulated.
   size_t cell_count() const;
 
   /// Key = (root, family 0/1, bucket index); deterministic map order.
   using CellKey = std::tuple<uint8_t, uint8_t, int64_t>;
   std::vector<std::pair<CellKey, Cell>> snapshot() const;
-
-  /// Cumulative end-of-campaign window of one stream: every bucket of
-  /// (root, family) merged into a single cell. The batch RSSAC047 analysis
-  /// reads its report out of exactly this (replay equivalence).
-  Cell totals(uint8_t root, bool v6) const;
 
   /// The deterministic sliding-window sweep: for every (root, family)
   /// stream, one SloWindow per bucket in the stream's [first, last] bucket
@@ -238,8 +227,8 @@ class SloCollector {
     /// windows() of every run added. Call once, after the last add().
     std::vector<SloWindow> take_windows();
 
-    /// The counts of totals(): one stream's cells added up, without the
-    /// histograms' buckets.
+    /// One stream's cells added up: their counts, without the histograms'
+    /// buckets.
     struct Totals {
       uint64_t probes = 0;
       uint64_t answered = 0;
@@ -287,9 +276,6 @@ class SloCollector {
   /// its place in one buffer.
   static size_t write_window_lines(std::span<const SloWindow> windows,
                                    char* out);
-  std::string to_jsonl(const SloThresholds& thresholds) const;
-  bool write_jsonl(const std::string& path,
-                   const SloThresholds& thresholds) const;
 
  private:
   /// A cell and its bucket, as the sweep reads them.

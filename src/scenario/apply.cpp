@@ -173,10 +173,6 @@ measure::CampaignConfig paper_campaign_config() {
   return apply(paper_2023()).campaign;
 }
 
-rss::DistributionConfig paper_distribution_config() {
-  return apply(paper_2023()).distribution;
-}
-
 }  // namespace rootsim::scenario
 
 namespace rootsim::measure {

@@ -39,7 +39,4 @@ Applied apply(const ScenarioSpec& spec);
 /// caller used to get from `measure::CampaignConfig{}`.
 measure::CampaignConfig paper_campaign_config();
 
-/// The paper scenario's distribution-channel config (CZDS broken window).
-rss::DistributionConfig paper_distribution_config();
-
 }  // namespace rootsim::scenario

@@ -1,7 +1,6 @@
 #include "scenario/parser.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -91,13 +90,7 @@ bool parse_fault_kind(const std::string& token, FaultSpec::Kind* out) {
   return false;
 }
 
-/// The whole token as a number: `abc`, `8x` and out-of-range values fail.
-template <typename T>
-bool parse_number(const std::string& token, T* out) {
-  const char* end = token.data() + token.size();
-  const auto [stop, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && stop == end;
-}
+using util::parse_number;
 
 /// A fraction or probability: a number in [0, 1].
 bool parse_unit_interval(const std::string& token, double* out) {

@@ -3,6 +3,7 @@
 // printf-style formatting into std::string, and printf-style fatal errors.
 #pragma once
 
+#include <charconv>
 #include <cstdarg>
 #include <string>
 #include <string_view>
@@ -24,6 +25,15 @@ std::string to_lower(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
+
+/// The whole of `text` as one number (std::from_chars): empty text, text
+/// with anything left over (`abc`, `8x`) and out-of-range values fail.
+template <typename T>
+bool parse_number(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
+}
 
 /// printf into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "scenario/apply.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace rootsim::analysis {
 namespace {
@@ -131,30 +134,36 @@ TEST(Rssac, MetricsWithinSaneBounds) {
 }
 
 // The replay-equivalence acceptance criterion: the batch RSSAC047 report
-// must equal what the streaming collector reads out of its end-of-campaign
-// totals — including when the replayed samples are sharded across
-// collectors and folded through merge_from, the exact path the parallel
-// campaign uses. If the batch path ever grew its own aggregation again,
-// this is the test that catches the drift.
+// must equal what the SLO plane's cells read out of the replayed samples —
+// including when two replays' cells are folded with Cell::merge_from, the
+// accumulator's own merge. If the batch path ever grew its own aggregation
+// again, this is the test that catches the drift.
 TEST(Rssac, BatchReportMatchesStreamingCollectorReplay) {
   RssacOptions options;
   options.sampled_rounds = 10;
   options.propagation_instances = 4;
   auto batch = compute_rssac_metrics(test_campaign(), options);
 
-  // Same sampling plan recorded into one collector directly, and replayed
-  // twice into a merged collector (two shards folded together): ratios and
+  // Same sampling plan replayed into one set of cells, and replayed twice
+  // with the second replay's cells merged into the first: ratios and
   // quantiles are invariant under doubling the sample set, so the merged
-  // report must match — the merge path cannot skew the rates.
-  obs::SloCollector direct, shard_a, shard_b, merged;
-  replay_rssac_samples(test_campaign(), options, direct);
-  replay_rssac_samples(test_campaign(), options, shard_a);
-  replay_rssac_samples(test_campaign(), options, shard_b);
-  merged.merge_from(shard_b);
-  merged.merge_from(shard_a);
+  // report must match — the merge cannot skew the rates.
+  const RssacCells direct = replay_rssac_samples(test_campaign(), options);
+  const RssacCells second = replay_rssac_samples(test_campaign(), options);
+  RssacCells merged = replay_rssac_samples(test_campaign(), options);
+  for (size_t stream = 0; stream < merged.size(); ++stream) {
+    merged[stream].merge_from(second[stream]);
+    EXPECT_GT(direct[stream].probes, 0u) << stream;
+    EXPECT_EQ(merged[stream].probes, 2 * direct[stream].probes) << stream;
+    EXPECT_EQ(merged[stream].rtt_us.count(), 2 * direct[stream].rtt_us.count())
+        << stream;
+    EXPECT_EQ(merged[stream].publication_s.count(),
+              2 * direct[stream].publication_s.count())
+        << stream;
+  }
 
-  auto streaming = rssac_report_from_collector(direct);
-  auto doubled = rssac_report_from_collector(merged);
+  auto streaming = rssac_report_from_cells(direct);
+  auto doubled = rssac_report_from_cells(merged);
   for (size_t root = 0; root < streaming.per_root.size(); ++root) {
     const auto& b = batch.per_root[root];
     const auto& s = streaming.per_root[root];
@@ -168,12 +177,54 @@ TEST(Rssac, BatchReportMatchesStreamingCollectorReplay) {
     EXPECT_DOUBLE_EQ(b.median_publication_latency_s,
                      s.median_publication_latency_s) << b.letter;
     // Ratios and quantiles are invariant under doubling the sample set.
-    EXPECT_DOUBLE_EQ(doubled.per_root[root].availability_v4,
-                     s.availability_v4) << b.letter;
-    EXPECT_DOUBLE_EQ(doubled.per_root[root].median_rtt_v4, s.median_rtt_v4)
-        << b.letter;
+    const auto& d = doubled.per_root[root];
+    EXPECT_DOUBLE_EQ(d.availability_v4, s.availability_v4) << b.letter;
+    EXPECT_DOUBLE_EQ(d.availability_v6, s.availability_v6) << b.letter;
+    EXPECT_DOUBLE_EQ(d.median_rtt_v4, s.median_rtt_v4) << b.letter;
+    EXPECT_DOUBLE_EQ(d.median_rtt_v6, s.median_rtt_v6) << b.letter;
+    EXPECT_DOUBLE_EQ(d.p95_rtt_v4, s.p95_rtt_v4) << b.letter;
+    EXPECT_DOUBLE_EQ(d.p95_rtt_v6, s.p95_rtt_v6) << b.letter;
+    EXPECT_DOUBLE_EQ(d.median_publication_latency_s,
+                     s.median_publication_latency_s) << b.letter;
   }
   EXPECT_DOUBLE_EQ(batch.worst_availability, streaming.worst_availability);
+  EXPECT_DOUBLE_EQ(doubled.worst_availability, streaming.worst_availability);
+}
+
+// FNV-1a 64, in hex, of the bit patterns of every field of a report.
+std::string report_digest(const RssacReport& report) {
+  std::string bits;
+  const auto put = [&bits](double value) {
+    bits += util::format("%016llx,", static_cast<unsigned long long>(
+                                         std::bit_cast<uint64_t>(value)));
+  };
+  for (const RootServiceMetrics& metrics : report.per_root) {
+    bits += metrics.letter;
+    put(metrics.availability_v4);
+    put(metrics.availability_v6);
+    put(metrics.median_rtt_v4);
+    put(metrics.median_rtt_v6);
+    put(metrics.p95_rtt_v4);
+    put(metrics.p95_rtt_v6);
+    put(metrics.median_publication_latency_s);
+  }
+  put(report.worst_availability);
+  return util::format("%016llx",
+                      static_cast<unsigned long long>(util::fnv1a(bits)));
+}
+
+// The equivalence test above compares the batch report with a replay of
+// itself, so a change that moves both alike passes it. These digests pin
+// the report's bits, for the suite's options and for the defaults;
+// re-record one only for an intended change of the report.
+TEST(Rssac, ReportMatchesRecordedDigest) {
+  RssacOptions options;
+  options.sampled_rounds = 10;
+  options.propagation_instances = 4;
+  EXPECT_EQ(report_digest(compute_rssac_metrics(test_campaign(), options)),
+            "d6767b6d0281fa88");
+  EXPECT_EQ(report_digest(compute_rssac_metrics(test_campaign())),
+            "a86481273cb2ad23");
 }
 
 TEST(Rssac, ClusterFailureMovesSomeSelections) {

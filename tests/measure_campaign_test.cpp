@@ -45,19 +45,30 @@ TEST(Campaign, VpScaleShrinksProportionally) {
   EXPECT_EQ(regions.size(), util::kRegionCount);  // every region survives
 }
 
-// A deployment override built in code, past the parser's check, that leaves
-// a letter without a global site stops the constructor with a message: the
-// router would otherwise read a ranking of no sites.
-TEST(CampaignDeathTest, DeploymentOverrideWithoutAGlobalSiteStops) {
+// A deployment override built in code, past the parser's check, stops the
+// constructor with a message when it leaves a letter without a global site
+// (the router would otherwise read a ranking of no sites) or names no
+// letter (the what-if would otherwise run the catalog's deployment).
+TEST(CampaignDeathTest, BadDeploymentOverrideStops) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  for (const int local : {0, 1}) {
+  struct Case {
+    int root;
+    int global_sites;
+    int local_sites;
+    const char* message;
+  };
+  for (const Case& c :
+       {Case{2, 0, 0, "deployment override of root 2 has no global site"},
+        Case{2, 0, 1, "deployment override of root 2 has no global site"},
+        Case{-1, 1, 0, "deployment override names root -1, outside 0..12"},
+        Case{13, 1, 0, "deployment override names root 13, outside 0..12"}}) {
     CampaignConfig config = fast_config();
     CampaignConfig::DeploymentOverride override_spec;
-    override_spec.root_index = 2;
-    override_spec.local_sites[0] = local;
+    override_spec.root_index = c.root;
+    override_spec.global_sites[0] = c.global_sites;
+    override_spec.local_sites[0] = c.local_sites;
     config.deployment_overrides.push_back(override_spec);
-    EXPECT_DEATH(Campaign{config},
-                 "deployment override of root 2 has no global site");
+    EXPECT_DEATH(Campaign{config}, c.message) << "root " << c.root;
   }
 }
 

@@ -149,8 +149,8 @@ TEST(SloCollector, MergeOrderAndShardingInvisibleInExport) {
     merged.merge_from(reversed ? b : a);
     merged.merge_from(reversed ? a : b);
     EXPECT_EQ(merged.cell_count(), serial.cell_count());
-    EXPECT_EQ(merged.to_jsonl(tiny_thresholds()),
-              serial.to_jsonl(tiny_thresholds()));
+    EXPECT_EQ(SloCollector::windows_to_jsonl(merged.windows(tiny_thresholds())),
+              SloCollector::windows_to_jsonl(serial.windows(tiny_thresholds())));
   }
 }
 
@@ -389,92 +389,6 @@ std::vector<SloSample> bucket_samples(int first_bucket, int salt) {
   return samples;
 }
 
-void feed_buckets(SloCollector& c, int first_bucket, int salt) {
-  for (const SloSample& sample : bucket_samples(first_bucket, salt))
-    c.record(sample);
-}
-
-void expect_same_cells(const SloCollector& got, const SloCollector& want) {
-  const auto got_cells = got.snapshot();
-  const auto want_cells = want.snapshot();
-  ASSERT_EQ(got_cells.size(), want_cells.size());
-  for (size_t i = 0; i < got_cells.size(); ++i) {
-    const auto& [got_key, got_cell] = got_cells[i];
-    const auto& [want_key, want_cell] = want_cells[i];
-    EXPECT_EQ(got_key, want_key) << i;
-    EXPECT_EQ(got_cell.probes, want_cell.probes) << i;
-    EXPECT_EQ(got_cell.answered, want_cell.answered) << i;
-    EXPECT_EQ(got_cell.rtt_us.to_json(), want_cell.rtt_us.to_json()) << i;
-    EXPECT_EQ(got_cell.publication_s.to_json(),
-              want_cell.publication_s.to_json())
-        << i;
-    EXPECT_EQ(got_cell.staleness_s.to_json(), want_cell.staleness_s.to_json())
-        << i;
-    EXPECT_EQ(got_cell.integrity_checks, want_cell.integrity_checks) << i;
-    EXPECT_EQ(got_cell.integrity_ok, want_cell.integrity_ok) << i;
-  }
-  EXPECT_EQ(got.to_jsonl(tiny_thresholds()), want.to_jsonl(tiny_thresholds()));
-}
-
-TEST(SloCollector, MovingMergeMatchesCopyingMerge) {
-  // Second shard's first bucket: 10 leaves the shards' buckets disjoint, 2
-  // makes them overlap, so the move both splices and folds.
-  for (int second_first_bucket : {10, 2}) {
-    for (bool reversed : {false, true}) {
-      SloCollector a, b, copied;
-      feed_buckets(a, 0, 0);
-      feed_buckets(b, second_first_bucket, 1);
-      copied.merge_from(reversed ? b : a);
-      copied.merge_from(reversed ? a : b);
-      const size_t shard_cells = a.cell_count() + b.cell_count();
-      if (second_first_bucket == 10) {
-        EXPECT_EQ(copied.cell_count(), shard_cells);
-      } else {
-        EXPECT_LT(copied.cell_count(), shard_cells);
-      }
-
-      SloCollector moved;
-      moved.merge_from(reversed ? std::move(b) : std::move(a));
-      moved.merge_from(reversed ? std::move(a) : std::move(b));
-      expect_same_cells(moved, copied);
-      EXPECT_TRUE(a.empty());
-      EXPECT_TRUE(b.empty());
-      EXPECT_EQ(a.cell_count() + b.cell_count(), 0u);
-    }
-  }
-}
-
-TEST(SloCollector, ConcurrentMovingMergesMatchTheCopyingMerge) {
-  // Two shards moved into one collector from two threads: the locks are
-  // taken one at a time, and merging commutes, so the cells come out the
-  // same as a sequential copying merge.
-  SloCollector a, b, copied;
-  feed_buckets(a, 0, 0);
-  feed_buckets(b, 2, 1);
-  copied.merge_from(a);
-  copied.merge_from(b);
-  SloCollector moved;
-  std::thread ta([&] { moved.merge_from(std::move(a)); });
-  std::thread tb([&] { moved.merge_from(std::move(b)); });
-  ta.join();
-  tb.join();
-  expect_same_cells(moved, copied);
-}
-
-TEST(SloCollector, TotalsFoldEveryBucketOfOneStream) {
-  SloCollector collector;
-  const util::UnixTime t0 = util::make_time(2023, 7, 3);
-  for (int i = 0; i < 10; ++i)
-    collector.record(probe(t0 + i * kBucket, i != 4));
-  collector.record(probe(t0, true, /*root=*/2));  // different stream
-
-  SloCollector::Cell totals = collector.totals(0, false);
-  EXPECT_EQ(totals.probes, 10u);
-  EXPECT_EQ(totals.answered, 9u);
-  EXPECT_EQ(collector.totals(2, false).probes, 1u);
-  EXPECT_EQ(collector.totals(2, true).probes, 0u);
-}
-
 TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
   // 16 buckets. Letters a and b in both families, with a gap of silent
   // buckets (4-8) and nothing after bucket 12; letter m on v6 in bucket 8
@@ -505,12 +419,17 @@ TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
     return static_cast<size_t>(root) * 2 + (v6 ? 1 : 0);
   };
   constexpr size_t kStreams = kSloRoots * 2;
+  // Each stream's cells of every bucket, folded: what its drain totals count.
+  std::array<SloCollector::Cell, kStreams> full_totals;
+  for (const auto& [key, cell] : full.snapshot())
+    full_totals[stream_of(std::get<0>(key), std::get<1>(key) == 1)].merge_from(
+        cell);
 
   for (size_t window = 1; window <= 8; ++window) {
     SloThresholds thresholds = tiny_thresholds();
     thresholds.window_buckets = window;
     const std::vector<SloWindow> want = full.windows(thresholds);
-    const std::string want_jsonl = full.to_jsonl(thresholds);
+    const std::string want_jsonl = SloCollector::windows_to_jsonl(want);
     for (int64_t chunk = 1; chunk <= kBuckets; ++chunk) {
       SCOPED_TRACE(::testing::Message()
                    << "window " << window << ", chunk " << chunk);
@@ -579,8 +498,8 @@ TEST(SloCollector, ChunkedDrainsJoinToTheFullSweep) {
       for (uint8_t root = 0; root < kSloRoots; ++root) {
         for (const bool v6 : {false, true}) {
           const SloCollector::Drain::Totals& got = drain.totals(root, v6);
-          const SloCollector::Cell want_totals = full.totals(root, v6);
           const size_t s = stream_of(root, v6);
+          const SloCollector::Cell& want_totals = full_totals[s];
           EXPECT_EQ(got.probes, want_totals.probes) << s;
           EXPECT_EQ(got.answered, want_totals.answered) << s;
           EXPECT_EQ(got.latency_count, want_totals.rtt_us.count()) << s;
