@@ -212,12 +212,26 @@ int main(int argc, char** argv) {
       std::printf("usage: rootdig [@server] [qname] [qtype] [+dnssec] [+vp=N] "
                   "[+time=YYYY-MM-DD] [+flight] [+loss=P]\n");
       return 0;
+    } else if (arg[0] == '+') {
+      std::fprintf(stderr, "rootdig: unknown option '%s'\n", arg.c_str());
+      return 1;
     } else {
       positional.push_back(arg);
     }
   }
+  if (positional.size() > 2) {
+    std::fprintf(stderr, "rootdig: unexpected argument '%s'\n",
+                 positional[2].c_str());
+    return 1;
+  }
   if (positional.size() >= 1) qname = positional[0];
   if (positional.size() >= 2) qtype_text = positional[1];
+  // rrtype_from_string reads every type it does not know as ANY.
+  const dns::RRType qtype = dns::rrtype_from_string(qtype_text);
+  if (qtype == dns::RRType::ANY && util::to_lower(qtype_text) != "any") {
+    std::fprintf(stderr, "rootdig: unknown qtype '%s'\n", qtype_text.c_str());
+    return 1;
+  }
 
   auto address = util::IpAddress::parse(server);
   if (!address) {
@@ -256,7 +270,6 @@ int main(int argc, char** argv) {
   measure::ProbeRecord probe =
       campaign.prober().probe(vp, *address, when, round);
 
-  dns::RRType qtype = dns::rrtype_from_string(qtype_text);
   if (qtype == dns::RRType::AXFR) {
     if (!probe.axfr || probe.axfr->refused) {
       print_probe_warnings(recorder);

@@ -17,6 +17,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "measure/campaign.h"
 #include "scenario/apply.h"
@@ -45,6 +47,30 @@ int dump_scenario(const std::string& name) {
   return 0;
 }
 
+/// Where `text` first departs from its canonical form `canonical`, as
+/// " at line N: '<text line>' prints as '<canonical line>'". Comments and
+/// blank lines in `text` are skipped and lines compare word by word; empty
+/// if the two agree line for line.
+std::string first_difference(const std::string& text,
+                             const std::string& canonical) {
+  const std::vector<std::string> lines = util::split(text, '\n');
+  const std::vector<std::string> wanted = util::split(canonical, '\n');
+  size_t next = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string_view line =
+        util::trim(std::string_view(lines[i]).substr(0, lines[i].find('#')));
+    if (line.empty()) continue;
+    const std::string_view want =
+        next < wanted.size() ? std::string_view(wanted[next]) : "";
+    ++next;
+    if (util::split_whitespace(line) != util::split_whitespace(want))
+      return util::format(" at line %zu: '%.*s' prints as '%.*s'", i + 1,
+                          static_cast<int>(line.size()), line.data(),
+                          static_cast<int>(want.size()), want.data());
+  }
+  return "";
+}
+
 int check_files(int argc, char** argv, int first) {
   int failures = 0;
   for (int i = first; i < argc; ++i) {
@@ -65,12 +91,17 @@ int check_files(int argc, char** argv, int first) {
     }
     // The canonical form must survive a round trip — guarantees --dump and
     // the committed files cannot drift apart silently.
+    const std::string canonical = scenario::serialize_scenario(spec);
     scenario::ScenarioSpec again;
-    if (!scenario::parse_scenario(scenario::serialize_scenario(spec), &again,
-                                  &error) ||
-        !(again == spec)) {
-      std::fprintf(stderr, "%s: round-trip mismatch (%s)\n", argv[i],
+    if (!scenario::parse_scenario(canonical, &again, &error)) {
+      std::fprintf(stderr, "%s: canonical form does not parse: %s\n", argv[i],
                    error.c_str());
+      ++failures;
+      continue;
+    }
+    if (!(again == spec)) {
+      std::fprintf(stderr, "%s: round-trip mismatch%s\n", argv[i],
+                   first_difference(buffer.str(), canonical).c_str());
       ++failures;
       continue;
     }

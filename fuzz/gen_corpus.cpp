@@ -1,7 +1,7 @@
 // Writes the seed corpora under fuzz/corpus/<target>/ — structurally valid
-// messages, transfers, zones and pointer chains produced by the same
-// generators the replay harness mutates, so the whole corpus reproduces from
-// a clean checkout:
+// messages, transfers, zones, pointer chains and scenario specs produced by
+// the same generators the replay harness mutates, so the whole corpus
+// reproduces from a clean checkout:
 //
 //   ./fuzz_gen_corpus [corpus_dir]      (default: fuzz/corpus)
 //
@@ -17,6 +17,8 @@
 
 #include "dns/axfr.h"
 #include "fuzz/generators.h"
+#include "scenario/library.h"
+#include "scenario/parser.h"
 #include "util/rng.h"
 
 namespace fs = std::filesystem;
@@ -186,6 +188,126 @@ int main(int argc, char** argv) {
     });
     write_seed(root / "denial", "nxdomain-unsigned.bin", stripped.encode());
     write_seed(root / "denial", "nxdomain-bare.bin", bare.encode());
+  }
+
+  // scenario_parse: the library's specs as --dump writes them (the same
+  // bytes as examples/scenarios/*.scn); each rejected line of
+  // ScenarioParser.RejectsBadNumbersWithLineNumber and three of
+  // RejectsMalformedTime, edited into a small spec that has every directive
+  // (ddos-c-globals plus one deployment, one fault and the czds window of
+  // the others) the way the test edits the library; and a fraction past
+  // "%g"'s six significant digits, which must survive the round trip.
+  {
+    const fs::path dir = root / "scenario_parse";
+    for (const auto& spec : scenario::library())
+      write_seed(dir, spec.name + ".scn",
+                 to_bytes(scenario::serialize_scenario(spec)));
+    scenario::ScenarioSpec every_directive = scenario::ddos_c_globals();
+    const scenario::ScenarioSpec paper = scenario::paper_2023();
+    every_directive.deployments.push_back(
+        scenario::anycast_catchment().deployments.front());
+    every_directive.faults.push_back(paper.faults.front());
+    every_directive.zone.czds_broken_zonemd = paper.zone.czds_broken_zonemd;
+    const std::string base = scenario::serialize_scenario(every_directive);
+    const struct {
+      const char* directive;
+      const char* key;  // the field to replace, or "" for the whole line
+      const char* bad;
+    } rejected[] = {
+        {"seed", "", "seed 42x"},
+        {"seed", "", "seed -1"},
+        {"seed", "", "seed 0x2a"},
+        {"seed", "", "seed 18446744073709551616"},
+        {"intervals", "", "intervals 3600s 1h"},
+        {"intervals", "", "intervals 1800 1.5"},
+        {"intervals", "", "intervals 1e3 900"},
+        {"deployment", "", "deployment c global 0,0,0,-1,0,0 local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,,1,0,0 local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,0,1,0,0 local 0,0,0,0,0,"},
+        {"deployment", "", "deployment c global 0,0,0,1,0,0, local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,0,1,0 local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,0,1,0,0,0 local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,0,1x,0,0 local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,0,0,0,0 local 0,0,0,0,0,0"},
+        {"deployment", "", "deployment c global 0,0,0,0,0,0 local 1,0,0,0,0,0"},
+        {"event", "fraction", "fraction=7"},
+        {"event", "fraction", "fraction=-0.1"},
+        {"event", "fraction", "fraction=abc"},
+        {"event", "fraction", "fraction=nan"},
+        {"event", "fraction", "fraction="},
+        {"event", "loss", "loss=2.5"},
+        {"event", "loss", "loss=0.3x"},
+        {"event", "extra-rtt", "extra-rtt=-5"},
+        {"event", "extra-rtt", "extra-rtt=inf"},
+        {"event", "jitter", "jitter=1e999"},
+        {"event", "jitter", "jitter=ten"},
+        {"event", "stages", "stages=-3"},
+        {"event", "stages", "stages=0"},
+        {"event", "stages", "stages=8x"},
+        {"event", "stages", "stages=1.5"},
+        {"event", "stages", "stages=99999999999"},
+        {"fault", "vp", "vp=abc"},
+        {"fault", "vp", "vp=-1"},
+        {"fault", "vp", "vp=4294967296"},
+        {"fault", "vp", "vp="},
+        {"fault", "offset", "offset=3d"},
+        {"fault", "offset", "offset=1.5"},
+        {"fault", "offset", "offset="},
+        {"fault", "table2", "table2=one"},
+        {"fault", "table2", "table2=-1"},
+        {"fault", "table2", "table2=1.5"},
+        {"fault", "old-b", "old-b=2"},
+        {"fault", "old-b", "old-b=yes"},
+        {"fault", "old-b", "old-b="},
+        {"horizon", "", "horizon 2023-12-24T00:00:00Z 2023-07-03T00:00:00Z"},
+        {"horizon", "", "horizon 2023-07-03T00:00:00Z 2023-07-03T00:00:00Z"},
+        {"dense-window", "",
+         "dense-window 2023-10-02T00:00:00Z 2023-09-08T00:00:00Z"},
+        {"dense-window", "",
+         "dense-window 2023-06-20T00:00:00Z 2023-07-10T00:00:00Z"},
+        {"dense-window", "",
+         "dense-window 2031-03-18T00:00:00Z 2031-03-28T00:00:00Z"},
+        {"czds-broken", "",
+         "czds-broken 2023-12-08T00:00:00Z 2023-09-21T00:00:00Z"},
+        {"event", "end", "end=2023-11-27T00:00:00Z"},
+        {"event", "start", "start=2023-07-01T00:00:00Z"},
+        {"event", "end", "end=2031-03-24T00:00:00Z"},
+        {"event", "",
+         "event ddos letter=c region=- start=2026-03-24T00:00:00Z "
+         "end=2026-03-20T00:00:00Z fraction=0.9 loss=0.3 extra-rtt=120 "
+         "jitter=0 stages=8 label=ddos-c-globals"},
+        {"event", "",
+         "event ddos letter=c region=- start=2031-03-20T00:00:00Z "
+         "end=2031-03-24T00:00:00Z fraction=0.9 loss=0.3 extra-rtt=120 "
+         "jitter=0 stages=8 label=ddos-c-globals"},
+        // ScenarioParser.RejectsMalformedTime's times.
+        {"horizon", "", "horizon 2023-02-30T00:00:00Z 2023-12-24T00:00:00Z"},
+        {"horizon", "", "horizon 2023-07-03T00:00:00Zjunk 2023-12-24T00:00:00Z"},
+        {"horizon", "", "horizon 2023-07-03T99999999:00:00Z 2023-12-24T00:00:00Z"},
+    };
+    size_t index = 0;
+    for (const auto& c : rejected) {
+      std::string text = base;
+      const size_t at =
+          text.find(std::string("\n") + c.directive + " ") + 1;  // line start
+      const size_t line_end = text.find('\n', at);
+      std::string edited = c.bad;
+      if (*c.key) {
+        edited = text.substr(at, line_end - at);
+        const size_t field_at = edited.find(std::string(" ") + c.key + "=") + 1;
+        const size_t field_end =
+            std::min(edited.find(' ', field_at), edited.size());
+        edited.replace(field_at, field_end - field_at, c.bad);
+      }
+      text.replace(at, line_end - at, edited);
+      char name[32];
+      std::snprintf(name, sizeof name, "rejected-%02zu.scn", index++);
+      write_seed(dir, name, to_bytes(text));
+    }
+    scenario::ScenarioSpec precise = scenario::ddos_c_globals();
+    precise.events.front().site_fraction = 0.9000001;
+    write_seed(dir, "fraction-0.9000001.scn",
+               to_bytes(scenario::serialize_scenario(precise)));
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());

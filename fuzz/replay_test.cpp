@@ -2,8 +2,8 @@
 //
 //   1. its committed regression corpus (fuzz/corpus/<target>/*), and
 //   2. >= 10k seeded iterations of generator output — structure-aware
-//      mutations of valid messages, zones, transfers and pointer chains,
-//      plus a slice of pure-random bytes,
+//      mutations of valid messages, zones, transfers, pointer chains and
+//      scenario specs, plus a slice of pure-random bytes,
 //
 // in plain gtest, so the exact code the libFuzzer binaries run is exercised
 // by ctest on every build and under ASan/UBSan in CI without clang's fuzzer
@@ -20,6 +20,8 @@
 #include "dns/axfr.h"
 #include "fuzz/generators.h"
 #include "fuzz/target.h"
+#include "scenario/library.h"
+#include "scenario/parser.h"
 #include "util/rng.h"
 
 #ifndef ROOTSIM_FUZZ_CORPUS_DIR
@@ -118,6 +120,17 @@ std::vector<uint8_t> seed_input(const std::string& target, util::Rng& rng,
     }
     return response.encode();
   }
+  if (target == "scenario_parse") {
+    // The library's specs in their canonical text, the form --dump writes.
+    static const std::vector<std::string> texts = [] {
+      std::vector<std::string> out;
+      for (const auto& spec : scenario::library())
+        out.push_back(scenario::serialize_scenario(spec));
+      return out;
+    }();
+    const std::string& text = texts[iteration % texts.size()];
+    return std::vector<uint8_t>(text.begin(), text.end());
+  }
   // zone_diff and anything new: the input is an opaque edit script.
   return random_bytes(rng, 64);
 }
@@ -164,13 +177,14 @@ INSTANTIATE_TEST_SUITE_P(AllTargets, Replay,
                          ::testing::Values("message_decode", "name_decode",
                                            "rdata_decode", "zone_parse",
                                            "axfr_stream", "zone_diff",
-                                           "validation", "denial"),
+                                           "validation", "denial",
+                                           "scenario_parse"),
                          [](const auto& info) { return std::string(info.param); });
 
 // The registry and the instantiation above must agree; a target added
 // without replay coverage is exactly the gap this harness exists to close.
 TEST(Registry, EveryTargetHasReplayCoverage) {
-  EXPECT_EQ(targets().size(), 8u);
+  EXPECT_EQ(targets().size(), 9u);
   for (const auto& target : targets())
     EXPECT_NE(find_target(target.name), nullptr);
 }

@@ -388,6 +388,9 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         if (!need(9)) return fail(util::format("line %zu: RRSIG needs 9 fields", line_number));
         RrsigData sig;
         sig.type_covered = rrtype_from_string(args[0]);
+        if (sig.type_covered == RRType::ANY)
+          return fail(util::format("line %zu: bad RRSIG type covered '%s'",
+                                   line_number, args[0].c_str()));
         auto alg = parse_u32(args[1]);
         auto labels = parse_u32(args[2]);
         auto ottl = parse_u32(args[3]);
@@ -398,8 +401,8 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         std::string b64;
         for (size_t i = 8; i < args.size(); ++i) b64 += args[i];
         auto sig_bytes = crypto::from_base64(b64);
-        if (!alg || !labels || !ottl || !exp || !inc || !tag || *tag > 0xFFFF ||
-            !signer || !sig_bytes)
+        if (!alg || *alg > 255 || !labels || *labels > 255 || !ottl || !exp ||
+            !inc || !tag || *tag > 0xFFFF || !signer || !sig_bytes)
           return fail(util::format("line %zu: bad RRSIG", line_number));
         sig.algorithm = static_cast<uint8_t>(*alg);
         sig.labels = static_cast<uint8_t>(*labels);

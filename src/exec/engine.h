@@ -50,8 +50,9 @@ constexpr std::string_view to_string(SchedulerMode) { return "steal"; }
 /// pool, no atomics), so serial and parallel runs differ only in
 /// interleaving — never in results. The second argument to `fn` is the
 /// *worker* index (which thread is calling), not a partition: any worker may
-/// run any unit, so per-worker state (probers, scratch) is keyed by it while
-/// per-unit state (RNG forks, output slots, obs shards) is keyed by `unit`.
+/// run any unit, so everything a unit builds or writes (its prober, RNG
+/// forks, output slots, obs shard) is keyed by `unit`. No loop in src/ keeps
+/// per-worker state; the tests read the index to check the pool's bounds.
 ///
 /// A non-null `profiler` records every unit's wall span and per-worker steal
 /// counts (see profiler.h). Profiling only ever changes what is *measured*,

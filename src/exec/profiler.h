@@ -1,10 +1,9 @@
 // Exec-pool profiler: per-unit wall/sim spans and per-worker utilization.
 //
-// The scaling benches show the 8-worker audit reaching ~2.2x; before touching
-// the scheduler we need to know *why* — long-pole units, shard skew, or
-// merge-time serialization. The profiler answers that with a per-unit span
-// timeline and an imbalance report (critical path vs total work), emitted as
-// PROF_exec_audit.json.
+// When a parallel region scales worse than its worker count, the profiler
+// says *why* — long-pole units, uneven ranges, or merge-time serialization —
+// with a per-unit span timeline and an imbalance report (critical path vs
+// total work), emitted as PROF_exec_audit.json.
 //
 // Profiling is wall-clock by nature, so its output is *not* deterministic and
 // never mixes into the metric/trace exports: the profiler writes its own

@@ -218,23 +218,6 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
   workers = std::max<size_t>(1, std::min(exec::resolve_workers(workers),
                                          std::max<size_t>(total_units, 1)));
   exec::ObsShards shards(obs_, total_units);
-  // Each worker owns one Prober (and its Transport); the unit body rebinds
-  // it to the current unit's obs shard before probing. An attached flight
-  // recorder gives each worker a shard of its own, so workers never share a
-  // ring lock (the rings are diagnostic, merged at read time).
-  std::vector<netsim::FlightRecorder*> flight(workers,
-                                              config_.transport.flight_recorder);
-  if (config_.transport.flight_recorder && workers > 1)
-    flight = config_.transport.flight_recorder->make_shards(workers);
-  std::vector<std::unique_ptr<Prober>> probers;
-  probers.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    netsim::TransportConfig transport_config = config_.transport;
-    transport_config.flight_recorder = flight[w];
-    probers.push_back(std::make_unique<Prober>(*authority_, catalog_, *router_,
-                                               std::move(transport_config),
-                                               obs::Obs{}));
-  }
   std::vector<ZoneAuditObservation> observations(total_units);
   // Hoisted out of the sampling loop: the address set is time-invariant for
   // the fixed `end` snapshot and each unit needs only a reference.
@@ -250,10 +233,13 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
       exec::Profiler::enabled_by_env() ? &profiler : nullptr;
 
   WallClock::time_point phase_start = WallClock::now();
-  exec::parallel_for(total_units, workers, [&](size_t unit, size_t worker) {
+  exec::parallel_for(total_units, workers, [&](size_t unit, size_t) {
+    // Each unit builds its own Prober (and Transport) on its obs shard; an
+    // attached flight recorder is shared by every unit. One config copy is
+    // noise next to the unit's ~48 exchanges and full validation.
     obs::Obs sink = shards.shard(unit);
-    Prober& prober = *probers[worker];
-    prober.rebind_obs(sink);
+    const Prober prober(*authority_, catalog_, *router_, config_.transport,
+                        sink);
     if (unit < fault_count) {
       // Planned fault event: full-fidelity probe with the fault knobs set.
       const FaultEvent& event = faults[unit];

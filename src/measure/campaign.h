@@ -108,9 +108,8 @@ struct SloTimelineOptions {
   size_t publication_samples = 6;
   /// 0 = ROOTSIM_WORKERS env var, else serial (same as run_zone_audit).
   size_t workers = 0;
-  /// Optional: failed probes are recorded here (into per-worker shards, see
-  /// FlightRecorder::make_shards, when workers > 1) and its deterministic
-  /// failure_summary() feeds attribution.
+  /// Optional: every worker records failed probes straight into this one
+  /// recorder, and its deterministic failure_summary() feeds attribution.
   netsim::FlightRecorder* flight_recorder = nullptr;
 };
 
@@ -160,9 +159,10 @@ class Campaign {
   ///
   /// `workers` fans the (fault event + clean sample) units out over the exec
   /// engine (0 = ROOTSIM_WORKERS env var, else serial). Every unit draws its
-  /// RNG by forking the campaign seed by unit index and records into a
-  /// per-worker obs shard merged in unit order, so the observation vector
-  /// AND the metric/trace exports are byte-identical for any worker count.
+  /// RNG by forking the campaign seed by unit index and probes through its
+  /// own Prober into a per-unit obs shard merged in unit order, so the
+  /// observation vector AND the metric/trace exports are byte-identical for
+  /// any worker count.
   std::vector<ZoneAuditObservation> run_zone_audit(size_t clean_samples = 200,
                                                    size_t workers = 0) const;
 

@@ -14,13 +14,8 @@ Prober::Prober(const rss::ZoneAuthority& authority, const rss::RootCatalog& cata
                netsim::TransportConfig transport_config, obs::Obs obs)
     : authority_(&authority),
       catalog_(&catalog),
-      transport_(router, std::move(transport_config), obs) {
-  rebind_obs(obs);
-}
-
-void Prober::rebind_obs(obs::Obs obs) {
-  obs_ = obs;
-  transport_.rebind_obs(obs);
+      transport_(router, std::move(transport_config), obs),
+      obs_(obs) {
   if (obs_.metrics) {
     probes_ = obs_.counter_handle("prober.probes");
     timeouts_ = obs_.counter_handle("prober.query_timeouts");
@@ -29,10 +24,6 @@ void Prober::rebind_obs(obs::Obs obs) {
     axfr_refused_ = obs_.counter_handle("prober.axfr", {{"result", "refused"}});
     rtt_us_[0] = obs_.histogram_handle("prober.rtt_us", {{"family", "v4"}});
     rtt_us_[1] = obs_.histogram_handle("prober.rtt_us", {{"family", "v6"}});
-  } else {
-    probes_ = timeouts_ = tcp_retries_ = nullptr;
-    axfr_ok_ = axfr_refused_ = nullptr;
-    rtt_us_[0] = rtt_us_[1] = nullptr;
   }
 }
 

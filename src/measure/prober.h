@@ -131,13 +131,6 @@ class Prober {
   /// The transport every exchange of this prober goes through.
   const netsim::Transport& transport() const { return transport_; }
 
-  /// Re-points this prober (and its transport) at a different sink. The
-  /// work-stealing audit calls this before each unit so counters land in
-  /// that unit's ObsShard; re-resolving the handles costs nothing next to
-  /// the 47-query probe. Not safe mid-probe (never happens — each worker
-  /// owns its prober and rebinds between units).
-  void rebind_obs(obs::Obs obs);
-
   /// The 47-query list of Appendix F for one address.
   static std::vector<dns::Question> query_list();
 

@@ -101,12 +101,6 @@ SloTimelineResult Campaign::run_slo_timeline(
       std::max<size_t>(1, std::min(exec::resolve_workers(options.workers),
                                    total_units));
 
-  // An attached flight recorder gives each worker a shard of its own, so
-  // workers never share a ring lock.
-  std::vector<netsim::FlightRecorder*> flight(workers, options.flight_recorder);
-  if (options.flight_recorder && workers > 1)
-    flight = options.flight_recorder->make_shards(workers);
-
   const util::Rng timeline_rng = util::Rng(config_.seed).fork("slo-timeline");
   const netsim::Transport& transport = prober_->transport();
 
@@ -167,7 +161,7 @@ SloTimelineResult Campaign::run_slo_timeline(
   std::vector<obs::SloCollector::Cell> chunk_cells(kStreams * chunk_width);
 
   // `slot` is the unit's bucket less its chunk's first.
-  const auto run_unit = [&](size_t unit, size_t slot, size_t worker) {
+  const auto run_unit = [&](size_t unit, size_t slot) {
     const int64_t bucket = first_bucket + static_cast<int64_t>(unit);
     const util::UnixTime bucket_begin = obs::SloCollector::bucket_start(bucket);
     util::Rng rng = timeline_rng.fork(
@@ -268,7 +262,8 @@ SloTimelineResult Campaign::run_slo_timeline(
             record.qtype = 6;  // SOA
             record.when = t;
             record.time_ms = 10500.0;  // full UDP retry budget
-            if (flight[worker]) flight[worker]->record(std::move(record));
+            if (options.flight_recorder)
+              options.flight_recorder->record(std::move(record));
           }
         }
 
@@ -325,8 +320,8 @@ SloTimelineResult Campaign::run_slo_timeline(
                                    total_units);
   for (size_t begin = 0; begin < total_units; begin += kChunkBuckets) {
     const size_t count = std::min(kChunkBuckets, total_units - begin);
-    exec::parallel_for(count, workers, [&](size_t index, size_t worker) {
-      run_unit(begin + index, index, worker);
+    exec::parallel_for(count, workers, [&](size_t index, size_t) {
+      run_unit(begin + index, index);
     });
     exec::parallel_for(kStreams, workers, [&](size_t s, size_t) {
       drained.add(static_cast<uint8_t>(s / 2), s % 2 == 1,

@@ -1,7 +1,5 @@
 #include "netsim/flight_recorder.h"
 
-#include <algorithm>
-
 #include "dns/rdata.h"
 #include "obs/metrics.h"  // json_escape
 #include "util/strings.h"
@@ -21,77 +19,41 @@ std::string_view to_string(FlightRecord::Cause cause) {
 FlightRecorder::FlightRecorder(size_t capacity)
     : capacity_(capacity ? capacity : 1) {}
 
-void FlightRecorder::note_summary(SummaryCells& cells,
-                                  const FlightRecord& record) {
-  if (record.root_index < 0 ||
-      record.root_index >= static_cast<int>(kSummaryRoots))
-    return;
-  const size_t family = record.family == util::IpFamily::V6 ? 1 : 0;
-  SummaryCell& cell =
-      cells[(static_cast<size_t>(record.root_index) * 2 + family) *
-                kSummaryCauses +
-            static_cast<size_t>(record.cause)];
-  if (cell.count == 0 || record.when < cell.first) cell.first = record.when;
-  if (cell.count == 0 || record.when > cell.last) cell.last = record.when;
-  ++cell.count;
-}
-
 void FlightRecorder::record(FlightRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  note_summary(summary_, record);
+  if (record.root_index >= 0 &&
+      record.root_index < static_cast<int>(kSummaryRoots)) {
+    const size_t family = record.family == util::IpFamily::V6 ? 1 : 0;
+    SummaryCell& cell =
+        summary_[(static_cast<size_t>(record.root_index) * 2 + family) *
+                     kSummaryCauses +
+                 static_cast<size_t>(record.cause)];
+    if (cell.count == 0 || record.when < cell.first) cell.first = record.when;
+    if (cell.count == 0 || record.when > cell.last) cell.last = record.when;
+    ++cell.count;
+  }
   if (ring_.size() >= capacity_) ring_.pop_front();
   ++recorded_;
   ring_.push_back(std::move(record));
 }
 
-std::vector<FlightRecorder*> FlightRecorder::make_shards(size_t count) {
+size_t FlightRecorder::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlightRecorder*> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<FlightRecorder>(capacity_));
-    out.push_back(shards_.back().get());
-  }
-  return out;
+  return ring_.size();
 }
-
-void FlightRecorder::fold_into(Fold& fold, bool with_records) const {
-  // Counts add, first is a min, last is a max — all order-insensitive, so
-  // the fold is independent of which shard recorded what.
-  fold.recorded += recorded_;
-  for (size_t i = 0; i < summary_.size(); ++i) {
-    const SummaryCell& cell = summary_[i];
-    SummaryCell& into = fold.summary[i];
-    if (cell.count == 0) continue;
-    if (into.count == 0 || cell.first < into.first) into.first = cell.first;
-    if (into.count == 0 || cell.last > into.last) into.last = cell.last;
-    into.count += cell.count;
-  }
-  if (with_records)
-    fold.records.insert(fold.records.end(), ring_.begin(), ring_.end());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu_);
-    shard->fold_into(fold, with_records);
-  }
-}
-
-size_t FlightRecorder::size() const { return records().size(); }
 
 uint64_t FlightRecorder::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Fold fold;
-  fold_into(fold, /*with_records=*/false);
-  return fold.recorded;
+  return recorded_;
 }
 
-uint64_t FlightRecorder::dropped() const { return recorded() - size(); }
+uint64_t FlightRecorder::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return recorded_ - ring_.size();
+}
 
 FlightFailureSummary FlightRecorder::failure_summary() const {
-  Fold fold;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fold_into(fold, /*with_records=*/false);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   FlightFailureSummary summary;
   for (size_t root = 0; root < kSummaryRoots; ++root) {
     for (size_t family = 0; family < 2; ++family) {
@@ -99,7 +61,7 @@ FlightFailureSummary FlightRecorder::failure_summary() const {
         if (static_cast<FlightRecord::Cause>(cause) == FlightRecord::Cause::Ok)
           continue;
         const SummaryCell& cell =
-            fold.summary[(root * 2 + family) * kSummaryCauses + cause];
+            summary_[(root * 2 + family) * kSummaryCauses + cause];
         if (cell.count == 0) continue;
         FlightFailureSummary::Entry entry;
         entry.root_index = static_cast<int>(root);
@@ -116,35 +78,13 @@ FlightFailureSummary FlightRecorder::failure_summary() const {
 }
 
 std::vector<FlightRecord> FlightRecorder::records() const {
-  Fold fold;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fold_into(fold, /*with_records=*/true);
-  }
-  std::vector<FlightRecord> merged = std::move(fold.records);
-  // Order by simulated send time (scheduling put them in arbitrary shards);
-  // stable so recorder-then-shard order breaks ties, then keep the newest
-  // `capacity` like a single ring would have.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const FlightRecord& a, const FlightRecord& b) {
-                     return a.when < b.when;
-                   });
-  if (merged.size() > capacity_)
-    merged.erase(merged.begin(),
-                 merged.begin() + static_cast<long>(merged.size() - capacity_));
-  return merged;
+  std::lock_guard<std::mutex> lock(mu_);
+  return {ring_.begin(), ring_.end()};
 }
 
 void FlightRecorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  // recorded() and failure_summary() stay monotone across clear(): the
-  // dying shards' counts fold into this recorder before they go.
-  Fold fold;
-  fold_into(fold, /*with_records=*/false);
-  recorded_ = fold.recorded;
-  summary_ = fold.summary;
   ring_.clear();
-  shards_.clear();
 }
 
 std::string FlightRecorder::to_jsonl() const {

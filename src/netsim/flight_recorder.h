@@ -10,22 +10,18 @@
 // transport records every exchange() / axfr() completion. With no recorder
 // attached the transport pays one null-pointer branch per exchange.
 //
-// Concurrency: every ring is a FlightRecorder, locked by its own mutex, so
-// any thread may record into any recorder. Parallel regions give each
-// worker a shard (make_shards): a FlightRecorder the parent owns and no
-// other worker writes, so its lock is never contended. Reads on the parent
-// fold in every shard, locking the parent before each shard, never the
-// reverse; records are ordered by simulated send time. The recorder is a
-// *diagnostic* surface — buffered order reflects scheduling and never feeds
-// the deterministic exports (metrics/trace/rssac002 stay byte-identical with
-// or without it); only recorded() and failure_summary() are
-// scheduling-independent.
+// Concurrency: a recorder is one ring under one mutex, so any thread may
+// record into it; the parallel loops (the zone audit, the SLO timeline)
+// record straight into the attached recorder. The recorder is a
+// *diagnostic* surface — the ring's order, and once it wraps which records
+// it keeps, reflect scheduling and never feed the deterministic exports
+// (metrics/trace/rssac002 stay byte-identical with or without it); only
+// recorded() and failure_summary() are scheduling-independent.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -77,9 +73,9 @@ std::string_view to_string(FlightRecord::Cause cause);
 
 /// Order-insensitive per-(root, family, cause) rollup of *every* record ever
 /// recorded — counts and first/last simulated send times. Unlike the ring,
-/// nothing is ever evicted, and count/min/max don't care which shard saw
-/// which exchange, so the rollup is identical under any worker count or
-/// steal schedule. This is the recorder surface the SLO plane's cause
+/// nothing is ever evicted, and count/min/max don't care in which order the
+/// workers recorded the exchanges, so the rollup is identical under any
+/// worker count or steal schedule. This is the recorder surface the SLO plane's cause
 /// attribution is allowed to read (the buffered ring is not: its eviction
 /// order reflects scheduling).
 struct FlightFailureSummary {
@@ -105,28 +101,21 @@ class FlightRecorder {
 
   void record(FlightRecord record);
 
-  /// Creates `count` per-worker shards — recorders of this capacity, owned
-  /// by this one — and returns their pointers, valid until clear(). Each
-  /// call appends fresh shards; earlier shards keep contributing to reads.
-  std::vector<FlightRecorder*> make_shards(size_t count);
-
   size_t capacity() const { return capacity_; }
   /// Buffered records, at most capacity().
   size_t size() const;
-  /// Total records ever recorded, including evicted ones, across this
-  /// recorder and its shards. Scheduling-independent.
+  /// Total records ever recorded, including evicted ones.
+  /// Scheduling-independent.
   uint64_t recorded() const;
-  /// Records evicted by the ring bounds (recorded minus buffered).
+  /// Records evicted by the ring bound (recorded minus buffered).
   uint64_t dropped() const;
 
-  /// The deterministic failure rollup (see FlightFailureSummary) across
-  /// this recorder and its shards. Records with root_index outside
-  /// [0, kSummaryRoots) (priming, local-root refresh) are not rolled up.
+  /// The deterministic failure rollup (see FlightFailureSummary). Records
+  /// with root_index outside [0, kSummaryRoots) (priming, local-root
+  /// refresh) are not rolled up.
   FlightFailureSummary failure_summary() const;
 
-  /// Merged copy of the buffered records of this recorder and its shards,
-  /// ordered by simulated send time (ties keep recorder-then-shard order),
-  /// truncated to the newest `capacity`.
+  /// Copy of the buffered records, oldest first.
   std::vector<FlightRecord> records() const;
 
   /// One JSON object per buffered record, oldest first:
@@ -136,9 +125,8 @@ class FlightRecorder {
   ///    "bytes_received":0,"time_ms":10500.0}
   std::string to_jsonl() const;
 
-  /// Drops all buffered records and all shards (their pointers die here);
-  /// recorded() and failure_summary() keep counting what they held. Not
-  /// safe while a worker still records into a shard.
+  /// Drops the buffered records; recorded() and failure_summary() keep
+  /// counting what they held.
   void clear();
 
  private:
@@ -147,27 +135,12 @@ class FlightRecorder {
     util::UnixTime first = 0;
     util::UnixTime last = 0;
   };
-  using SummaryCells =
-      std::array<SummaryCell, kSummaryRoots * 2 * kSummaryCauses>;
-  /// What a recorder and its shards hold between them.
-  struct Fold {
-    uint64_t recorded = 0;
-    SummaryCells summary{};
-    std::vector<FlightRecord> records;  ///< recorder-then-shard order
-  };
-
-  static void note_summary(SummaryCells& cells, const FlightRecord& record);
-  /// Adds this recorder's counts (and, with `with_records`, its buffered
-  /// records) and then each shard's into `fold`. The caller holds mu_; each
-  /// shard is locked in turn, after its parent.
-  void fold_into(Fold& fold, bool with_records) const;
 
   mutable std::mutex mu_;
   size_t capacity_;
   uint64_t recorded_ = 0;
   std::deque<FlightRecord> ring_;
-  SummaryCells summary_{};
-  std::vector<std::unique_ptr<FlightRecorder>> shards_;
+  std::array<SummaryCell, kSummaryRoots * 2 * kSummaryCauses> summary_{};
 };
 
 }  // namespace rootsim::netsim

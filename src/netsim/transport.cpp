@@ -9,12 +9,7 @@ namespace rootsim::netsim {
 
 Transport::Transport(const AnycastRouter& router, TransportConfig config,
                      obs::Obs obs)
-    : router_(&router), config_(std::move(config)) {
-  rebind_obs(obs);
-}
-
-void Transport::rebind_obs(obs::Obs obs) {
-  obs_ = obs;
+    : router_(&router), config_(std::move(config)), obs_(obs) {
   if (obs_.metrics) {
     exchanges_[0] = obs_.counter_handle("transport.exchanges", {{"proto", "udp"}});
     exchanges_[1] = obs_.counter_handle("transport.exchanges", {{"proto", "tcp"}});
@@ -23,10 +18,6 @@ void Transport::rebind_obs(obs::Obs obs) {
     tcp_fallbacks_ = obs_.counter_handle("transport.tcp_fallbacks");
     bytes_sent_ = obs_.counter_handle("transport.bytes", {{"dir", "sent"}});
     bytes_received_ = obs_.counter_handle("transport.bytes", {{"dir", "received"}});
-  } else {
-    exchanges_[0] = exchanges_[1] = nullptr;
-    drops_ = timeouts_ = tcp_fallbacks_ = nullptr;
-    bytes_sent_ = bytes_received_ = nullptr;
   }
 }
 

@@ -120,9 +120,9 @@ struct TransportConfig {
   size_t tcp_window_bytes = 64 * 1024;
   /// Optional flight recorder (non-owning): when set, every exchange()/axfr()
   /// completion is pushed onto its ring for post-mortem. Parallel callers
-  /// point each worker's config at its own shard (FlightRecorder::
-  /// make_shards). Diagnostic only — never part of the deterministic export
-  /// surface (see flight_recorder.h).
+  /// share the one recorder; its ring is locked per record. Diagnostic only
+  /// — never part of the deterministic export surface (see
+  /// flight_recorder.h).
   FlightRecorder* flight_recorder = nullptr;
 
   const LinkConditions& conditions_for_site(uint32_t site_id) const {
@@ -248,13 +248,6 @@ class Transport {
   /// TCP fallbacks and wire bytes under `transport.*`.
   explicit Transport(const AnycastRouter& router, TransportConfig config = {},
                      obs::Obs obs = {});
-
-  /// Re-points the metric handles at a different sink. The work-stealing
-  /// audit hands each worker's transport the current unit's ObsShard before
-  /// every probe — re-resolving seven handles is noise next to the ~47-query
-  /// probe they account. Not thread-safe against concurrent exchanges on the
-  /// same Transport (each worker owns its transport, so that never happens).
-  void rebind_obs(obs::Obs obs);
 
   /// Resolves the serving site for (client, root, family) at `round` —
   /// exactly one route selection — and binds the per-link conditions and the

@@ -115,7 +115,7 @@ class MetricsRegistry {
 
   /// Folds another registry into this one: counters and histograms add,
   /// gauges take the max (every gauge in the pipeline is monotone — serials,
-  /// set sizes). Used by the exec engine to merge per-worker shards; merging
+  /// set sizes). Used by the exec engine to merge per-unit shards; merging
   /// shards in any order yields the same totals, and the totals equal a
   /// serial run's.
   void merge_from(const MetricsRegistry& other);

@@ -10,7 +10,7 @@
 // Determinism contract (the same one MetricsRegistry::merge_from keeps):
 // every accumulator is merge-associative and commutative — plain adds,
 // fixed-layout log-linear histograms, and an OR-merged bitmap sketch for
-// unique sources — so per-worker shards folded in any order reproduce a
+// unique sources — so per-unit shards folded in any order reproduce a
 // serial run's export byte for byte.
 //
 // This header is deliberately free of dns/netsim types: the transport layer
@@ -73,8 +73,8 @@ struct Rssac002Sample {
 };
 
 /// Accumulates Rssac002Samples into per-(instance, day) records and exports
-/// them as rssac002.jsonl. Thread-safe; the exec engine gives each worker
-/// its own collector and folds them with merge_from in shard order.
+/// them as rssac002.jsonl. Thread-safe; the exec engine gives each unit its
+/// own collector and folds them with merge_from in unit order.
 class Rssac002Collector {
  public:
   /// Everything one instance accumulated over one simulated day.

@@ -76,7 +76,7 @@ class Tracer {
 
   /// Appends another tracer's buffered events, renumbering their ids to
   /// continue this tracer's sequence (span links are preserved). Used by the
-  /// exec engine to merge per-worker shards in unit order: when each shard's
+  /// exec engine to merge per-unit shards in unit order: when each shard's
   /// capacity matches this tracer's, the merged ring — ids, content and drop
   /// count — is byte-identical to a serial run's. The shard is left empty.
   void absorb(Tracer&& shard);

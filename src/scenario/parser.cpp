@@ -1,6 +1,7 @@
 #include "scenario/parser.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -12,12 +13,18 @@ namespace rootsim::scenario {
 
 namespace {
 
+/// Exactly the form util::format_datetime writes, of a real instant: a
+/// date such as 2023-02-30 is refused rather than moved to March, and so are
+/// trailing bytes and fields too wide to add up without overflow.
 bool parse_time(const std::string& token, util::UnixTime* out) {
   int year, month, day, hour, minute, second;
-  if (std::sscanf(token.c_str(), "%d-%d-%dT%d:%d:%dZ", &year, &month, &day,
-                  &hour, &minute, &second) != 6)
+  if (std::sscanf(token.c_str(), "%4d-%2d-%2dT%2d:%2d:%2dZ", &year, &month,
+                  &day, &hour, &minute, &second) != 6)
     return false;
-  *out = util::make_time(year, month, day, hour, minute, second);
+  const util::UnixTime t =
+      util::make_time(year, month, day, hour, minute, second);
+  if (util::format_datetime(t) != token) return false;
+  *out = t;
   return true;
 }
 
@@ -146,6 +153,16 @@ bool parse_counts(const std::string& token,
     start = comma + 1;
   }
   return true;
+}
+
+/// The shortest text that reads back as exactly `value` ("%g" keeps only
+/// six significant digits).
+std::string exact_number(double value) {
+  char buf[32];
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general)
+          .ptr;
+  return std::string(buf, end);
 }
 
 std::string counts_to_string(const std::array<int, util::kRegionCount>& counts) {
@@ -368,14 +385,16 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
            counts_to_string(dep.global_sites) + " local " +
            counts_to_string(dep.local_sites) + "\n";
   for (const Event& e : spec.events) {
-    out += util::format(
-        "event %s letter=%s region=%s start=%s end=%s fraction=%g loss=%g "
-        "extra-rtt=%g jitter=%g stages=%d label=%s\n",
-        to_string(e.kind), letter_name(e.letter).c_str(),
-        region_name(e.region).c_str(),
-        util::format_datetime(e.window.start).c_str(),
-        util::format_datetime(e.window.end).c_str(), e.site_fraction, e.loss,
-        e.extra_rtt_ms, e.jitter_ms, e.stages, e.label.c_str());
+    out += util::format("event %s letter=%s region=%s start=%s end=%s",
+                        to_string(e.kind), letter_name(e.letter).c_str(),
+                        region_name(e.region).c_str(),
+                        util::format_datetime(e.window.start).c_str(),
+                        util::format_datetime(e.window.end).c_str());
+    out += " fraction=" + exact_number(e.site_fraction) +
+           " loss=" + exact_number(e.loss) +
+           " extra-rtt=" + exact_number(e.extra_rtt_ms) +
+           " jitter=" + exact_number(e.jitter_ms);
+    out += util::format(" stages=%d label=", e.stages) + e.label + "\n";
   }
   for (const FaultSpec& f : spec.faults) {
     out += util::format(

@@ -1,7 +1,8 @@
 // The .scn text format: scenarios as data (examples/scenarios/*.scn).
 //
 // Line-oriented, one directive per line, '#' starts a comment. Times are
-// ISO-8601 UTC ("2023-07-03T00:00:00Z" — util::format_datetime's form).
+// ISO-8601 UTC written exactly in util::format_datetime's form
+// ("2023-07-03T00:00:00Z") for a real calendar instant.
 //
 //   scenario <name>
 //   description <free text>
@@ -40,7 +41,8 @@ namespace rootsim::scenario {
 bool parse_scenario(std::string_view text, ScenarioSpec* out,
                     std::string* error = nullptr);
 
-/// Canonical text form of a spec.
+/// Canonical text form of a spec. Event numbers print in the shortest form
+/// that reads back exactly (std::to_chars), so no digit is lost.
 std::string serialize_scenario(const ScenarioSpec& spec);
 
 }  // namespace rootsim::scenario

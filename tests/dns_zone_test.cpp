@@ -164,6 +164,34 @@ TEST(Zone, ParseMasterFileErrors) {
   // No SOA at all.
   EXPECT_FALSE(Zone::parse_master_file(". IN NS a.example.\n", &error).has_value());
   EXPECT_EQ(error, "zone has no SOA");
+
+  // RRSIG fields: the covered type must be a known type other than ANY, and
+  // algorithm and labels must fit their octets.
+  const std::string soa = ". 86400 IN SOA a. b. 1 2 3 4 5\n";
+  const std::string good_rrsig =
+      ". 86400 IN RRSIG SOA 8 0 86400 1700000000 1690000000 12345 . AAAA\n";
+  EXPECT_TRUE(Zone::parse_master_file(soa + good_rrsig, &error).has_value())
+      << error;
+  const struct {
+    const char* rrsig;
+    const char* error;
+  } bad_rrsigs[] = {
+      {". 86400 IN RRSIG SAO 264 300 86400 1700000000 1690000000 12345 . AAAA",
+       "line 2: bad RRSIG type covered 'SAO'"},
+      {". 86400 IN RRSIG ANY 8 0 86400 1700000000 1690000000 12345 . AAAA",
+       "line 2: bad RRSIG type covered 'ANY'"},
+      {". 86400 IN RRSIG SOA 264 0 86400 1700000000 1690000000 12345 . AAAA",
+       "line 2: bad RRSIG"},
+      {". 86400 IN RRSIG SOA 8 300 86400 1700000000 1690000000 12345 . AAAA",
+       "line 2: bad RRSIG"},
+  };
+  for (const auto& row : bad_rrsigs) {
+    error.clear();
+    EXPECT_FALSE(
+        Zone::parse_master_file(soa + row.rrsig + "\n", &error).has_value())
+        << row.rrsig;
+    EXPECT_EQ(error, row.error) << row.rrsig;
+  }
 }
 
 }  // namespace

@@ -278,15 +278,18 @@ struct AuditRun {
   std::string trace_jsonl;
   std::string rssac002_jsonl;
   uint64_t flight_recorded = 0;
+  std::string flight_summary;  ///< failure_summary(), one entry per line
 };
 
 AuditRun run_audit(size_t workers,
-                   netsim::FlightRecorder* flight_recorder = nullptr) {
+                   netsim::FlightRecorder* flight_recorder = nullptr,
+                   double loss = 0.0) {
   measure::CampaignConfig config;
   config.zone.tld_count = 30;
   config.zone.rsa_modulus_bits = 512;
   config.vp_scale = 0.05;
   config.transport.flight_recorder = flight_recorder;
+  config.transport.defaults.loss = loss;
   obs::Recorder recorder;
   measure::Campaign campaign(config, recorder.obs());
   AuditRun run;
@@ -294,7 +297,15 @@ AuditRun run_audit(size_t workers,
   run.metrics_jsonl = recorder.metrics().to_jsonl();
   run.trace_jsonl = recorder.tracer().to_jsonl();
   run.rssac002_jsonl = recorder.rssac002().to_jsonl();
-  if (flight_recorder) run.flight_recorded = flight_recorder->recorded();
+  if (flight_recorder) {
+    run.flight_recorded = flight_recorder->recorded();
+    for (const auto& e : flight_recorder->failure_summary().entries)
+      run.flight_summary += util::format(
+          "%d/%s/%s n=%llu %lld..%lld\n", e.root_index, e.v6 ? "v6" : "v4",
+          std::string(netsim::to_string(e.cause)).c_str(),
+          static_cast<unsigned long long>(e.count),
+          static_cast<long long>(e.first), static_cast<long long>(e.last));
+  }
   return run;
 }
 
@@ -376,6 +387,27 @@ TEST(ZoneAudit, ByteIdenticalWithProfilerAndFlightRecorderEnabled) {
   }
   unsetenv("ROOTSIM_PROFILE");
   std::remove(profile_path);
+}
+
+// Every worker records into the one attached recorder. On a lossy transport
+// the probes time out and retry, so the failure rollup has entries; it and
+// the record count must not depend on how many workers shared the ring.
+TEST(ZoneAudit, LossyFlightRecorderCountsMatchAtEveryWorkerCount) {
+  constexpr double kLoss = 0.2;
+  netsim::FlightRecorder serial_flight(64);
+  const AuditRun serial = run_audit(1, &serial_flight, kLoss);
+  ASSERT_FALSE(serial.flight_summary.empty());
+  EXPECT_GT(serial.flight_recorded, serial_flight.size());
+  for (size_t workers : {2, 4, 8}) {
+    netsim::FlightRecorder flight(64);
+    const AuditRun parallel = run_audit(workers, &flight, kLoss);
+    EXPECT_EQ(parallel.flight_recorded, serial.flight_recorded)
+        << workers << " workers";
+    EXPECT_EQ(parallel.flight_summary, serial.flight_summary)
+        << workers << " workers";
+    EXPECT_EQ(parallel.metrics_jsonl, serial.metrics_jsonl)
+        << workers << " workers";
+  }
 }
 
 // A shortened schedule keeps the SLO tests fast. It covers the b.root

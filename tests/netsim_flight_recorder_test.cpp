@@ -67,7 +67,7 @@ TEST(FlightRecorder, JsonlCarriesTheCoordinatesAndCause) {
   EXPECT_EQ(jsonl.back(), '\n');
 }
 
-// --- shards ------------------------------------------------------------------
+// --- concurrent writers ----------------------------------------------------
 
 std::string summary_text(const FlightFailureSummary& summary) {
   std::string out;
@@ -79,9 +79,8 @@ std::string summary_text(const FlightFailureSummary& summary) {
   return out;
 }
 
-// Record i of the shard test: send time 1000 + i, unique per record; roots
-// -1..13 (the first and last fall outside the rollup), both families and
-// every cause.
+// Record i: send time 1000 + i, unique per record; roots -1..13 (the first
+// and last fall outside the rollup), both families and every cause.
 FlightRecord numbered_record(uint32_t i) {
   FlightRecord record;
   record.vp_id = i;
@@ -92,42 +91,24 @@ FlightRecord numbered_record(uint32_t i) {
   return record;
 }
 
-// The recorder and its shards read as one ring. Three threads write the
-// recorder itself and one more thread writes each of three shards, all at
-// once, each in send-time order. Every read must then equal a serial
-// recorder fed the same records in send-time order. The recorder's own ring
-// gets 60 records, so it never evicts (which of its concurrent writers came
-// last would otherwise decide what it keeps); each shard gets 120, so each
-// evicts, but only records that 64 newer ones in its own ring outrank.
-TEST(FlightRecorder, ShardsFoldIntoEveryRead) {
+// Parallel loops share one recorder. Four threads write it at once, each a
+// quarter of the records, so the ring wraps while they race; the counts and
+// the failure rollup must still equal a serial recorder's. Which records the
+// ring keeps, and in what order, is the schedule's business: only their
+// number is checked.
+TEST(FlightRecorder, ConcurrentWritersMatchASerialRecorder) {
   constexpr size_t kCapacity = 64;
   constexpr uint32_t kRecords = 420;
-  constexpr size_t kRecorderThreads = 3;
-  constexpr size_t kShards = 3;
+  constexpr uint32_t kThreads = 4;
   FlightRecorder serial(kCapacity);
   for (uint32_t i = 0; i < kRecords; ++i) serial.record(numbered_record(i));
 
   FlightRecorder recorder(kCapacity);
-  const std::vector<FlightRecorder*> shards = recorder.make_shards(kShards);
-  ASSERT_EQ(shards.size(), kShards);
-  for (FlightRecorder* shard : shards) {
-    ASSERT_NE(shard, &recorder);
-    EXPECT_EQ(shard->capacity(), kCapacity);
-  }
-  // Record i goes to the recorder when i % 7 == 0 (to writer (i / 7) % 3),
-  // else to shard (i % 7 - 1) / 2.
   std::vector<std::thread> writers;
-  for (size_t t = 0; t < kRecorderThreads; ++t)
+  for (uint32_t t = 0; t < kThreads; ++t)
     writers.emplace_back([&, t] {
-      for (uint32_t i = 0; i < kRecords; ++i)
-        if (i % 7 == 0 && (i / 7) % kRecorderThreads == t)
-          recorder.record(numbered_record(i));
-    });
-  for (size_t s = 0; s < kShards; ++s)
-    writers.emplace_back([&, s] {
-      for (uint32_t i = 0; i < kRecords; ++i)
-        if (i % 7 != 0 && (i % 7 - 1) / 2 == s)
-          shards[s]->record(numbered_record(i));
+      for (uint32_t i = t; i < kRecords; i += kThreads)
+        recorder.record(numbered_record(i));
     });
   for (auto& writer : writers) writer.join();
 
@@ -135,17 +116,12 @@ TEST(FlightRecorder, ShardsFoldIntoEveryRead) {
   EXPECT_EQ(recorder.recorded(), serial.recorded());
   EXPECT_EQ(recorder.size(), kCapacity);
   EXPECT_EQ(recorder.dropped(), serial.dropped());
+  EXPECT_EQ(recorder.records().size(), kCapacity);
   const std::string summary = summary_text(serial.failure_summary());
   ASSERT_FALSE(summary.empty());
   EXPECT_EQ(summary_text(recorder.failure_summary()), summary);
-  EXPECT_EQ(recorder.to_jsonl(), serial.to_jsonl());
-  const auto records = recorder.records();
-  ASSERT_EQ(records.size(), kCapacity);
-  EXPECT_EQ(records.front().when,
-            static_cast<util::UnixTime>(1000 + kRecords - kCapacity));
-  EXPECT_EQ(records.back().when, static_cast<util::UnixTime>(1000 + kRecords - 1));
 
-  // clear() empties every ring but keeps what they counted.
+  // clear() empties the ring but keeps what it counted.
   recorder.clear();
   EXPECT_EQ(recorder.size(), 0u);
   EXPECT_EQ(recorder.recorded(), kRecords);
@@ -153,21 +129,6 @@ TEST(FlightRecorder, ShardsFoldIntoEveryRead) {
   recorder.record(numbered_record(7));
   EXPECT_EQ(recorder.recorded(), kRecords + 1);
   EXPECT_EQ(recorder.size(), 1u);
-}
-
-// Records with equal send times keep recorder-then-shard order.
-TEST(FlightRecorder, SendTimeTiesKeepRecorderThenShardOrder) {
-  FlightRecorder recorder(8);
-  const auto shards = recorder.make_shards(2);
-  FlightRecord record;
-  record.when = 5;
-  for (uint32_t vp : {2u, 1u, 0u}) {
-    record.vp_id = vp;
-    (vp == 0 ? recorder : *shards[vp - 1]).record(record);
-  }
-  const auto records = recorder.records();
-  ASSERT_EQ(records.size(), 3u);
-  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(records[i].vp_id, i);
 }
 
 // --- transport integration -------------------------------------------------

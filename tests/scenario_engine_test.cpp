@@ -34,7 +34,18 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(ScenarioParser, LibrarySpecsSurviveARoundTrip) {
-  for (const ScenarioSpec& spec : library()) {
+  std::vector<ScenarioSpec> specs = library();
+  // Numbers past "%g"'s six significant digits: printed that way,
+  // fraction=0.9000001 read back as 0.9.
+  ScenarioSpec precise = ddos_c_globals();
+  ASSERT_FALSE(precise.events.empty());
+  precise.name = "precise";
+  precise.events[0].site_fraction = 0.9000001;
+  precise.events[0].loss = 0.1 + 0.2;
+  precise.events[0].extra_rtt_ms = 123456789.125;
+  precise.events[0].jitter_ms = 1e-300;
+  specs.push_back(precise);
+  for (const ScenarioSpec& spec : specs) {
     ScenarioSpec again;
     std::string error;
     ASSERT_TRUE(parse_scenario(serialize_scenario(spec), &again, &error))
@@ -68,11 +79,22 @@ TEST(ScenarioParser, RejectsUnknownDirectiveWithLineNumber) {
 }
 
 TEST(ScenarioParser, RejectsMalformedTime) {
-  ScenarioSpec spec;
-  std::string error;
-  EXPECT_FALSE(parse_scenario(
-      "scenario x\nhorizon yesterday 2023-12-24T00:00:00Z\n", &spec, &error));
-  EXPECT_FALSE(error.empty());
+  // A time must be written exactly as util::format_datetime writes it. All
+  // but the first of these used to parse: sscanf took 2023-02-30 as March 2,
+  // ignored whatever followed the seconds, and read a hour of 99999999,
+  // whose seconds overflow an int.
+  for (const char* start :
+       {"yesterday", "2023-02-30T00:00:00Z", "2023-07-03T00:00:00Zjunk",
+        "2023-07-03T00:00:00", "2023-7-03T00:00:00Z", "2023-07-03T24:00:00Z",
+        "2023-07-03T99999999:00:00Z", "2023-07-03T00:00:-1Z"}) {
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(parse_scenario(std::string("scenario x\nhorizon ") + start +
+                                    " 2023-12-24T00:00:00Z\n",
+                                &spec, &error))
+        << start;
+    EXPECT_EQ(error, "line 2: horizon wants <start> <end>") << start;
+  }
 }
 
 TEST(ScenarioParser, RejectsNonPositiveIntervalsWithLineNumber) {
