@@ -5,8 +5,9 @@
 
 namespace rootsim::analysis {
 
-CoverageReport compute_coverage(const measure::Campaign& campaign,
-                                const CoverageOptions& options) {
+CoverageReport compute_coverage(const measure::Campaign& campaign) {
+  // Rounds sampled when probing catchment churn for extra observed sites.
+  constexpr size_t kChurnSampleRounds = 64;
   CoverageReport report;
   const netsim::Topology& topology = campaign.topology();
   const netsim::AnycastRouter& router = campaign.router();
@@ -21,7 +22,7 @@ CoverageReport compute_coverage(const measure::Campaign& campaign,
         report.observed_sites.insert(selection.primary_site);
         // Churn exposes the secondary site if flips are likely enough over
         // the campaign; sample rounds rather than sweeping all of them.
-        for (size_t s = 0; s < options.churn_sample_rounds; ++s) {
+        for (size_t s = 0; s < kChurnSampleRounds; ++s) {
           uint64_t round = rounds > 0 ? (s * 997) % rounds : 0;
           report.observed_sites.insert(
               netsim::AnycastRouter::site_at_round(selection, round));

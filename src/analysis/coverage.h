@@ -41,14 +41,7 @@ struct CoverageReport {
   std::set<uint32_t> observed_sites;
 };
 
-struct CoverageOptions {
-  /// Rounds sampled when probing catchment churn for extra observed sites
-  /// (0 = steady-state catchments only).
-  size_t churn_sample_rounds = 64;
-};
-
-CoverageReport compute_coverage(const measure::Campaign& campaign,
-                                const CoverageOptions& options = {});
+CoverageReport compute_coverage(const measure::Campaign& campaign);
 
 /// §4.2's identifier-to-site matching step. Not every hostname.bind answer
 /// maps to a published site: {a,c,e,j}.root report only IATA-style metro

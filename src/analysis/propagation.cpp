@@ -44,10 +44,10 @@ PropagationReport measure_soa_propagation(const measure::Campaign& campaign,
       // Adaptive per-second search: bisect [bump, bump + window] for the
       // first second at which the instance serves the new serial.
       util::UnixTime lo = serial_bump;
-      util::UnixTime hi = serial_bump + options.search_window_s;
+      util::UnixTime hi = serial_bump + kPropagationSearchWindowS;
       if (soa_serial_at(instance, hi, row.soa_queries_sent) !=
           report.new_serial) {
-        row.delays_s.push_back(static_cast<double>(options.search_window_s));
+        row.delays_s.push_back(static_cast<double>(kPropagationSearchWindowS));
         continue;
       }
       if (soa_serial_at(instance, lo, row.soa_queries_sent) ==

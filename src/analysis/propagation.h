@@ -32,12 +32,13 @@ struct PropagationReport {
   size_t total_queries = 0;
 };
 
+/// Longest delay searched for (instances slower than this are reported at
+/// the cap).
+inline constexpr int64_t kPropagationSearchWindowS = 3600;
+
 struct PropagationOptions {
   /// Cap on instances polled per root (the biggest deployments have 345).
   size_t max_instances_per_root = 64;
-  /// Longest delay searched for (instances slower than this are reported at
-  /// the cap).
-  int64_t search_window_s = 3600;
 };
 
 /// Measures propagation of the zone edit at `serial_bump` (must be a

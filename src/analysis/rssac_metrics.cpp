@@ -46,7 +46,7 @@ RssacCells replay_rssac_samples(const measure::Campaign& campaign,
               netsim::AnycastRouter::site_at_round(selection, round);
           sample.kind = obs::SloSample::Kind::Availability;
           sample.ok = rss::site_available(site, schedule.round_time(round),
-                                          start, end, options.outages);
+                                          start, end);
           cell.record(sample);
         }
       }

@@ -47,7 +47,6 @@ struct RssacReport {
 };
 
 struct RssacOptions {
-  rss::OutageModelConfig outages;
   /// Rounds sampled per (VP, root, family) for availability estimation.
   size_t sampled_rounds = 40;
   /// Instances sampled per root for publication latency.

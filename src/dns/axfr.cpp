@@ -11,7 +11,9 @@ std::vector<uint8_t> encode_axfr_stream(const std::vector<ResourceRecord>& recor
                                         const AxfrStreamOptions& options) {
   std::vector<uint8_t> stream;
   WireWriter writer;
-  uint16_t message_id = options.first_message_id;
+  // Message ids count up from here, one per framed message.
+  constexpr uint16_t kFirstMessageId = 1;
+  uint16_t message_id = kFirstMessageId;
   size_t index = 0;
   bool first_message = true;
   // The 2-octet frame prefix caps a message at 65535 bytes no matter what

@@ -23,7 +23,6 @@ struct AxfrStreamOptions {
   /// messages; real servers use ~16-64 KiB over TCP). Clamped to 65535, the
   /// most a 2-octet frame prefix can describe.
   size_t max_message_bytes = 16 * 1024;
-  uint16_t first_message_id = 1;
 };
 
 /// Serializes an AXFR record stream (SOA ... SOA) into a framed TCP stream:

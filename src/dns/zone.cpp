@@ -233,18 +233,25 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
     auto tokens = tokenize_zone_line(raw_line, &bad);
     if (bad) return fail(util::format("line %zu: unterminated string", line_number));
     if (tokens.empty()) continue;
-    if (tokens[0] == "$ORIGIN") {
-      if (tokens.size() < 2) return fail("$ORIGIN missing argument");
-      auto parsed = Name::parse(tokens[1]);
-      if (!parsed) return fail("$ORIGIN bad name");
-      origin = *parsed;
-      continue;
-    }
-    if (tokens[0] == "$TTL") {
-      if (tokens.size() < 2) return fail("$TTL missing argument");
-      auto ttl = parse_u32(tokens[1]);
-      if (!ttl) return fail("$TTL bad value");
-      default_ttl = *ttl;
+    if (tokens[0] == "$ORIGIN" || tokens[0] == "$TTL") {
+      const char* directive = tokens[0].c_str();
+      if (tokens.size() < 2)
+        return fail(util::format("line %zu: %s missing argument", line_number,
+                                 directive));
+      if (tokens.size() > 2)
+        return fail(util::format("line %zu: unexpected '%s' after %s",
+                                 line_number, tokens[2].c_str(), directive));
+      if (tokens[0] == "$ORIGIN") {
+        auto parsed = Name::parse(tokens[1]);
+        if (!parsed)
+          return fail(util::format("line %zu: $ORIGIN bad name", line_number));
+        origin = *parsed;
+      } else {
+        auto ttl = parse_u32(tokens[1]);
+        if (!ttl)
+          return fail(util::format("line %zu: $TTL bad value", line_number));
+        default_ttl = *ttl;
+      }
       continue;
     }
 
@@ -283,6 +290,8 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
     std::vector<std::string> args(tokens.begin() + static_cast<long>(cursor),
                                   tokens.end());
     auto need = [&](size_t count) { return args.size() >= count; };
+    // Tokens the rdata read; any left over is an error, never dropped.
+    size_t used = args.size();
     Rdata rdata;
     switch (type) {
       case RRType::SOA: {
@@ -305,6 +314,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         soa.expire = *expire;
         soa.minimum = *minimum;
         rdata = soa;
+        used = 7;
         break;
       }
       case RRType::NS: {
@@ -312,6 +322,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         auto target = parse_relative_name(args[0], origin);
         if (!target) return fail(util::format("line %zu: bad NS target", line_number));
         rdata = NsData{*target};
+        used = 1;
         break;
       }
       case RRType::CNAME: {
@@ -319,6 +330,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         auto target = parse_relative_name(args[0], origin);
         if (!target) return fail(util::format("line %zu: bad CNAME target", line_number));
         rdata = CnameData{*target};
+        used = 1;
         break;
       }
       case RRType::A: {
@@ -327,6 +339,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         if (!addr || !addr->is_v4())
           return fail(util::format("line %zu: bad A address", line_number));
         rdata = AData{*addr};
+        used = 1;
         break;
       }
       case RRType::AAAA: {
@@ -335,6 +348,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         if (!addr || !addr->is_v6())
           return fail(util::format("line %zu: bad AAAA address", line_number));
         rdata = AaaaData{*addr};
+        used = 1;
         break;
       }
       case RRType::TXT: {
@@ -351,6 +365,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         if (!pref || *pref > 0xFFFF || !target)
           return fail(util::format("line %zu: bad MX", line_number));
         rdata = MxData{static_cast<uint16_t>(*pref), *target};
+        used = 2;
         break;
       }
       case RRType::DS: {
@@ -358,7 +373,10 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         auto tag = parse_u32(args[0]);
         auto alg = parse_u32(args[1]);
         auto dt = parse_u32(args[2]);
-        auto digest = crypto::from_hex(args[3]);
+        // RFC 4034 §5.3: the digest may hold whitespace.
+        std::string hex;
+        for (size_t i = 3; i < args.size(); ++i) hex += args[i];
+        auto digest = crypto::from_hex(hex);
         if (!tag || *tag > 0xFFFF || !alg || *alg > 255 || !dt || *dt > 255 || !digest)
           return fail(util::format("line %zu: bad DS", line_number));
         rdata = DsData{static_cast<uint16_t>(*tag), static_cast<uint8_t>(*alg),
@@ -436,7 +454,10 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         auto serial = parse_u32(args[0]);
         auto scheme = parse_u32(args[1]);
         auto alg = parse_u32(args[2]);
-        auto digest = crypto::from_hex(args[3]);
+        // RFC 8976 §2.3: the digest may hold whitespace.
+        std::string hex;
+        for (size_t i = 3; i < args.size(); ++i) hex += args[i];
+        auto digest = crypto::from_hex(hex);
         if (!serial || !scheme || *scheme > 255 || !alg || *alg > 255 || !digest)
           return fail(util::format("line %zu: bad ZONEMD", line_number));
         rdata = ZonemdData{*serial, static_cast<uint8_t>(*scheme),
@@ -447,6 +468,10 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         return fail(util::format("line %zu: type %s not supported in zone files",
                                  line_number, rrtype_to_string(type).c_str()));
     }
+    if (used < args.size())
+      return fail(util::format("line %zu: unexpected '%s' after the %s rdata",
+                               line_number, args[used].c_str(),
+                               rrtype_to_string(type).c_str()));
     records.push_back(ResourceRecord{owner, type, rclass, ttl, std::move(rdata)});
   }
 

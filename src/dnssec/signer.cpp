@@ -242,27 +242,25 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
 
   // Build the NSEC chain over authoritative names (delegation points appear
   // as owners but their NS bit set comes from the delegation NS RRset).
-  if (policy.add_nsec) {
-    std::vector<dns::Name> names = zone.authoritative_names();
-    for (size_t i = 0; i < names.size(); ++i) {
-      const dns::Name& owner = names[i];
-      const dns::Name& next = names[(i + 1) % names.size()];
-      dns::NsecData nsec;
-      nsec.next = next;
-      for (const dns::RRset* set : zone.rrsets_at(owner))
-        nsec.types.push_back(set->type);
-      nsec.types.push_back(dns::RRType::NSEC);
-      nsec.types.push_back(dns::RRType::RRSIG);
-      std::sort(nsec.types.begin(), nsec.types.end());
-      nsec.types.erase(std::unique(nsec.types.begin(), nsec.types.end()),
-                       nsec.types.end());
-      dns::ResourceRecord rr;
-      rr.name = owner;
-      rr.type = dns::RRType::NSEC;
-      rr.ttl = soa_minimum;
-      rr.rdata = nsec;
-      zone.add(rr);
-    }
+  std::vector<dns::Name> names = zone.authoritative_names();
+  for (size_t i = 0; i < names.size(); ++i) {
+    const dns::Name& owner = names[i];
+    const dns::Name& next = names[(i + 1) % names.size()];
+    dns::NsecData nsec;
+    nsec.next = next;
+    for (const dns::RRset* set : zone.rrsets_at(owner))
+      nsec.types.push_back(set->type);
+    nsec.types.push_back(dns::RRType::NSEC);
+    nsec.types.push_back(dns::RRType::RRSIG);
+    std::sort(nsec.types.begin(), nsec.types.end());
+    nsec.types.erase(std::unique(nsec.types.begin(), nsec.types.end()),
+                     nsec.types.end());
+    dns::ResourceRecord rr;
+    rr.name = owner;
+    rr.type = dns::RRType::NSEC;
+    rr.ttl = soa_minimum;
+    rr.rdata = nsec;
+    zone.add(rr);
   }
 
   // Sign every authoritative RRset (including the ZONEMD placeholder, whose

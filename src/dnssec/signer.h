@@ -36,7 +36,6 @@ SigningKey make_ksk(util::Rng& rng, size_t modulus_bits = 1024);
 struct SigningPolicy {
   util::UnixTime inception;    // signature inception
   util::UnixTime expiration;   // signature expiration (~2 weeks for the root)
-  bool add_nsec = true;
   /// ZONEMD behaviour, mirroring the roll-out stages of Fig. 2:
   /// None — pre-2023-09-13; Private — placeholder with private hash algorithm
   /// (not verifiable); Sha384 — verifiable, post-2023-12-06.

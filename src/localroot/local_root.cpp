@@ -72,14 +72,13 @@ RefreshResult LocalRootService::refresh(util::UnixTime now,
     attempt.zonemd_verdict = validation.zonemd;
 
     bool dnssec_ok = validation.signature_failures.empty();
-    bool zonemd_ok = true;
-    if (config_.require_zonemd_when_available) {
-      // Reject a verifiable-but-wrong or wrong-serial digest outright; a
-      // missing or unsupported record is acceptable (pre-rollout reality).
-      zonemd_ok = validation.zonemd == dnssec::ZonemdStatus::Verified ||
-                  validation.zonemd == dnssec::ZonemdStatus::NoZonemd ||
-                  validation.zonemd == dnssec::ZonemdStatus::UnsupportedScheme;
-    }
+    // Require a verifiable ZONEMD once the rollout provides one: reject a
+    // verifiable-but-wrong or wrong-serial digest outright. A missing or
+    // unsupported record is acceptable, so before the rollout DNSSEC-only
+    // validation is accepted (the pre-2023-12-06 reality).
+    bool zonemd_ok = validation.zonemd == dnssec::ZonemdStatus::Verified ||
+                     validation.zonemd == dnssec::ZonemdStatus::NoZonemd ||
+                     validation.zonemd == dnssec::ZonemdStatus::UnsupportedScheme;
     if (dnssec_ok && zonemd_ok) {
       attempt.accepted = true;
       attempt.detail = util::format("accepted serial %u from %c.root",

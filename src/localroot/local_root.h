@@ -53,9 +53,6 @@ struct LocalRootConfig {
   /// Server preference order (catalog indices 0..12).
   std::vector<int> server_order = {1, 10, 5, 3, 0, 2, 4, 6, 7, 8, 9, 11, 12};
   util::IpFamily preferred_family = util::IpFamily::V6;
-  /// Require a verifiable ZONEMD once the rollout provides one; before that,
-  /// DNSSEC-only validation is accepted (the pre-2023-12-06 reality).
-  bool require_zonemd_when_available = true;
   /// Maximum servers tried per refresh before giving up.
   size_t max_attempts = 5;
   /// If set, trust is bootstrapped per transfer from this DS record (the

@@ -2,9 +2,9 @@
 //
 // A plan is scenario data — the paper's Table 2 plan (bad clocks -> "Sig.
 // not incepted", faulty RAM -> bitflipped AXFRs -> "Bogus Signature", stale
-// d.root instances -> "Signature expired") lives in scenario/library.cpp as
-// the `paper-2023` spec's fault timeline and reaches the campaign through
-// CampaignConfig::fault_plan.
+// d.root instances -> "Signature expired") is the `paper-2023` spec's fault
+// timeline (its `fault` lines in examples/scenarios/paper-2023.scn) and
+// reaches the campaign through CampaignConfig::fault_plan.
 #pragma once
 
 #include <optional>

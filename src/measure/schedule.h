@@ -4,7 +4,7 @@
 // The instants themselves are scenario data, not code: the paper's Fig. 2
 // schedule (30-minute rounds 2023-07-03..12-24, 15-minute rounds around the
 // ZONEMD introduction and the b.root renumbering) is the `paper-2023` spec
-// in scenario/library.cpp, applied through scenario::apply().
+// (examples/scenarios/paper-2023.scn), applied through scenario::apply().
 #pragma once
 
 #include <cstdint>

@@ -40,6 +40,11 @@ std::vector<netsim::FacilityId> nearby_facilities(const netsim::Topology& topolo
 
 std::vector<VantagePoint> generate_vantage_points(const netsim::Topology& topology,
                                                   const VantageSetConfig& config) {
+  // Connectivity breadth: how many nearby facilities a VP's AS peers at.
+  constexpr int kMinFacilities = 1;
+  constexpr int kMaxFacilities = 3;
+  // Log-sigma of per-VP churn multipliers (Fig. 3's heavy tail).
+  constexpr double kChurnSigma = 1.2;
   util::Rng rng(config.seed);
   util::Rng placement = rng.fork("vp/placement");
   util::Rng network_rng = rng.fork("vp/networks");
@@ -94,12 +99,11 @@ std::vector<VantagePoint> generate_vantage_points(const netsim::Topology& topolo
       // Connectivity: the nearest 1..3 facilities of the region.
       auto nearest = nearby_facilities(topology, quota.region, vp.view.location);
       int breadth = static_cast<int>(
-          config.min_facilities +
-          network_rng.uniform(static_cast<uint64_t>(
-              config.max_facilities - config.min_facilities + 1)));
+          kMinFacilities + network_rng.uniform(static_cast<uint64_t>(
+                               kMaxFacilities - kMinFacilities + 1)));
       for (int k = 0; k < breadth && k < static_cast<int>(nearest.size()); ++k)
         vp.view.connectivity.push_back(nearest[static_cast<size_t>(k)]);
-      vp.view.churn_multiplier = churn_rng.lognormal(0.0, config.churn_sigma);
+      vp.view.churn_multiplier = churn_rng.lognormal(0.0, kChurnSigma);
       vp.node_name = util::format(
           "%s%03u.ring.nlnog.net",
           util::to_lower(std::string(util::region_short_name(quota.region))).c_str(),

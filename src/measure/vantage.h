@@ -46,11 +46,6 @@ const std::vector<RegionQuota>& table3_quotas();
 
 struct VantageSetConfig {
   uint64_t seed = 42;
-  /// Connectivity breadth: how many nearby facilities a VP's AS peers at.
-  int min_facilities = 1;
-  int max_facilities = 3;
-  /// Log-sigma of per-VP churn multipliers (Fig. 3's heavy tail).
-  double churn_sigma = 1.2;
 };
 
 /// Generates the full VP set against a topology (for facility connectivity).

@@ -143,12 +143,14 @@ double AnycastRouter::path_cost(const VantageView& vp, uint32_t site_id,
                                 util::IpFamily family) const {
   // Per-(VP, site, family) policy perturbation: BGP path choice is not
   // geographic. Lognormal multiplier, median 1.
+  // BGP-vs-geography noise: stddev of the multiplicative cost perturbation.
+  constexpr double kPolicyNoiseSigma = 0.7;
   const uint64_t ftag = family_tag(family);
   double u1 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag));
   double u2 = unit_from_hash(mix(seed_mix_, vp.vp_id, site_id, ftag + 100));
   double z = std::sqrt(-2.0 * std::log(std::max(u1, 1e-12))) *
              std::cos(6.283185307179586 * u2);
-  double cost = (distance_km + 200.0) * std::exp(config_.policy_noise_sigma * z);
+  double cost = (distance_km + 200.0) * std::exp(kPolicyNoiseSigma * z);
   // Local sites are preferred when visible (shorter AS path).
   if (topology_->sites[site_id].type == SiteType::Local) cost *= 0.5;
   return cost;
@@ -348,14 +350,21 @@ void AnycastRouter::finish(const VantageView& vp, uint32_t root_index,
     // by the AS from this region funnels through the same edge.
     hop = mix(0xD0u, route.detour_as, ftag, static_cast<uint64_t>(vp.region));
   } else {
+    // Probability that a root instance at a facility has its own (unshared)
+    // last-hop router, per family. Lower = more observed co-location.
+    constexpr double kDedicatedRouterProbV4 = 0.62;
+    constexpr double kDedicatedRouterProbV6 = 0.66;
+    // Fraction of facilities whose peering fabric funnels every hosted root
+    // through one router (the clustered mega-IXP case: VPs there can observe
+    // up to 12 co-located roots).
+    constexpr double kSharedFabricFraction = 0.12;
     double dedicated_prob = family == util::IpFamily::V4
-                                ? config_.dedicated_router_prob_v4
-                                : config_.dedicated_router_prob_v6;
+                                ? kDedicatedRouterProbV4
+                                : kDedicatedRouterProbV6;
     // Some facilities funnel all hosted roots through one shared fabric
     // router; VPs routed there observe very large co-location clusters.
     bool shared_fabric =
-        unit_from_hash(mix(0xFAu, site.facility, 1, 2)) <
-        config_.shared_fabric_fraction;
+        unit_from_hash(mix(0xFAu, site.facility, 1, 2)) < kSharedFabricFraction;
     if (shared_fabric) dedicated_prob = 0.04;
     bool dedicated =
         unit_from_hash(mix(seed_mix_, site.facility, root_index, ftag)) <
@@ -366,7 +375,7 @@ void AnycastRouter::finish(const VantageView& vp, uint32_t root_index,
   // Traceroute may miss the hop entirely; analysis then must treat it as
   // unique (0 is the "no answer" marker).
   bool lost = unit_from_hash(mix(seed_mix_, vp.vp_id, route.site_id,
-                                 ftag + 777)) < config_.hop_loss_probability;
+                                 ftag + 777)) < kHopLossProbability;
   route.second_to_last_hop = lost ? 0 : hop;
 
   // Synthesized full path: VP gateway, VP AS core, 1-3 transit hops,

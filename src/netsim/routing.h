@@ -67,22 +67,13 @@ struct ChurnSpec {
   bool operator==(const ChurnSpec&) const = default;
 };
 
+/// Probability that traceroute misses the second-to-last hop.
+inline constexpr double kHopLossProbability = 0.05;
+
 struct RouterConfig {
   uint64_t seed = 42;
   /// Total measurement rounds in the campaign (sets per-round flip rates).
   uint64_t campaign_rounds = 10272;
-  /// Probability that traceroute misses the second-to-last hop.
-  double hop_loss_probability = 0.05;
-  /// Probability that a root instance at a facility has its own (unshared)
-  /// last-hop router, per family. Lower = more observed co-location.
-  double dedicated_router_prob_v4 = 0.62;
-  double dedicated_router_prob_v6 = 0.66;
-  /// Fraction of facilities whose peering fabric funnels every hosted root
-  /// through one router (the clustered mega-IXP case: VPs there can observe
-  /// up to 12 co-located roots).
-  double shared_fabric_fraction = 0.12;
-  /// BGP-vs-geography noise: stddev of the multiplicative cost perturbation.
-  double policy_noise_sigma = 0.7;
   /// Per-root churn calibration, indexed 0..12.
   std::array<ChurnSpec, 13> churn{};
 };

@@ -17,12 +17,17 @@ int DeploymentSpec::total_local() const {
 
 namespace {
 
-std::vector<Facility> build_facilities(const TopologyConfig& config,
-                                       util::Rng& rng) {
+std::vector<Facility> build_facilities(util::Rng& rng) {
+  // Facilities per region, sized so that big regions have enough distinct
+  // locations while popular facilities still get heavily reused.
+  constexpr std::array<int, util::kRegionCount> kFacilitiesPerRegion = {
+      8, 28, 60, 42, 10, 8};
+  // Zipf skew for facility attractiveness (higher = more co-location).
+  constexpr double kAttractivenessSkew = 1.0;
   std::vector<Facility> facilities;
   FacilityId next_id = 0;
   for (util::Region region : util::all_regions()) {
-    int count = config.facilities_per_region[static_cast<size_t>(region)];
+    int count = kFacilitiesPerRegion[static_cast<size_t>(region)];
     const util::RegionBox& box = util::region_box(region);
     for (int i = 0; i < count; ++i) {
       Facility f;
@@ -33,7 +38,7 @@ std::vector<Facility> build_facilities(const TopologyConfig& config,
                     rng.uniform_real(box.lon_min, box.lon_max)};
       // Zipf-like attractiveness: rank 1 facility in a region is the big IXP.
       f.attractiveness =
-          1.0 / std::pow(static_cast<double>(i + 1), config.attractiveness_skew);
+          1.0 / std::pow(static_cast<double>(i + 1), kAttractivenessSkew);
       f.is_ixp = i < std::max(1, count / 6);
       facilities.push_back(std::move(f));
     }
@@ -62,7 +67,7 @@ Topology build_topology(const TopologyConfig& config,
                         const std::vector<DetourRule>& detours) {
   util::Rng rng(config.seed);
   Topology topo;
-  topo.facilities = build_facilities(config, rng);
+  topo.facilities = build_facilities(rng);
   topo.detours = detours;
 
   uint32_t next_site_id = 0;

@@ -109,11 +109,6 @@ struct Topology {
 
 struct TopologyConfig {
   uint64_t seed = 42;
-  /// Facilities per region; defaults sized so that big regions have enough
-  /// distinct locations while popular facilities still get heavily reused.
-  std::array<int, util::kRegionCount> facilities_per_region = {8, 28, 60, 42, 10, 8};
-  /// Zipf skew for facility attractiveness (higher = more co-location).
-  double attractiveness_skew = 1.0;
 };
 
 /// Builds facilities and places every deployment's sites. Deterministic in

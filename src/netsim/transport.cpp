@@ -7,6 +7,22 @@
 
 namespace rootsim::netsim {
 
+namespace {
+
+// The retry policy. UDP: a per-attempt timeout budget and retry schedule
+// (dig-like: one try plus two retries, timeout doubling per attempt).
+constexpr double kUdpTimeoutMs = 1500.0;
+constexpr int kUdpMaxAttempts = 3;
+constexpr double kRetryBackoff = 2.0;
+// TCP connection establishment: SYN loss burns the connect timeout, a
+// successful handshake costs kTcpHandshakeRtts round trips before the query
+// goes out.
+constexpr double kTcpConnectTimeoutMs = 3000.0;
+constexpr int kTcpMaxAttempts = 2;
+constexpr double kTcpHandshakeRtts = 1.0;
+
+}  // namespace
+
 Transport::Transport(const AnycastRouter& router, TransportConfig config,
                      obs::Obs obs)
     : router_(&router), config_(std::move(config)), obs_(obs) {
@@ -78,8 +94,8 @@ void Transport::note_exchange(TransportProto proto) const {
 }
 
 bool Transport::tcp_connect(Path& path, TransportStats& stats) const {
-  double timeout = config_.tcp_connect_timeout_ms;
-  for (int attempt = 0; attempt < config_.tcp_max_attempts; ++attempt) {
+  double timeout = kTcpConnectTimeoutMs;
+  for (int attempt = 0; attempt < kTcpMaxAttempts; ++attempt) {
     ++stats.tcp_attempts;
     // One loss draw stands for the handshake exchange: a lost SYN (or
     // SYN-ACK) burns the whole connect timeout.
@@ -87,10 +103,10 @@ bool Transport::tcp_connect(Path& path, TransportStats& stats) const {
       ++stats.drops;
       obs::inc(drops_);
       stats.time_ms += timeout;
-      timeout *= config_.retry_backoff;
+      timeout *= kRetryBackoff;
       continue;
     }
-    stats.time_ms += config_.tcp_handshake_rtts * round_trip_ms(path);
+    stats.time_ms += kTcpHandshakeRtts * round_trip_ms(path);
     return true;
   }
   return false;
@@ -177,16 +193,16 @@ ExchangeOutcome Transport::exchange_impl(Path& path, const Endpoint& endpoint,
   const uint64_t query_bytes = path.wire_.size();
 
   // UDP phase: dig-like try/retry schedule with per-attempt timeout budget.
-  double timeout = config_.udp_timeout_ms;
+  double timeout = kUdpTimeoutMs;
   std::optional<dns::Message> response;
-  for (int attempt = 0; attempt < config_.udp_max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kUdpMaxAttempts; ++attempt) {
     ++outcome.stats.udp_attempts;
     outcome.stats.bytes_sent += query_bytes;
     if (dropped(path)) {  // query datagram lost
       ++outcome.stats.drops;
       obs::inc(drops_);
       outcome.stats.time_ms += timeout;
-      timeout *= config_.retry_backoff;
+      timeout *= kRetryBackoff;
       continue;
     }
     dns::Message udp_answer =
@@ -198,7 +214,7 @@ ExchangeOutcome Transport::exchange_impl(Path& path, const Endpoint& endpoint,
       ++outcome.stats.drops;
       obs::inc(drops_);
       outcome.stats.time_ms += timeout;
-      timeout *= config_.retry_backoff;
+      timeout *= kRetryBackoff;
       continue;
     }
     outcome.stats.bytes_received += path.wire_.size();

@@ -104,17 +104,6 @@ struct TransportConfig {
   /// …and composed with any scenario event window covering the exchange
   /// time. Empty for ad-hoc configs: the overlay costs nothing then.
   std::vector<ConditionWindow> condition_windows;
-  /// Per-attempt UDP timeout budget and retry schedule (dig-like: one try
-  /// plus two retries, timeout doubling per attempt).
-  double udp_timeout_ms = 1500.0;
-  int udp_max_attempts = 3;
-  double retry_backoff = 2.0;
-  /// TCP connection establishment: SYN loss burns the connect timeout, a
-  /// successful handshake costs `tcp_handshake_rtts` round trips before the
-  /// query goes out.
-  double tcp_connect_timeout_ms = 3000.0;
-  int tcp_max_attempts = 2;
-  double tcp_handshake_rtts = 1.0;
   /// AXFR pacing: the framed stream is charged one RTT per in-flight window
   /// of this many bytes (stop-and-wait per window — crude but deterministic).
   size_t tcp_window_bytes = 64 * 1024;

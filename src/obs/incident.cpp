@@ -32,14 +32,10 @@ double IncidentTracker::metric_value(const SloWindow& window,
   return 0;
 }
 
-double IncidentTracker::metric_threshold(uint8_t root,
-                                         SloMetric metric) const {
+double IncidentTracker::metric_threshold(SloMetric metric) const {
   switch (metric) {
     case SloMetric::Availability: return thresholds_.availability_min;
-    case SloMetric::Latency:
-      return thresholds_.rtt_p95_letter_ms[root] > 0
-                 ? thresholds_.rtt_p95_letter_ms[root]
-                 : thresholds_.rtt_p95_max_ms;
+    case SloMetric::Latency: return thresholds_.rtt_p95_max_ms;
     case SloMetric::Publication: return thresholds_.publication_p95_max_s;
     case SloMetric::Staleness: return thresholds_.staleness_max_s;
     case SloMetric::Integrity: return thresholds_.integrity_min;
@@ -86,7 +82,7 @@ void IncidentTracker::observe(const std::vector<SloWindow>& windows) {
           incident.last_breach_end = state.streak_last_end;
           incident.breach_windows = state.streak_windows;
           incident.worst_value = state.streak_worst;
-          incident.threshold = metric_threshold(window.root, metric);
+          incident.threshold = metric_threshold(metric);
           state.open_index = static_cast<int>(incidents_.size());
           incidents_.push_back(std::move(incident));
         } else if (state.open_index >= 0) {

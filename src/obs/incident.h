@@ -104,7 +104,7 @@ class IncidentTracker {
 
   static size_t state_index(uint8_t root, bool v6, SloMetric metric);
   double metric_value(const SloWindow& window, SloMetric metric) const;
-  double metric_threshold(uint8_t root, SloMetric metric) const;
+  double metric_threshold(SloMetric metric) const;
   static bool more_extreme(SloMetric metric, double candidate, double current);
   void attribute(Incident& incident) const;
 

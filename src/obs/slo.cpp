@@ -363,11 +363,6 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
   const size_t window = std::max<size_t>(1, thresholds.window_buckets);
   const int64_t last_bucket = cells.back().first;
 
-  const double band =
-      thresholds.rtt_p95_letter_ms[root] > 0
-          ? thresholds.rtt_p95_letter_ms[root]
-          : thresholds.rtt_p95_max_ms;
-
   // The stream's cells inside the trailing window [bucket - window + 1,
   // bucket] are the run [front, back); cells are sparse, so both ends
   // slide by key, not by count. Each cell is added to the window's sums as
@@ -435,7 +430,7 @@ size_t SloCollector::sweep(const SloThresholds& thresholds, uint8_t root,
     if (w.evaluated) {
       if (w.availability < thresholds.availability_min)
         w.breaches |= 1u << static_cast<unsigned>(SloMetric::Availability);
-      if (w.latency_count > 0 && w.rtt_p95_ms > band)
+      if (w.latency_count > 0 && w.rtt_p95_ms > thresholds.rtt_p95_max_ms)
         w.breaches |= 1u << static_cast<unsigned>(SloMetric::Latency);
       if (w.publication_count > 0 &&
           w.publication_p95_s > thresholds.publication_p95_max_s)

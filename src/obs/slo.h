@@ -69,11 +69,9 @@ struct SloSample {
 struct SloThresholds {
   /// RSSAC047: 99.96 % availability for the service.
   double availability_min = 0.9996;
-  /// Per-letter p95 response-latency band (ms). RSSAC047's latency target is
-  /// per-protocol (250 ms UDP); deployments differ enough that a per-letter
-  /// override array is provided (0 = use the default band).
+  /// p95 response-latency band (ms), every letter: RSSAC047's latency
+  /// target is per-protocol (250 ms UDP).
   double rtt_p95_max_ms = 250.0;
-  std::array<double, kSloRoots> rtt_p95_letter_ms{};
   /// RSSAC047 publication latency: new zones reach instances within 35 min.
   double publication_p95_max_s = 35.0 * 60;
   /// A served zone more than this far behind the master is stale.

@@ -34,8 +34,11 @@ PrimingResolver::PrimingResolver(const measure::Campaign& campaign,
       config_(config) {}
 
 bool PrimingResolver::ensure_primed(util::UnixTime now) {
+  // Re-prime when the cached NS set ages beyond this (the root NS TTL is
+  // 518400 s = 6 days; conservative implementations re-prime daily).
+  constexpr int64_t kRefreshIntervalS = 518400;
   if (!config_.primes) return false;
-  if (last_primed_ != 0 && now - last_primed_ < config_.refresh_interval_s)
+  if (last_primed_ != 0 && now - last_primed_ < kRefreshIntervalS)
     return false;
   // RFC 8109 §3: send ". NS" with RD=0 to one of the known addresses; we use
   // the first hint of the preferred family (real resolvers randomize).

@@ -35,9 +35,6 @@ struct PrimingConfig {
   /// Does this implementation prime at startup/expiry at all? (RFC 1035-era
   /// software often did not — the paper's "reluctant" clients.)
   bool primes = true;
-  /// Re-prime when the cached NS set ages beyond this (the root NS TTL is
-  /// 518400 s = 6 days; conservative implementations re-prime daily).
-  int64_t refresh_interval_s = 518400;
   util::IpFamily preferred_family = util::IpFamily::V4;
 };
 

@@ -2,6 +2,15 @@
 
 namespace rootsim::rss {
 
+namespace {
+
+/// CZDS exports once per day at 03:00 UTC.
+constexpr int kCzdsExportHour = 3;
+/// IANA website refresh interval (the paper downloaded every 15 minutes).
+constexpr int64_t kIanaIntervalS = 15 * 60;
+
+}  // namespace
+
 std::string to_string(DistributionSource source) {
   switch (source) {
     case DistributionSource::Czds: return "ICANN CZDS";
@@ -22,13 +31,13 @@ PublishedZoneFile DistributionChannel::fetch(util::UnixTime t) const {
   if (source_ == DistributionSource::Czds) {
     // Last daily export at or before t.
     util::UnixTime today_export =
-        util::day_start(t) + config_.czds_export_hour * 3600;
+        util::day_start(t) + kCzdsExportHour * 3600;
     snapshot = t >= today_export ? today_export
                                  : today_export - util::kSecondsPerDay;
     file.published_at = snapshot;
   } else {
     // IANA: last 15-minute refresh boundary.
-    file.published_at = t - (t % config_.iana_interval_s);
+    file.published_at = t - (t % kIanaIntervalS);
     snapshot = file.published_at;
   }
   const dns::Zone& zone = authority_->zone_at(snapshot);
@@ -48,7 +57,7 @@ std::vector<PublishedZoneFile> DistributionChannel::fetch_window(
     util::UnixTime start, util::UnixTime end, size_t max_files) const {
   std::vector<PublishedZoneFile> files;
   int64_t step = source_ == DistributionSource::Czds ? util::kSecondsPerDay
-                                                     : config_.iana_interval_s;
+                                                     : kIanaIntervalS;
   uint32_t last_serial = 0;
   bool first = true;
   for (util::UnixTime t = start; t < end && files.size() < max_files; t += step) {

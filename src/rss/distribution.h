@@ -35,15 +35,11 @@ struct PublishedZoneFile {
 };
 
 struct DistributionConfig {
-  /// CZDS exports once per day at 03:00 UTC.
-  int czds_export_hour = 3;
   /// The CZDS transition window in which published ZONEMD digests do not
   /// validate (scenario data; the paper's window — files 2023-09-21 ..
   /// 2023-12-07 — is the `paper-2023` spec's). 0/0 = no broken window.
   util::UnixTime czds_broken_zonemd_start = 0;
   util::UnixTime czds_broken_zonemd_end = 0;
-  /// IANA website refresh interval (the paper downloaded every 15 minutes).
-  int64_t iana_interval_s = 15 * 60;
 };
 
 /// Produces the zone files a channel would publish.

@@ -11,6 +11,9 @@ namespace rootsim::rss {
 std::vector<OutageWindow> site_outages(uint32_t site_id, util::UnixTime start,
                                        util::UnixTime end,
                                        const OutageModelConfig& config) {
+  // Log-normal outage duration parameters (median ~20 minutes).
+  constexpr double kDurationMu = 7.1;  // exp(7.1) ~ 1200 s
+  constexpr double kDurationSigma = 1.0;
   util::Rng rng(config.seed ^
                 (static_cast<uint64_t>(site_id) * 0xbf58476d1ce4e5b9ULL));
   std::vector<OutageWindow> windows;
@@ -22,7 +25,7 @@ std::vector<OutageWindow> site_outages(uint32_t site_id, util::UnixTime start,
     window.start = start + static_cast<int64_t>(
                                rng.uniform(static_cast<uint64_t>(span)));
     int64_t duration = static_cast<int64_t>(
-        std::min(rng.lognormal(config.duration_mu, config.duration_sigma),
+        std::min(rng.lognormal(kDurationMu, kDurationSigma),
                  6.0 * 3600));
     window.end = std::min(end, window.start + duration);
     windows.push_back(window);

@@ -60,9 +60,6 @@ struct OutageModelConfig {
   uint64_t seed = 42;
   /// Expected outages per site over the campaign (rate of a Poisson count).
   double outages_per_site = 1.5;
-  /// Log-normal outage duration parameters (median ~20 minutes).
-  double duration_mu = 7.1;   // exp(7.1) ~ 1200 s
-  double duration_sigma = 1.0;
 };
 
 /// Deterministic outage schedule for one site over [start, end).

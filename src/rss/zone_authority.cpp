@@ -150,11 +150,13 @@ dns::Zone ZoneAuthority::build_unsigned_zone(util::UnixTime t) const {
 
 dns::Zone ZoneAuthority::build_signed_zone(util::UnixTime t) const {
   dns::Zone zone = build_unsigned_zone(t);
+  // RRSIG validity window length (the root uses ~2 weeks).
+  constexpr int64_t kRrsigValidityDays = 14;
   dnssec::SigningPolicy policy;
   // Inception at the zone edit, expiration ~2 weeks later — like the root.
   policy.inception = util::day_start(t);
   policy.expiration =
-      policy.inception + config_.rrsig_validity_days * util::kSecondsPerDay;
+      policy.inception + kRrsigValidityDays * util::kSecondsPerDay;
   policy.zonemd = zonemd_mode_at(t);
 
   // KSK rollover: keyed on the *serial edit* instant (00:00/12:00 UTC), not

@@ -43,8 +43,8 @@ struct ZoneAuthorityConfig {
   size_t rsa_modulus_bits = 768;  // small-but-real keys keep signing fast
   /// Phase instants are scenario data (0 = the phase never happens). The
   /// paper's 2023 dates — ZONEMD private algorithm 09-13, SHA-384 12-06,
-  /// b.root renumbering 11-27 — come from the `paper-2023` spec in
-  /// scenario/library.cpp via scenario::apply().
+  /// b.root renumbering 11-27 — come from the `paper-2023` spec
+  /// (examples/scenarios/paper-2023.scn) via scenario::apply().
   util::UnixTime zonemd_private_start = 0;
   util::UnixTime zonemd_sha384_start = 0;
   /// When b.root's A/AAAA flip to the new addresses; 0 = the zone carries
@@ -55,8 +55,6 @@ struct ZoneAuthorityConfig {
   /// the first serial edit at/after it, and the old key stays published for
   /// 30 days after — the RFC 5011-ish dance of the 2018 roll.
   util::UnixTime ksk_roll_at = 0;
-  /// RRSIG validity window length (the root uses ~2 weeks).
-  int64_t rrsig_validity_days = 14;
 };
 
 /// Builds signed root zones for any instant of the campaign.

@@ -8,6 +8,10 @@ namespace rootsim::scenario {
 
 namespace {
 
+// Sites a dark availability probe may fall back to when the spec turns
+// route_fallback on (SloTimelineOptions::route_fallback_candidates).
+constexpr size_t kRouteFallbackCandidates = 8;
+
 measure::FaultEvent to_fault_event(const FaultSpec& fault) {
   measure::FaultEvent event;
   switch (fault.kind) {
@@ -165,7 +169,8 @@ Applied apply(const ScenarioSpec& spec) {
     }
   }
 
-  if (spec.route_fallback) applied.slo.route_fallback_candidates = 8;
+  if (spec.route_fallback)
+    applied.slo.route_fallback_candidates = kRouteFallbackCandidates;
   return applied;
 }
 
@@ -195,7 +200,7 @@ SloTimelineResult Campaign::run_slo_timeline(
   // spec's outages and hints; only the monitor-side knobs are spec-derived
   // here. Re-injecting the outages would double the scripted list.
   if (spec.route_fallback && options.route_fallback_candidates == 0)
-    options.route_fallback_candidates = 8;
+    options.route_fallback_candidates = scenario::kRouteFallbackCandidates;
   return run_slo_timeline(options);
 }
 

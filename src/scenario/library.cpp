@@ -1,241 +1,40 @@
 #include "scenario/library.h"
 
 #include <algorithm>
+#include <string_view>
+
+#include "scenario/parser.h"
+#include "scenario_files.h"
+#include "util/strings.h"
 
 namespace rootsim::scenario {
 
-using util::make_time;
+namespace {
 
-ScenarioSpec paper_2023() {
-  ScenarioSpec spec;
-  spec.name = "paper-2023";
-  spec.description =
-      "The paper's 174-day campaign (Fig. 2): ZONEMD roll-out, b.root "
-      "renumbering, and the Table 2 validation-fault plan.";
-  spec.seed = 42;
-
-  // Fig. 2: rounds every 30 minutes 2023-07-03..12-24, tightened to 15
-  // minutes around the ZONEMD introduction and the b.root renumbering.
-  spec.horizon.start = make_time(2023, 7, 3);
-  spec.horizon.end = make_time(2023, 12, 24);
-  spec.horizon.base_interval_s = 30 * 60;
-  spec.horizon.dense_interval_s = 15 * 60;
-  spec.horizon.dense_windows = {
-      {make_time(2023, 9, 8), make_time(2023, 10, 2)},
-      {make_time(2023, 11, 20), make_time(2023, 12, 6)},
-  };
-
-  // Zone pipeline: ZONEMD appears with a private-use algorithm 2023-09-13,
-  // validates from 2023-12-06T20:30Z; CZDS exports carried a stale digest
-  // 2023-09-21..12-07.
-  spec.zone.zonemd_private_start = make_time(2023, 9, 13);
-  spec.zone.zonemd_sha384_start = make_time(2023, 12, 6, 20, 30);
-  spec.zone.czds_broken_zonemd = {make_time(2023, 9, 21),
-                                  make_time(2023, 12, 8)};
-
-  // b.root renumbering: the zone flips 2023-11-27; the 36 h convergence
-  // window degrades a majority of b's sites — the availability story the
-  // SLO monitor detects and attributes.
-  Event renumbering;
-  renumbering.kind = EventKind::Renumbering;
-  renumbering.letter = 1;  // b
-  renumbering.window = {make_time(2023, 11, 27), make_time(2023, 11, 28, 12, 0)};
-  renumbering.site_fraction = 0.7;
-  renumbering.label = "b.root-renumbering";
-  spec.events.push_back(renumbering);
-
-  // The Table 2 fault plan, row by row (order matters: the audit seeds each
-  // unit's RNG by its index in this plan).
-  // Row 1: "Sig. not incepted", 5 SOAs, 23-12-21 10:35 .. 23-12-23 10:35,
-  // all servers, VPid 1 — a clock running 3 days slow.
-  for (int i = 0; i < 5; ++i) {
-    FaultSpec f;
-    f.kind = FaultSpec::Kind::ClockSkew;
-    f.vp_id = 101;
-    f.root = -1;
-    f.when = make_time(2023, 12, 21, 10, 35) + i * 12 * 3600;
-    f.clock_offset_s = -3 * util::kSecondsPerDay;
-    f.table2_vp_id = 1;
-    spec.faults.push_back(f);
+/// The embedded file `name`.scn, parsed. The files are the library, so one
+/// that does not parse is a broken build: stop with the parser's message.
+ScenarioSpec parse_library_file(std::string_view name) {
+  for (const LibraryFile& file : kLibraryFiles) {
+    if (file.name != name) continue;
+    ScenarioSpec spec;
+    std::string error;
+    if (!parse_scenario(file.text, &spec, &error))
+      util::fatal("scenario library: %.*s.scn: %s",
+                  static_cast<int>(name.size()), name.data(), error.c_str());
+    return spec;
   }
-  // Row 2: one observation, 23-10-02 22:00, all servers, VPid 2.
-  {
-    FaultSpec f;
-    f.kind = FaultSpec::Kind::ClockSkew;
-    f.vp_id = 202;
-    f.root = -1;
-    f.when = make_time(2023, 10, 2, 22, 0);
-    f.clock_offset_s = -2 * util::kSecondsPerDay;
-    f.table2_vp_id = 2;
-    spec.faults.push_back(f);
-  }
-  // Row 3: bitflips on d.root (v6), 3 observations, VPid 3.
-  for (util::UnixTime t : {make_time(2023, 9, 26, 21, 46),
-                           make_time(2023, 10, 11, 8, 0),
-                           make_time(2023, 10, 24, 10, 0)}) {
-    FaultSpec f;
-    f.kind = FaultSpec::Kind::Bitflip;
-    f.vp_id = 303;
-    f.root = 3;  // d
-    f.family = 1;
-    f.when = t;
-    f.table2_vp_id = 3;
-    spec.faults.push_back(f);
-  }
-  // Row 4: g.root (v6) and b.root (old v4), VPid 4.
-  {
-    FaultSpec f;
-    f.kind = FaultSpec::Kind::Bitflip;
-    f.vp_id = 404;
-    f.root = 6;  // g
-    f.family = 1;
-    f.when = make_time(2023, 11, 18, 7, 30);
-    f.table2_vp_id = 4;
-    spec.faults.push_back(f);
-    f.root = 1;  // b
-    f.family = 0;
-    f.old_b_address = true;
-    f.when = make_time(2023, 11, 21, 6, 16);
-    spec.faults.push_back(f);
-  }
-  // Row 5: c.root (v6) and g.root (v4) twice, VPid 5.
-  {
-    FaultSpec f;
-    f.kind = FaultSpec::Kind::Bitflip;
-    f.vp_id = 505;
-    f.table2_vp_id = 5;
-    f.root = 2;  // c
-    f.family = 1;
-    f.when = make_time(2023, 9, 26, 10, 15);
-    spec.faults.push_back(f);
-    f.root = 6;  // g
-    f.family = 0;
-    f.when = make_time(2023, 10, 3, 9, 0);
-    spec.faults.push_back(f);
-    f.when = make_time(2023, 10, 9, 7, 0);
-    spec.faults.push_back(f);
-  }
-  // Stale d.root, Tokyo: 12 observations, 3 VPs (Table 2 ids 6-8), zone
-  // frozen since 23-07-28.
-  {
-    int table2_id = 6;
-    for (uint32_t vp : {606u, 607u, 608u}) {
-      for (int i = 0; i < 4; ++i) {
-        FaultSpec f;
-        f.kind = FaultSpec::Kind::StaleServer;
-        f.vp_id = vp;
-        f.root = 3;  // d
-        f.family = 1;
-        f.when = make_time(2023, 8, 16, 10, 0) + i * 1800;
-        f.server_frozen_at = make_time(2023, 7, 28);
-        f.table2_vp_id = table2_id;
-        spec.faults.push_back(f);
-      }
-      ++table2_id;
-    }
-  }
-  // Stale d.root, Leeds: 40 observations, 8 VPs (ids 9-16), both families.
-  {
-    int table2_id = 9;
-    for (uint32_t vp = 609; vp <= 616; ++vp) {
-      for (int i = 0; i < 5; ++i) {
-        FaultSpec f;
-        f.kind = FaultSpec::Kind::StaleServer;
-        f.vp_id = vp;
-        f.root = 3;  // d
-        f.family = i % 2 == 0 ? 0 : 1;
-        f.when = make_time(2023, 10, 6, 10, 0) + i * 1800;
-        f.server_frozen_at = make_time(2023, 9, 18);
-        f.table2_vp_id = table2_id;
-        spec.faults.push_back(f);
-      }
-      ++table2_id;
-    }
-  }
-  return spec;
+  util::fatal("scenario library: no embedded %.*s.scn",
+              static_cast<int>(name.size()), name.data());
 }
 
-ScenarioSpec froot_buildout() {
-  ScenarioSpec spec;
-  spec.name = "froot-buildout";
-  spec.description =
-      "F-ROOT-style regional buildout replay: f's Asia sites activate in "
-      "deterministic batches over three years; the per-bucket RTT trend of "
-      "the letter is the figure. Includes the 2018 KSK rollover.";
-  spec.seed = 42;
-  // Multi-year horizon at an hourly cadence (26k rounds) — the scenario
-  // engine's 'beyond 174 days' case.
-  spec.horizon.start = make_time(2016, 1, 1);
-  spec.horizon.end = make_time(2018, 12, 31);
-  spec.horizon.base_interval_s = 3600;
-  spec.horizon.dense_interval_s = 3600;
-  // The real-world root KSK rolled 2018-10-11; replaying it here exercises
-  // the dual-DNSKEY publication phase on a long horizon.
-  spec.zone.ksk_roll_at = make_time(2018, 10, 11, 16, 0);
+}  // namespace
 
-  Event growth;
-  growth.kind = EventKind::SiteGrowth;
-  growth.letter = 5;  // f
-  growth.region = static_cast<int>(util::Region::Asia);
-  growth.window = {spec.horizon.start, make_time(2018, 7, 1)};
-  growth.site_fraction = 0.85;  // most Asia sites not yet built at start
-  growth.stages = 10;
-  growth.label = "froot-asia-buildout";
-  spec.events.push_back(growth);
-
-  // The catchment view: a probe whose selected site is not yet built lands
-  // on the next announced site (usually remote) instead of timing out.
-  spec.route_fallback = true;
-  return spec;
-}
-
+ScenarioSpec paper_2023() { return parse_library_file("paper-2023"); }
+ScenarioSpec froot_buildout() { return parse_library_file("froot-buildout"); }
 ScenarioSpec anycast_catchment() {
-  ScenarioSpec spec;
-  spec.name = "anycast-catchment";
-  spec.description =
-      "Anycast-vs-unicast catchment comparison: c.root is collapsed to a "
-      "single North-America global site while l.root keeps its 132-site "
-      "anycast deployment; same topology seed, same probing.";
-  spec.seed = 42;
-  spec.horizon.start = make_time(2025, 3, 1);
-  spec.horizon.end = make_time(2025, 4, 1);
-  spec.horizon.base_interval_s = 30 * 60;
-  spec.horizon.dense_interval_s = 15 * 60;
-
-  DeploymentOverride unicast_c;
-  unicast_c.letter = 2;  // c
-  unicast_c.global_sites = {0, 0, 0, 1, 0, 0};  // one site, North America
-  spec.deployments.push_back(unicast_c);
-  return spec;
+  return parse_library_file("anycast-catchment");
 }
-
-ScenarioSpec ddos_c_globals() {
-  ScenarioSpec spec;
-  spec.name = "ddos-c-globals";
-  spec.description =
-      "Clustered DDoS on c.root's global sites: 90% of the letter's sites "
-      "overwhelmed for four days, surviving paths degraded; the SLO plane "
-      "must open, attribute, and close the availability incident.";
-  spec.seed = 42;
-  spec.horizon.start = make_time(2026, 3, 1);
-  spec.horizon.end = make_time(2026, 4, 15);
-  spec.horizon.base_interval_s = 30 * 60;
-  spec.horizon.dense_interval_s = 15 * 60;
-  spec.horizon.dense_windows = {
-      {make_time(2026, 3, 18), make_time(2026, 3, 28)},
-  };
-
-  Event ddos;
-  ddos.kind = EventKind::Ddos;
-  ddos.letter = 2;  // c — a global-sites-only deployment
-  ddos.window = {make_time(2026, 3, 20), make_time(2026, 3, 24)};
-  ddos.site_fraction = 0.9;
-  ddos.loss = 0.3;
-  ddos.extra_rtt_ms = 120.0;
-  ddos.label = "ddos-c-globals";
-  spec.events.push_back(ddos);
-  return spec;
-}
+ScenarioSpec ddos_c_globals() { return parse_library_file("ddos-c-globals"); }
 
 std::vector<ScenarioSpec> library() {
   return {paper_2023(), froot_buildout(), anycast_catchment(),

@@ -1,5 +1,6 @@
-// The built-in scenario library. Every hard-coded timeline instant the repo
-// ever had lives here, as data in a spec:
+// The built-in scenario library: the committed examples/scenarios/*.scn
+// files, embedded at build time (src/scenario/CMakeLists.txt) and parsed on
+// each call. Every timeline instant the repo ever had lives in them, as data:
 //
 //   * paper-2023        — the paper's full 174-day campaign (Fig. 2): the
 //                         ZONEMD roll, the b.root renumbering, the Table 2
@@ -16,6 +17,10 @@
 //   * ddos-c-globals    — clustered DDoS on one letter's global sites; the
 //                         SLO plane must open, attribute, and close the
 //                         incident at any worker count.
+//
+// To change a spec, edit its file; `scenario_lab --dump <name>` prints the
+// canonical form the file must keep. A file that does not parse stops the
+// process with the parser's message.
 #pragma once
 
 #include "scenario/spec.h"
@@ -30,8 +35,8 @@ ScenarioSpec ddos_c_globals();
 /// Every built-in spec, in the order above.
 std::vector<ScenarioSpec> library();
 
-/// Library spec by name; nullopt-like empty name when unknown.
-/// (Returns a value: specs are plain data.)
+/// Copies the library spec called `name` into `out` (when non-null); false
+/// when no spec has that name.
 bool find_scenario(const std::string& name, ScenarioSpec* out);
 
 /// A shortened variant for smoke tests: clamps the horizon to ~16 days

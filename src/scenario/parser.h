@@ -1,4 +1,5 @@
-// The .scn text format: scenarios as data (examples/scenarios/*.scn).
+// The .scn text format: scenarios as data. The library's specs are the
+// files examples/scenarios/*.scn, embedded at build time (scenario/library.h).
 //
 // Line-oriented, one directive per line, '#' starts a comment. Times are
 // ISO-8601 UTC written exactly in util::format_datetime's form
@@ -23,8 +24,10 @@
 //   fault <kind> vp=<n> root=<a..m|-> family=<v4|v6> old-b=<0|1> when=<t>
 //         offset=<s> frozen=<t|-> table2=<n>
 //
-// serialize_scenario() emits the canonical form; parse_scenario() accepts
-// it back (parse ∘ serialize is the identity — the round-trip test).
+// serialize_scenario() emits the canonical form, which every library file
+// keeps (`scenario_lab --dump <name>` prints it); parse_scenario() accepts it
+// back (parse ∘ serialize is the identity — the round-trip test). The
+// canonical form holds no comments.
 #pragma once
 
 #include <string>

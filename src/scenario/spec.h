@@ -14,8 +14,9 @@
 //   * DeploymentOverride           -> netsim::DeploymentSpec what-ifs
 //
 // The paper's 2023 timeline is just one spec in the library
-// (scenario/library.h, `paper_2023()`); the serialized form lives in
-// examples/scenarios/*.scn (scenario/parser.h) so scenarios are data.
+// (scenario/library.h, `paper_2023()`). The library is its files,
+// examples/scenarios/*.scn in the text form of scenario/parser.h, so
+// scenarios are data.
 #pragma once
 
 #include <array>

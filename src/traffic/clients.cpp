@@ -60,6 +60,10 @@ PopulationConfig ixp_population_config_na() {
 }
 
 std::vector<Client> generate_population(const PopulationConfig& config) {
+  // Flow volume distribution (log-normal over clients): most clients send a
+  // handful of flows/day, heavy hitters send hundreds of thousands.
+  constexpr double kFlowsMu = 2.5;
+  constexpr double kFlowsSigma = 2.0;
   util::Rng rng(config.seed);
   util::Rng addr_rng = rng.fork("clients/addresses");
   util::Rng behave_rng = rng.fork("clients/behaviour");
@@ -82,7 +86,7 @@ std::vector<Client> generate_population(const PopulationConfig& config) {
       c.prefix = util::Prefix(util::IpAddress::v4(host), 24);
     }
     c.flows_per_day =
-        std::max(1.0, behave_rng.lognormal(config.flows_mu, config.flows_sigma));
+        std::max(1.0, behave_rng.lognormal(kFlowsMu, kFlowsSigma));
     double priming_prob = v6 ? config.priming_prob_v6 : config.priming_prob_v4;
     c.primes = behave_rng.chance(priming_prob);
     if (!c.primes) {

@@ -65,10 +65,6 @@ struct PopulationConfig {
   /// Regional weights over clients (Europe-heavy for the ISP dataset).
   std::array<double, util::kRegionCount> region_weights = {0.02, 0.08, 0.55,
                                                            0.25, 0.05, 0.05};
-  /// Flow volume distribution (log-normal over clients): most clients send a
-  /// handful of flows/day, heavy hitters send hundreds of thousands.
-  double flows_mu = 2.5;
-  double flows_sigma = 2.0;
 };
 
 /// Generates a deterministic client population.

@@ -9,6 +9,10 @@ namespace rootsim::traffic {
 
 std::vector<IxpSite> build_ixp_set(util::UnixTime broot_change,
                                    const IxpSetConfig& config) {
+  constexpr int kEuropeIxps = 9;
+  constexpr int kNorthAmericaIxps = 5;  // 14 total, as in the paper
+  // Log-sigma of per-IXP eagerness jitter around the regional behaviour.
+  constexpr double kEagernessJitter = 0.12;
   util::Rng rng(config.seed);
   std::vector<IxpSite> ixps;
   auto build_region = [&](util::Region region, int count, const char* prefix) {
@@ -25,7 +29,7 @@ std::vector<IxpSite> build_ixp_set(util::UnixTime broot_change,
       population.seed = rng.next();
       population.clients = ixp.peer_count * config.clients_per_peer;
       // Per-IXP eagerness jitter: CPE fleets behind different IXPs differ.
-      double jitter = std::exp(rng.normal(0, config.eagerness_jitter));
+      double jitter = std::exp(rng.normal(0, kEagernessJitter));
       population.priming_prob_v6 =
           std::min(0.95, population.priming_prob_v6 * jitter);
       population.never_adopts_prob_v6 =
@@ -40,8 +44,8 @@ std::vector<IxpSite> build_ixp_set(util::UnixTime broot_change,
       ixps.push_back(std::move(ixp));
     }
   };
-  build_region(util::Region::Europe, config.europe_ixps, "EU");
-  build_region(util::Region::NorthAmerica, config.north_america_ixps, "NA");
+  build_region(util::Region::Europe, kEuropeIxps, "EU");
+  build_region(util::Region::NorthAmerica, kNorthAmericaIxps, "NA");
   return ixps;
 }
 

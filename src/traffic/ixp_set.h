@@ -21,11 +21,7 @@ struct IxpSite {
 
 struct IxpSetConfig {
   uint64_t seed = 42;
-  int europe_ixps = 9;
-  int north_america_ixps = 5;  // 14 total, as in the paper
   size_t clients_per_peer = 40;
-  /// Log-sigma of per-IXP eagerness jitter around the regional behaviour.
-  double eagerness_jitter = 0.12;
 };
 
 /// Builds the 14-IXP vantage set with per-IXP populations.

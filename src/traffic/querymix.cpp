@@ -38,6 +38,12 @@ dns::RRType random_qtype(util::Rng& rng) {
 
 std::vector<WorkloadQuery> generate_query_workload(
     const std::vector<std::string>& tlds, const QueryMixConfig& config) {
+  // Mix fractions (Gao et al.: >50% nonexistent TLD; Castro et al.: heavy
+  // repetition on top). Remainder: valid TLD lookups.
+  constexpr double kNonexistentFraction = 0.55;
+  constexpr double kRepeatedFraction = 0.18;
+  constexpr double kPrimingFraction = 0.02;
+  constexpr double kJunkFraction = 0.05;
   util::Rng rng(config.seed);
   std::vector<WorkloadQuery> workload;
   workload.reserve(config.queries);
@@ -58,7 +64,7 @@ std::vector<WorkloadQuery> generate_query_workload(
   for (size_t i = 0; i < config.queries; ++i) {
     double roll = rng.uniform01();
     WorkloadQuery q;
-    if (roll < config.nonexistent_fraction) {
+    if (roll < kNonexistentFraction) {
       q.cls = QueryClass::NonexistentTld;
       // Typos and local-suffix leaks: random labels under a random fake TLD.
       std::string name = random_label(rng, 4, 12) + "." +
@@ -66,15 +72,15 @@ std::vector<WorkloadQuery> generate_query_workload(
       auto parsed = dns::Name::parse(name);
       q.qname = parsed ? *parsed : dns::Name();
       q.qtype = random_qtype(rng);
-    } else if (roll < config.nonexistent_fraction + config.repeated_fraction) {
+    } else if (roll < kNonexistentFraction + kRepeatedFraction) {
       q = repeat_pool[rng.uniform(repeat_pool.size())];
-    } else if (roll < config.nonexistent_fraction + config.repeated_fraction +
-                          config.priming_fraction) {
+    } else if (roll < kNonexistentFraction + kRepeatedFraction +
+                          kPrimingFraction) {
       q.cls = QueryClass::RootNs;
       q.qname = dns::Name();
       q.qtype = dns::RRType::NS;
-    } else if (roll < config.nonexistent_fraction + config.repeated_fraction +
-                          config.priming_fraction + config.junk_fraction) {
+    } else if (roll < kNonexistentFraction + kRepeatedFraction +
+                          kPrimingFraction + kJunkFraction) {
       q.cls = QueryClass::Junk;
       // Single nonsense labels ("localhost", raw IPs as qnames, etc.).
       auto parsed = dns::Name::parse(random_label(rng, 1, 20) + ".");

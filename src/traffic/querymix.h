@@ -32,13 +32,6 @@ std::string to_string(QueryClass cls);
 struct QueryMixConfig {
   uint64_t seed = 42;
   size_t queries = 50000;
-  /// Mix fractions (Gao et al.: >50% nonexistent TLD; Castro et al.: heavy
-  /// repetition on top).
-  double nonexistent_fraction = 0.55;
-  double repeated_fraction = 0.18;
-  double priming_fraction = 0.02;
-  double junk_fraction = 0.05;
-  // Remainder: valid TLD lookups.
 };
 
 /// One generated query with its ground-truth class.

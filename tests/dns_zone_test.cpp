@@ -192,6 +192,55 @@ TEST(Zone, ParseMasterFileErrors) {
         << row.rrsig;
     EXPECT_EQ(error, row.error) << row.rrsig;
   }
+
+  // A token the rdata does not read is refused, never dropped: each of these
+  // used to load, keeping `a.` of the NS line and `ABCD` of the DS digest.
+  // Directive errors name their line too.
+  const struct {
+    const char* text;
+    const char* error;
+  } leftovers[] = {
+      {". 86400 IN A 192.0.2.1 extra tokens",
+       "line 2: unexpected 'extra' after the A rdata"},
+      {". 86400 IN NS a. b.", "line 2: unexpected 'b.' after the NS rdata"},
+      {". 86400 IN SOA a. b. 1 2 3 4 5 6 7",
+       "line 2: unexpected '6' after the SOA rdata"},
+      {". 86400 IN MX 10 mail. x", "line 2: unexpected 'x' after the MX rdata"},
+      {". 86400 IN DS 12345 8 2 ABCD extra", "line 2: bad DS"},
+      {"$ORIGIN", "line 2: $ORIGIN missing argument"},
+      {"$ORIGIN example. extra", "line 2: unexpected 'extra' after $ORIGIN"},
+      {"$ORIGIN bad..name.", "line 2: $ORIGIN bad name"},
+      {"$TTL", "line 2: $TTL missing argument"},
+      {"$TTL 3600 3600", "line 2: unexpected '3600' after $TTL"},
+      {"$TTL soon", "line 2: $TTL bad value"},
+  };
+  for (const auto& row : leftovers) {
+    error.clear();
+    EXPECT_FALSE(
+        Zone::parse_master_file(soa + row.text + "\n", &error).has_value())
+        << row.text;
+    EXPECT_EQ(error, row.error) << row.text;
+  }
+}
+
+TEST(Zone, ParseMasterFileJoinsASplitDigest) {
+  // RFC 4034 §5.3 and RFC 8976 §2.3 allow whitespace inside a DS or ZONEMD
+  // digest; the tokens join into one hex string.
+  std::string error;
+  auto zone = Zone::parse_master_file(
+      ". 86400 IN SOA a. b. 1 2 3 4 5\n"
+      "com. 86400 IN DS 12345 8 2 ABCD EF01\n"
+      ". 86400 IN ZONEMD 1 1 241 0102 0304\n",
+      &error);
+  ASSERT_TRUE(zone.has_value()) << error;
+  const RRset* ds = zone->find(*Name::parse("com."), RRType::DS);
+  ASSERT_NE(ds, nullptr);
+  EXPECT_EQ(std::get<DsData>(ds->rdatas[0]).digest,
+            (std::vector<uint8_t>{0xAB, 0xCD, 0xEF, 0x01}));
+  const RRset* zonemd = zone->find(Name(), RRType::ZONEMD);
+  ASSERT_NE(zonemd, nullptr);
+  EXPECT_EQ(std::get<ZonemdData>(zonemd->rdatas[0]).digest,
+            (std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04}));
 }
 
 }  // namespace

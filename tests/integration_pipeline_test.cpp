@@ -240,7 +240,7 @@ TEST(Pipeline, PropagationDelaysWithinSearchWindow) {
   for (const auto& row : report.per_root)
     for (double delay : row.delays_s) {
       EXPECT_GE(delay, 0);
-      EXPECT_LE(delay, static_cast<double>(options.search_window_s));
+      EXPECT_LE(delay, static_cast<double>(analysis::kPropagationSearchWindowS));
     }
 }
 

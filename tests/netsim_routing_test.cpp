@@ -305,7 +305,7 @@ TEST(Routing, HopLossProducesZeroMarker) {
     }
   }
   double loss_rate = static_cast<double>(lost) / total;
-  EXPECT_NEAR(loss_rate, f.config.hop_loss_probability, 0.02);
+  EXPECT_NEAR(loss_rate, kHopLossProbability, 0.02);
 }
 
 TEST(Routing, AnnouncedRoutesMatchDataPlane) {
