@@ -16,8 +16,9 @@ static void report(const char* label, const dnssec::ZoneValidationResult& result
               to_string(result.dominant_failure()).c_str(),
               to_string(result.zonemd).c_str());
   for (const auto& finding : result.signature_failures) {
-    std::printf("    !! %s: %s\n", to_string(finding.status).c_str(),
-                finding.detail.c_str());
+    std::printf("    !! %s: RRSIG(%s) over %s\n", to_string(finding.status).c_str(),
+                dns::rrtype_to_string(finding.type_covered).c_str(),
+                finding.owner.to_string().c_str());
     break;  // one sample per failure is enough for the demo
   }
 }

@@ -1,6 +1,8 @@
 #include "dns/codec.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 namespace rootsim::dns {
 
@@ -167,31 +169,44 @@ void encode_record_canonical(WireWriter& writer, const ResourceRecord& rr) {
   writer.patch_u16(rdlength_at, static_cast<uint16_t>(writer.size() - rdata_start));
 }
 
+void encode_rdata(WireWriter& writer, const Rdata& rdata, bool canonical) {
+  encode_rdata_into(writer, rdata, /*compress=*/false, canonical);
+}
+
 std::vector<uint8_t> encode_rdata(const Rdata& rdata, bool canonical) {
   WireWriter writer;
-  encode_rdata_into(writer, rdata, /*compress=*/false, canonical);
+  encode_rdata(writer, rdata, canonical);
   return writer.take();
 }
 
 namespace {
 
-std::optional<Rdata> decode_rdata_at(WireReader& reader, RRType type,
-                                     size_t rdlength) {
+// Decodes RDATA of `type` straight into `out`: each name and byte field is
+// read into the alternative it belongs to, so the record owns what the
+// reader produced without a copy. RFC 4034 and RFC 8976 give a DS digest, a
+// DNSKEY public key, an RRSIG signature and a ZONEMD digest no empty form,
+// and the master file has none either, so an empty one is refused here.
+bool decode_rdata_at(WireReader& reader, RRType type, size_t rdlength,
+                     Rdata& out) {
   size_t end = reader.offset() + rdlength;
-  auto take_rest = [&]() -> std::vector<uint8_t> {
+  auto take_rest = [&](std::vector<uint8_t>& field) {
     // Fixed-width fields read above may already have consumed past `end` when
     // RDLENGTH lies (e.g. a DS record claiming 2 octets): `end - offset`
     // would then wrap to a near-2^64 count whose overflow-prone bounds check
     // could pass. Treat overrun as the malformed-RDATA failure it is.
     if (reader.offset() > end) {
       reader.fail();
-      return {};
+      return;
     }
-    return reader.get_bytes(end - reader.offset());
+    field = reader.get_bytes(end - reader.offset());
+  };
+  auto take_rest_nonempty = [&](std::vector<uint8_t>& field) {
+    take_rest(field);
+    if (field.empty()) reader.fail();
   };
   switch (type) {
     case RRType::SOA: {
-      SoaData soa;
+      auto& soa = out.emplace<SoaData>();
       soa.mname = reader.get_name();
       soa.rname = reader.get_name();
       soa.serial = reader.get_u32();
@@ -199,73 +214,64 @@ std::optional<Rdata> decode_rdata_at(WireReader& reader, RRType type,
       soa.retry = reader.get_u32();
       soa.expire = reader.get_u32();
       soa.minimum = reader.get_u32();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(soa);
+      return reader.ok();
     }
-    case RRType::NS: {
-      NsData ns;
-      ns.nsdname = reader.get_name();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(ns);
-    }
-    case RRType::CNAME: {
-      CnameData c;
-      c.target = reader.get_name();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(c);
-    }
+    case RRType::NS:
+      out.emplace<NsData>().nsdname = reader.get_name();
+      return reader.ok();
+    case RRType::CNAME:
+      out.emplace<CnameData>().target = reader.get_name();
+      return reader.ok();
     case RRType::A: {
-      if (rdlength != 4) return std::nullopt;
-      auto b = reader.get_bytes(4);
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(AData{util::IpAddress::v4(b[0], b[1], b[2], b[3])});
+      if (rdlength != 4) return false;
+      std::array<uint8_t, 4> b{};
+      for (auto& octet : b) octet = reader.get_u8();
+      if (!reader.ok()) return false;
+      out = AData{util::IpAddress::v4(b[0], b[1], b[2], b[3])};
+      return true;
     }
     case RRType::AAAA: {
-      if (rdlength != 16) return std::nullopt;
-      auto b = reader.get_bytes(16);
-      if (!reader.ok()) return std::nullopt;
-      std::array<uint8_t, 16> bytes;
-      std::copy(b.begin(), b.end(), bytes.begin());
-      return Rdata(AaaaData{util::IpAddress::v6(bytes)});
+      if (rdlength != 16) return false;
+      std::array<uint8_t, 16> bytes{};
+      for (auto& octet : bytes) octet = reader.get_u8();
+      if (!reader.ok()) return false;
+      out = AaaaData{util::IpAddress::v6(bytes)};
+      return true;
     }
     case RRType::TXT: {
-      TxtData txt;
+      auto& txt = out.emplace<TxtData>();
       while (reader.ok() && reader.offset() < end) {
         uint8_t len = reader.get_u8();
         auto bytes = reader.get_bytes(len);
-        if (!reader.ok()) return std::nullopt;
+        if (!reader.ok()) return false;
         txt.strings.emplace_back(bytes.begin(), bytes.end());
       }
-      if (!reader.ok() || reader.offset() != end) return std::nullopt;
-      return Rdata(txt);
+      return reader.ok() && reader.offset() == end;
     }
     case RRType::MX: {
-      MxData mx;
+      auto& mx = out.emplace<MxData>();
       mx.preference = reader.get_u16();
       mx.exchange = reader.get_name();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(mx);
+      return reader.ok();
     }
     case RRType::DS: {
-      DsData ds;
+      auto& ds = out.emplace<DsData>();
       ds.key_tag = reader.get_u16();
       ds.algorithm = reader.get_u8();
       ds.digest_type = reader.get_u8();
-      ds.digest = take_rest();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(ds);
+      take_rest_nonempty(ds.digest);
+      return reader.ok();
     }
     case RRType::DNSKEY: {
-      DnskeyData key;
+      auto& key = out.emplace<DnskeyData>();
       key.flags = reader.get_u16();
       key.protocol = reader.get_u8();
       key.algorithm = reader.get_u8();
-      key.public_key = take_rest();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(key);
+      take_rest_nonempty(key.public_key);
+      return reader.ok();
     }
     case RRType::RRSIG: {
-      RrsigData sig;
+      auto& sig = out.emplace<RrsigData>();
       sig.type_covered = static_cast<RRType>(reader.get_u16());
       sig.algorithm = reader.get_u8();
       sig.labels = reader.get_u8();
@@ -274,44 +280,46 @@ std::optional<Rdata> decode_rdata_at(WireReader& reader, RRType type,
       sig.inception = reader.get_u32();
       sig.key_tag = reader.get_u16();
       sig.signer = reader.get_name();
-      if (!reader.ok() || reader.offset() > end) return std::nullopt;
-      sig.signature = take_rest();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(sig);
+      if (!reader.ok() || reader.offset() > end) return false;
+      take_rest_nonempty(sig.signature);
+      return reader.ok();
     }
     case RRType::NSEC: {
-      NsecData nsec;
+      auto& nsec = out.emplace<NsecData>();
       nsec.next = reader.get_name();
       while (reader.ok() && reader.offset() < end) {
         uint8_t window = reader.get_u8();
         uint8_t len = reader.get_u8();
-        if (len == 0 || len > 32) return std::nullopt;
-        auto bitmap = reader.get_bytes(len);
-        if (!reader.ok()) return std::nullopt;
-        for (size_t octet = 0; octet < bitmap.size(); ++octet)
+        if (len == 0 || len > 32) return false;
+        uint8_t bitmap[32] = {};
+        size_t set_bits = 0;
+        for (size_t octet = 0; octet < len; ++octet) {
+          bitmap[octet] = reader.get_u8();
+          set_bits += static_cast<size_t>(std::popcount(bitmap[octet]));
+        }
+        if (!reader.ok()) return false;
+        nsec.types.reserve(nsec.types.size() + set_bits);
+        for (size_t octet = 0; octet < len; ++octet)
           for (int bit = 0; bit < 8; ++bit)
             if (bitmap[octet] & (0x80 >> bit))
               nsec.types.push_back(static_cast<RRType>(
                   static_cast<uint16_t>(window) << 8 | (octet * 8 + bit)));
       }
-      if (!reader.ok() || reader.offset() != end) return std::nullopt;
-      return Rdata(nsec);
+      return reader.ok() && reader.offset() == end;
     }
     case RRType::ZONEMD: {
-      ZonemdData z;
+      auto& z = out.emplace<ZonemdData>();
       z.serial = reader.get_u32();
       z.scheme = reader.get_u8();
       z.hash_algorithm = reader.get_u8();
-      z.digest = take_rest();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(z);
+      take_rest_nonempty(z.digest);
+      return reader.ok();
     }
     default: {
-      GenericData g;
+      auto& g = out.emplace<GenericData>();
       g.type_code = static_cast<uint16_t>(type);
-      g.bytes = take_rest();
-      if (!reader.ok()) return std::nullopt;
-      return Rdata(g);
+      take_rest(g.bytes);
+      return reader.ok();
     }
   }
 }
@@ -343,16 +351,18 @@ std::optional<ResourceRecord> decode_record(WireReader& reader) {
   rr.ttl = ttl_field;
   if (reader.remaining() < rdlength) return std::nullopt;
   size_t end = reader.offset() + rdlength;
-  auto rdata = decode_rdata_at(reader, rr.type, rdlength);
-  if (!rdata || reader.offset() != end) return std::nullopt;
-  rr.rdata = std::move(*rdata);
+  if (!decode_rdata_at(reader, rr.type, rdlength, rr.rdata) ||
+      reader.offset() != end)
+    return std::nullopt;
   return rr;
 }
 
 std::optional<Rdata> decode_rdata(RRType type, std::span<const uint8_t> data) {
   WireReader reader(data);
-  auto rdata = decode_rdata_at(reader, type, data.size());
-  if (!rdata || !reader.ok() || reader.remaining() != 0) return std::nullopt;
+  Rdata rdata;
+  if (!decode_rdata_at(reader, type, data.size(), rdata) || !reader.ok() ||
+      reader.remaining() != 0)
+    return std::nullopt;
   return rdata;
 }
 

@@ -23,12 +23,17 @@ void encode_record(WireWriter& writer, const ResourceRecord& rr,
 /// Appends a record in DNSSEC canonical form (lower-case, no compression).
 void encode_record_canonical(WireWriter& writer, const ResourceRecord& rr);
 
-/// Encodes only the RDATA (no owner/type/class/ttl/rdlength); used for key
-/// tags and digest computations. Canonical form when `canonical` is set.
+/// Appends only the RDATA (no owner/type/class/ttl/rdlength), uncompressed;
+/// canonical form (RFC 4034 §6.2) when `canonical` is set. Used for signing
+/// payloads and digest computations.
+void encode_rdata(WireWriter& writer, const Rdata& rdata, bool canonical);
+
+/// The same RDATA bytes as a fresh vector.
 std::vector<uint8_t> encode_rdata(const Rdata& rdata, bool canonical);
 
 /// Reads one record at the reader's position. Returns nullopt on malformed
-/// data (reader will be !ok()).
+/// data (reader will be !ok()), including an empty DS digest, DNSKEY public
+/// key, RRSIG signature or ZONEMD digest.
 std::optional<ResourceRecord> decode_record(WireReader& reader);
 
 /// Decodes RDATA of the given type from a span (no compression context, so

@@ -1,5 +1,7 @@
 #include "dns/message.h"
 
+#include <algorithm>
+
 #include "dns/wire.h"
 
 namespace rootsim::dns {
@@ -92,7 +94,11 @@ std::optional<Message> Message::decode(std::span<const uint8_t> data) {
     if (!reader.ok()) return std::nullopt;
     msg.questions.push_back(std::move(q));
   }
+  // A record takes at least 11 octets (root owner and the fixed fields), so
+  // the reservation is bounded by the bytes left, whatever a count claims.
+  constexpr size_t kMinRecordWire = 11;
   auto read_section = [&](std::vector<ResourceRecord>& section, uint16_t count) {
+    section.reserve(std::min<size_t>(count, reader.remaining() / kMinRecordWire));
     for (int i = 0; i < count; ++i) {
       auto rr = decode_record(reader);
       if (!rr) return false;

@@ -125,6 +125,7 @@ bool Name::is_subdomain_of(const Name& ancestor) const {
     const std::string& mine = labels_[offset + i];
     const std::string& theirs = ancestor.labels_[i];
     if (mine.size() != theirs.size()) return false;
+    if (mine == theirs) continue;  // same octets: equal without folding
     for (size_t k = 0; k < mine.size(); ++k)
       if (fold(mine[k]) != fold(theirs[k])) return false;
   }
@@ -140,6 +141,7 @@ int Name::canonical_compare(const Name& other) const {
   for (size_t i = 1; i <= n; ++i) {
     const std::string& a = labels_[labels_.size() - i];
     const std::string& b = other.labels_[other.labels_.size() - i];
+    if (a == b) continue;  // same octets: equal without folding
     size_t m = std::min(a.size(), b.size());
     for (size_t k = 0; k < m; ++k) {
       uint8_t ca = static_cast<uint8_t>(fold(a[k]));

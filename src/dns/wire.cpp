@@ -1,5 +1,8 @@
 #include "dns/wire.h"
 
+#include <algorithm>
+#include <array>
+
 #include "util/strings.h"
 
 namespace rootsim::dns {
@@ -67,6 +70,10 @@ void WireWriter::put_name(const Name& name, bool compress) {
   // Try to compress each suffix in turn: "f.root-servers.net." checks
   // "f.root-servers.net.", then "root-servers.net.", then "net.".
   const auto& labels = name.labels();
+  if (compress && hashes_.empty() && !labels.empty()) {
+    hashes_.assign(kTableSize, 0);
+    offset_plus_1_.assign(kTableSize, 0);
+  }
   for (size_t i = 0; i < labels.size(); ++i) {
     if (compress) {
       uint64_t h = suffix_hash(labels, i);
@@ -100,7 +107,7 @@ void WireWriter::put_name(const Name& name, bool compress) {
 void WireWriter::clear() {
   buffer_.clear();
   if (entries_ != 0) {
-    offset_plus_1_.fill(0);
+    std::fill(offset_plus_1_.begin(), offset_plus_1_.end(), 0);
     entries_ = 0;
   }
 }
@@ -110,7 +117,11 @@ void WireWriter::truncate(size_t size) {
 }
 
 void WireWriter::put_name_canonical(const Name& name) {
-  put_name(name.to_lower(), /*compress=*/false);
+  for (const auto& label : name.labels()) {
+    buffer_.push_back(static_cast<uint8_t>(label.size()));
+    for (char c : label) buffer_.push_back(static_cast<uint8_t>(ascii_lower(c)));
+  }
+  buffer_.push_back(0);
 }
 
 void WireWriter::patch_u16(size_t offset, uint16_t value) {
@@ -154,7 +165,15 @@ std::vector<uint8_t> WireReader::get_bytes(size_t count) {
 }
 
 Name WireReader::get_name() {
-  std::vector<std::string> labels;
+  // Labels are located first and copied once the name is known to be
+  // well formed, so the label vector is sized with one allocation. A name
+  // of at most 255 octets has at most 127 labels.
+  struct LabelAt {
+    size_t offset;
+    uint8_t length;
+  };
+  std::array<LabelAt, 127> found{};
+  size_t count = 0;
   size_t cursor = offset_;
   bool jumped = false;
   size_t jumps = 0;
@@ -194,23 +213,28 @@ Name WireReader::get_name() {
       return Name();
     }
     // Enforce the 255-octet name limit as labels accumulate rather than after
-    // the fact: a pointer-dense message can otherwise make us collect tens of
+    // the fact: a pointer-dense message can otherwise make us walk tens of
     // kilobytes of labels that Name::from_labels would reject anyway.
     wire_length += 1 + static_cast<size_t>(len);
     if (wire_length > 255) {
       ok_ = false;
       return Name();
     }
-    labels.emplace_back(reinterpret_cast<const char*>(data_.data() + cursor + 1), len);
+    found[count++] = {cursor + 1, len};
     cursor += 1 + static_cast<size_t>(len);
   }
   offset_ = jumped ? after_first_pointer : cursor;
+  std::vector<std::string> labels;
+  labels.reserve(count);
+  for (size_t i = 0; i < count; ++i)
+    labels.emplace_back(reinterpret_cast<const char*>(data_.data() + found[i].offset),
+                        found[i].length);
   auto name = Name::from_labels(std::move(labels));
   if (!name) {
     ok_ = false;
     return Name();
   }
-  return *name;
+  return std::move(*name);
 }
 
 void WireReader::seek(size_t offset) {

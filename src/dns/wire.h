@@ -7,7 +7,6 @@
 // *result*, not an error.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -27,7 +26,9 @@ namespace rootsim::dns {
 /// writer re-encodes messages without allocating. Candidate offsets are
 /// verified by walking the buffer (case-insensitively, chasing pointers), so
 /// a hash collision can at worst skip a compression opportunity, never emit
-/// a wrong pointer.
+/// a wrong pointer. The table is built by the first compressed name: a
+/// writer that never compresses (canonical RDATA, signing payloads, ZONEMD
+/// input) never allocates or zeroes it.
 class WireWriter {
  public:
   void put_u8(uint8_t value);
@@ -39,7 +40,8 @@ class WireWriter {
   /// and a suffix match exists at an offset < 0x4000.
   void put_name(const Name& name, bool compress = true);
 
-  /// Writes a name in DNSSEC canonical form: uncompressed, lower-cased.
+  /// Writes a name in DNSSEC canonical form: uncompressed, lower-cased
+  /// octet by octet (no lower-cased copy of the name is made).
   void put_name_canonical(const Name& name);
 
   /// Patches a previously written u16 (used for RDLENGTH back-filling).
@@ -48,6 +50,9 @@ class WireWriter {
   /// Resets to an empty message, keeping the buffer's capacity — the reuse
   /// hook that removes per-query allocations from the probe loop.
   void clear();
+
+  /// Sizes the buffer for `size` octets, for callers that know the length.
+  void reserve(size_t size) { buffer_.reserve(size); }
 
   /// Rolls the buffer back to `size` (used by the AXFR packer to drop the
   /// record that overflowed the message budget). Compression entries made
@@ -69,13 +74,14 @@ class WireWriter {
   // Slot 0 in `offset_plus_1` means empty; table size must be a power of 2.
   // 1024 slots comfortably covers the distinct suffixes of a 16 KiB AXFR
   // message; when nearly full we stop inserting (output stays valid and
-  // deterministic, compression just degrades).
+  // deterministic, compression just degrades). Both are empty until the
+  // first compressed name sizes them.
   static constexpr size_t kTableSize = 1024;
   static constexpr size_t kMaxEntries = kTableSize - kTableSize / 4;
 
   std::vector<uint8_t> buffer_;
-  std::array<uint64_t, kTableSize> hashes_{};
-  std::array<uint16_t, kTableSize> offset_plus_1_{};
+  std::vector<uint64_t> hashes_;
+  std::vector<uint16_t> offset_plus_1_;
   size_t entries_ = 0;
 };
 

@@ -28,27 +28,42 @@ std::vector<ResourceRecord> RRset::to_records() const {
   return out;
 }
 
-void Zone::add(const ResourceRecord& rr) {
-  Key key{rr.name, rr.type};
-  auto [it, inserted] = sets_.try_emplace(key);
-  RRset& set = it->second;
-  if (inserted) {
-    set.name = rr.name;
+void Zone::add(ResourceRecord rr) {
+  const KeyRef key{rr.name, rr.type};
+  // Against the last key first: a canonical-order stream extends the last
+  // RRset or starts the next one without a tree search.
+  auto it = sets_.end();
+  int order = sets_.empty() ? 1 : KeyOrder::compare(key, std::prev(it)->first);
+  if (order == 0) {
+    --it;
+  } else if (order < 0) {
+    it = sets_.lower_bound(key);  // not end(): the last key is greater
+    order = KeyOrder::compare(key, it->first);
+  }
+  if (order != 0) {
+    // `it` is the first key after this one, or end().
+    RRset& set = sets_.emplace_hint(it, Key{rr.name, rr.type}, RRset{})->second;
+    set.name = std::move(rr.name);
     set.type = rr.type;
     set.rclass = rr.rclass;
     set.ttl = rr.ttl;
+    set.rdatas.push_back(std::move(rr.rdata));
+    return;
   }
-  if (std::find(set.rdatas.begin(), set.rdatas.end(), rr.rdata) ==
-      set.rdatas.end())
-    set.rdatas.push_back(rr.rdata);
+  auto& rdatas = it->second.rdatas;
+  if (std::find(rdatas.begin(), rdatas.end(), rr.rdata) == rdatas.end())
+    rdatas.push_back(std::move(rr.rdata));
 }
 
 bool Zone::remove_rrset(const Name& name, RRType type) {
-  return sets_.erase(Key{name, type}) > 0;
+  auto it = sets_.find(KeyRef{name, type});
+  if (it == sets_.end()) return false;
+  sets_.erase(it);
+  return true;
 }
 
 bool Zone::remove(const ResourceRecord& rr) {
-  auto it = sets_.find(Key{rr.name, rr.type});
+  auto it = sets_.find(KeyRef{rr.name, rr.type});
   if (it == sets_.end()) return false;
   auto& rdatas = it->second.rdatas;
   auto pos = std::find(rdatas.begin(), rdatas.end(), rr.rdata);
@@ -59,7 +74,7 @@ bool Zone::remove(const ResourceRecord& rr) {
 }
 
 const RRset* Zone::find(const Name& name, RRType type) const {
-  auto it = sets_.find(Key{name, type});
+  auto it = sets_.find(KeyRef{name, type});
   return it == sets_.end() ? nullptr : &it->second;
 }
 
@@ -72,8 +87,9 @@ std::vector<const RRset*> Zone::rrsets() const {
 
 std::vector<const RRset*> Zone::rrsets_at(const Name& name) const {
   std::vector<const RRset*> out;
-  for (const auto& [key, set] : sets_)
-    if (key.name == name) out.push_back(&set);
+  for (auto it = sets_.lower_bound(first_key(name));
+       it != sets_.end() && it->first.name == name; ++it)
+    out.push_back(&it->second);
   return out;
 }
 
@@ -96,9 +112,8 @@ size_t Zone::record_count() const {
 }
 
 bool Zone::contains_name(const Name& name) const {
-  for (const auto& [key, set] : sets_)
-    if (key.name == name) return true;
-  return false;
+  auto it = sets_.lower_bound(first_key(name));
+  return it != sets_.end() && it->first.name == name;
 }
 
 std::vector<Name> Zone::authoritative_names() const {
@@ -113,18 +128,20 @@ std::vector<ResourceRecord> Zone::axfr_records() const {
   std::vector<ResourceRecord> out;
   const RRset* soa_set = find(origin_, RRType::SOA);
   if (!soa_set || soa_set->rdatas.empty()) return out;
+  out.reserve(record_count() + 1);
   ResourceRecord soa_rr{soa_set->name, RRType::SOA, soa_set->rclass, soa_set->ttl,
                         soa_set->rdatas.front()};
   out.push_back(soa_rr);
   for (const auto& [key, set] : sets_) {
-    if (key.name == origin_ && key.type == RRType::SOA) continue;
-    for (const auto& record : set.to_records()) out.push_back(record);
+    if (&set == soa_set) continue;
+    for (const auto& rdata : set.rdatas)
+      out.push_back(ResourceRecord{set.name, set.type, set.rclass, set.ttl, rdata});
   }
-  out.push_back(soa_rr);
+  out.push_back(std::move(soa_rr));
   return out;
 }
 
-std::optional<Zone> Zone::from_axfr(const std::vector<ResourceRecord>& records,
+std::optional<Zone> Zone::from_axfr(std::vector<ResourceRecord> records,
                                     const Name& origin) {
   if (records.size() < 2) return std::nullopt;
   const ResourceRecord& first = records.front();
@@ -132,7 +149,8 @@ std::optional<Zone> Zone::from_axfr(const std::vector<ResourceRecord>& records,
   if (first.type != RRType::SOA || last.type != RRType::SOA) return std::nullopt;
   if (!(first.name == origin) || !(first == last)) return std::nullopt;
   Zone zone(origin);
-  for (size_t i = 0; i + 1 < records.size(); ++i) zone.add(records[i]);
+  records.pop_back();
+  for (auto& rr : records) zone.add(std::move(rr));
   return zone;
 }
 
@@ -483,7 +501,7 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
       break;
     }
   Zone zone(zone_origin);
-  for (const auto& rr : records) zone.add(rr);
+  for (auto& rr : records) zone.add(std::move(rr));
   if (!zone.soa()) return fail("zone has no SOA");
   return zone;
 }

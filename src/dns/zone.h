@@ -43,8 +43,11 @@ class Zone {
   const Name& origin() const { return origin_; }
 
   /// Adds one record, merging into the existing RRset (TTL of the first
-  /// record wins, duplicate rdata is dropped — RFC 2181 §5).
-  void add(const ResourceRecord& rr);
+  /// record wins, duplicate rdata is dropped — RFC 2181 §5). The record's
+  /// owner and rdata are moved into the RRset. A record at or after the last
+  /// (owner, type) key, as in a canonical-order stream, costs one key
+  /// comparison; any other record takes the tree search.
+  void add(ResourceRecord rr);
 
   /// Removes the RRset with this owner and type. Returns true if removed.
   bool remove_rrset(const Name& name, RRType type);
@@ -58,7 +61,7 @@ class Zone {
 
   /// All RRsets in canonical order.
   std::vector<const RRset*> rrsets() const;
-  /// All RRsets with the given owner.
+  /// All RRsets with the given owner, in type order (an ordered search).
   std::vector<const RRset*> rrsets_at(const Name& name) const;
 
   /// The apex SOA, if present.
@@ -78,8 +81,11 @@ class Zone {
   std::vector<ResourceRecord> axfr_records() const;
 
   /// Parses an AXFR stream back into a zone: first and last record must be
-  /// the same SOA. Returns nullopt if framing is broken.
-  static std::optional<Zone> from_axfr(const std::vector<ResourceRecord>& records,
+  /// the same SOA. Returns nullopt if framing is broken. Pass the records by
+  /// std::move to build the zone from them without a copy; a stream in
+  /// canonical order (what axfr_records() emits) appends every RRset at the
+  /// end of the tree.
+  static std::optional<Zone> from_axfr(std::vector<ResourceRecord> records,
                                        const Name& origin);
 
   /// Master-file rendering (one canonical-order record per line).
@@ -97,17 +103,34 @@ class Zone {
   struct Key {
     Name name;
     RRType type;
-    bool operator<(const Key& other) const {
-      int c = name.canonical_compare(other.name);
-      if (c != 0) return c < 0;
-      return static_cast<uint16_t>(type) < static_cast<uint16_t>(other.type);
-    }
     bool operator==(const Key& other) const {
       return name == other.name && type == other.type;
     }
   };
+  // A search key that borrows its owner, so lookups copy no name.
+  struct KeyRef {
+    const Name& name;
+    RRType type;
+  };
+  // Canonical owner order (RFC 4034 §6.1), then type code; transparent, so
+  // the tree is searched with a KeyRef.
+  struct KeyOrder {
+    using is_transparent = void;
+    template <class A, class B>
+    static int compare(const A& a, const B& b) {
+      if (int c = a.name.canonical_compare(b.name)) return c;
+      return static_cast<int>(a.type) - static_cast<int>(b.type);
+    }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return compare(a, b) < 0;
+    }
+  };
+  // First key of an owner: type codes start at 0.
+  static KeyRef first_key(const Name& name) { return {name, RRType{}}; }
+
   Name origin_;
-  std::map<Key, RRset> sets_;
+  std::map<Key, RRset, KeyOrder> sets_;
 };
 
 }  // namespace rootsim::dns

@@ -7,30 +7,51 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dns/rdata.h"
+#include "dns/wire.h"
 #include "dns/zone.h"
 
 namespace rootsim::dnssec {
 
-/// Canonical RDATA encoding of one record (lower-cased embedded names, no
-/// compression).
-std::vector<uint8_t> canonical_rdata(const dns::Rdata& rdata);
+/// The canonical RDATA (RFC 4034 §6.2) of an RRset's rdatas, each encoded
+/// once into one buffer and ordered as RFC 4034 §6.3 sorts the RRs of an
+/// RRset: by RDATA as a left-justified unsigned octet string. Reusable:
+/// clear() keeps the buffers, so one instance serves a whole zone.
+class CanonicalRdatas {
+ public:
+  void clear();
+  /// Appends the canonical encoding of one rdata.
+  void add(const dns::Rdata& rdata);
+  /// Puts the encodings added so far into canonical order.
+  void sort();
 
-/// Sorts an RRset's rdatas by canonical RDATA byte order (RFC 4034 §6.3) and
-/// returns the sorted copies.
-std::vector<dns::Rdata> sort_rdatas_canonically(const std::vector<dns::Rdata>& rdatas);
+  size_t size() const { return ranges_.size(); }
+  /// The i-th encoding (canonical order after sort(), else insertion order).
+  std::span<const uint8_t> operator[](size_t i) const;
+  /// Octets of all encodings together.
+  size_t total_bytes() const { return writer_.size(); }
+
+ private:
+  struct Range {
+    uint32_t begin;
+    uint32_t end;
+  };
+  dns::WireWriter writer_;
+  std::vector<Range> ranges_;
+};
+
+/// Appends the RRs of `rrset` in canonical form (owner lower-cased, TTL
+/// `ttl`), one per entry of `sorted`, which holds the set's rdatas.
+void put_canonical_rrs(dns::WireWriter& writer, const dns::RRset& rrset,
+                       uint32_t ttl, const CanonicalRdatas& sorted);
 
 /// The exact byte string RRSIG(RRset) signatures cover:
 ///   RRSIG_RDATA (minus signature) || canonical RRs, sorted.
 /// The caller provides the RRSIG fields already filled in (except signature).
 std::vector<uint8_t> signing_payload(const dns::RrsigData& rrsig_template,
                                      const dns::RRset& rrset);
-
-/// Full canonical wire form of one RR (owner/type/class/ttl/rdlength/rdata),
-/// used by ZONEMD hashing. `ttl_override` substitutes the TTL (RRSIG RRs in
-/// signing use the original TTL).
-std::vector<uint8_t> canonical_record(const dns::ResourceRecord& rr);
 
 }  // namespace rootsim::dnssec

@@ -140,40 +140,31 @@ std::vector<uint8_t> compute_zonemd_digest(const dns::Zone& zone,
   // RFC 8976 §3.3.1 SIMPLE scheme inclusion rules: hash the canonical wire
   // form of all records in canonical order, excluding (rule 4) the apex
   // ZONEMD RRset itself and (rule 6) the RRSIG covering the apex ZONEMD.
+  // One scratch and one writer serve every RRset: each rdata is encoded
+  // once, and each set's RRs are hashed in one update.
   crypto::Sha384 h384;
   crypto::Sha512 h512;
+  CanonicalRdatas sorted;
+  dns::WireWriter rrs;
   for (const dns::RRset* set : zone.rrsets()) {
-    if (set->type == dns::RRType::ZONEMD && set->name == zone.origin())
-      continue;
-    if (set->type == dns::RRType::RRSIG) {
-      // RRSIG covering ZONEMD at the apex is excluded.
-      std::vector<dns::Rdata> kept;
-      for (const auto& rdata : set->rdatas) {
-        const auto* sig = std::get_if<dns::RrsigData>(&rdata);
-        if (sig && sig->type_covered == dns::RRType::ZONEMD &&
-            set->name == zone.origin())
-          continue;
-        kept.push_back(rdata);
-      }
-      if (kept.empty()) continue;
-      for (const auto& rdata : sort_rdatas_canonically(kept)) {
-        dns::ResourceRecord rr{set->name, set->type, set->rclass, set->ttl, rdata};
-        auto bytes = canonical_record(rr);
-        if (hash_algorithm == dns::ZonemdData::kHashSha512)
-          h512.update(bytes);
-        else
-          h384.update(bytes);
-      }
-      continue;
+    const bool at_apex = set->name == zone.origin();
+    if (set->type == dns::RRType::ZONEMD && at_apex) continue;
+    const bool apex_sigs = set->type == dns::RRType::RRSIG && at_apex;
+    sorted.clear();
+    for (const auto& rdata : set->rdatas) {
+      const auto* sig = std::get_if<dns::RrsigData>(&rdata);
+      if (apex_sigs && sig && sig->type_covered == dns::RRType::ZONEMD)
+        continue;
+      sorted.add(rdata);
     }
-    for (const auto& rdata : sort_rdatas_canonically(set->rdatas)) {
-      dns::ResourceRecord rr{set->name, set->type, set->rclass, set->ttl, rdata};
-      auto bytes = canonical_record(rr);
-      if (hash_algorithm == dns::ZonemdData::kHashSha512)
-        h512.update(bytes);
-      else
-        h384.update(bytes);
-    }
+    if (sorted.size() == 0) continue;
+    sorted.sort();
+    rrs.clear();
+    put_canonical_rrs(rrs, *set, set->ttl, sorted);
+    if (hash_algorithm == dns::ZonemdData::kHashSha512)
+      h512.update(rrs.data());
+    else
+      h384.update(rrs.data());
   }
   if (hash_algorithm == dns::ZonemdData::kHashSha512) {
     auto digest = h512.finish();
@@ -205,13 +196,13 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
   const uint32_t serial = soa ? soa->serial : 0;
 
   // Install the DNSKEY RRset at the apex.
-  for (const auto& key : {ksk, zsk}) {
+  for (const SigningKey* key : {&ksk, &zsk}) {
     dns::ResourceRecord rr;
     rr.name = apex;
     rr.type = dns::RRType::DNSKEY;
     rr.ttl = 172800;
-    rr.rdata = key.to_dnskey();
-    zone.add(rr);
+    rr.rdata = key->to_dnskey();
+    zone.add(std::move(rr));
   }
   for (const auto& dnskey : policy.extra_dnskeys) {
     dns::ResourceRecord rr;
@@ -219,7 +210,7 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
     rr.type = dns::RRType::DNSKEY;
     rr.ttl = 172800;
     rr.rdata = dnskey;
-    zone.add(rr);
+    zone.add(std::move(rr));
   }
 
   // Install the ZONEMD placeholder (RFC 8976 §3.3.1: digest field must be
@@ -236,8 +227,8 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
     rr.name = apex;
     rr.type = dns::RRType::ZONEMD;
     rr.ttl = 86400;
-    rr.rdata = zonemd;
-    zone.add(rr);
+    rr.rdata = std::move(zonemd);
+    zone.add(std::move(rr));
   }
 
   // Build the NSEC chain over authoritative names (delegation points appear
@@ -259,8 +250,8 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
     rr.name = owner;
     rr.type = dns::RRType::NSEC;
     rr.ttl = soa_minimum;
-    rr.rdata = nsec;
-    zone.add(rr);
+    rr.rdata = std::move(nsec);
+    zone.add(std::move(rr));
   }
 
   // Sign every authoritative RRset (including the ZONEMD placeholder, whose
@@ -283,8 +274,8 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
     rr.name = set->name;
     rr.type = dns::RRType::RRSIG;
     rr.ttl = set->ttl;
-    rr.rdata = sig;
-    zone.add(rr);
+    rr.rdata = std::move(sig);
+    zone.add(std::move(rr));
   }
 
   // RFC 8976 §4.1: with the zone now signed, compute the digest (the apex
@@ -302,8 +293,8 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
     zonemd_rr.name = apex;
     zonemd_rr.type = dns::RRType::ZONEMD;
     zonemd_rr.ttl = 86400;
-    zonemd_rr.rdata = zonemd;
-    zone.add(zonemd_rr);
+    zonemd_rr.rdata = std::move(zonemd);
+    zone.add(std::move(zonemd_rr));
 
     const dns::RRset* apex_sigs = zone.find(apex, dns::RRType::RRSIG);
     if (apex_sigs) {
@@ -315,14 +306,14 @@ SignatureLookups sign_zone(dns::Zone& zone, const SigningKey& ksk,
         kept.push_back(rdata);
       }
       zone.remove_rrset(apex, dns::RRType::RRSIG);
-      for (const auto& rdata : kept)
+      for (auto& rdata : kept)
         zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
-                                     sig_ttl, rdata});
+                                     sig_ttl, std::move(rdata)});
       const dns::RRset* zonemd_set = zone.find(apex, dns::RRType::ZONEMD);
       dns::RrsigData sig =
           sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache, lookups);
       zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
-                                   zonemd_set->ttl, sig});
+                                   zonemd_set->ttl, std::move(sig)});
     }
   }
   return lookups;

@@ -3,7 +3,6 @@
 #include "crypto/rsa.h"
 #include "crypto/sha2.h"
 #include "dnssec/canonical.h"
-#include "util/strings.h"
 
 namespace rootsim::dnssec {
 
@@ -267,7 +266,21 @@ ZoneValidationResult validate_zone(const dns::Zone& zone,
             crypto::RsaPublicKey::from_dnskey_wire(key.public_key))});
 
   const dns::Name& apex = zone.origin();
-  for (const dns::RRset* set : zone.rrsets()) {
+  const std::vector<const dns::RRset*> sets = zone.rrsets();
+  const dns::RRset* sig_set = nullptr;  // the current owner's RRSIG set
+  size_t owner_end = 0;  // one past the current owner's RRsets
+  std::vector<const dns::RrsigData*> covering;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const dns::RRset* set = sets[i];
+    if (i == owner_end) {
+      // An owner's RRsets are adjacent in canonical order: its RRSIG set is
+      // found once, among them, when the owner first appears.
+      sig_set = nullptr;
+      for (owner_end = i;
+           owner_end < sets.size() && sets[owner_end]->name == set->name;
+           ++owner_end)
+        if (sets[owner_end]->type == dns::RRType::RRSIG) sig_set = sets[owner_end];
+    }
     if (set->type == dns::RRType::RRSIG) continue;
     bool at_apex = set->name == apex;
     bool signable =
@@ -275,16 +288,15 @@ ZoneValidationResult validate_zone(const dns::Zone& zone,
     if (!signable) continue;  // delegations and glue are unsigned by design
     ++result.rrsets_checked;
 
-    // Find RRSIG(s) covering this set.
-    const dns::RRset* sig_set = zone.find(set->name, dns::RRType::RRSIG);
-    std::vector<const dns::RrsigData*> covering;
+    // The RRSIG(s) covering this set.
+    covering.clear();
     if (sig_set)
       for (const auto& rdata : sig_set->rdatas)
         if (const auto* sig = std::get_if<dns::RrsigData>(&rdata))
           if (sig->type_covered == set->type) covering.push_back(sig);
     if (covering.empty()) {
       result.signature_failures.push_back(
-          {ValidationStatus::MissingSignature, set->name, set->type, "no RRSIG"});
+          {ValidationStatus::MissingSignature, set->name, set->type});
       continue;
     }
 
@@ -298,21 +310,11 @@ ZoneValidationResult validate_zone(const dns::Zone& zone,
           matching_key = &anchor_key;
           break;
         }
-      if (!matching_key) {
-        result.signature_failures.push_back(
-            {ValidationStatus::UnknownKey, set->name, set->type,
-             util::format("key tag %u not in trust anchors", sig->key_tag)});
-        continue;
-      }
       ValidationStatus status =
-          verify_with_context(*set, *sig, matching_key->ctx, now);
-      if (status != ValidationStatus::Valid) {
-        result.signature_failures.push_back(
-            {status, set->name, set->type,
-             util::format("RRSIG(%s) over %s",
-                          rrtype_to_string(set->type).c_str(),
-                          set->name.to_string().c_str())});
-      }
+          matching_key ? verify_with_context(*set, *sig, matching_key->ctx, now)
+                       : ValidationStatus::UnknownKey;
+      if (status != ValidationStatus::Valid)
+        result.signature_failures.push_back({status, set->name, set->type});
     }
   }
   if (obs.metrics) {

@@ -40,12 +40,11 @@ enum class ZonemdStatus {
 
 std::string to_string(ZonemdStatus status);
 
-/// One RRSIG failure, attributable to an RRset.
+/// One RRSIG failure, attributable to an RRset: the set's owner and type.
 struct SignatureFinding {
   ValidationStatus status = ValidationStatus::Valid;
   dns::Name owner;
   dns::RRType type_covered = dns::RRType::A;
-  std::string detail;
 };
 
 /// Combined verdict for one obtained zone copy.

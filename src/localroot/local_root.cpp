@@ -44,7 +44,8 @@ RefreshResult LocalRootService::refresh(util::UnixTime now,
       result.attempts.push_back(attempt);
       continue;
     }
-    auto candidate = dns::Zone::from_axfr(probe.axfr->records, dns::Name());
+    auto candidate =
+        dns::Zone::from_axfr(std::move(probe.axfr->records), dns::Name());
     if (!candidate) {
       attempt.transfer_failed = true;
       attempt.detail = "AXFR framing broken";

@@ -161,7 +161,8 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
     return fallback ? vps_[fallback_base.at(vp_id)] : vps_[it->second];
   };
 
-  auto validate_probe = [&](const ProbeRecord& probe, const FaultEvent* fault,
+  // Takes the probe's records: the zone is built by moving them.
+  auto validate_probe = [&](ProbeRecord& probe, const FaultEvent* fault,
                             const obs::Obs& sink) -> ZoneAuditObservation {
     ZoneAuditObservation obs;
     obs.vp_id = probe.vp_id;
@@ -189,7 +190,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
       return obs;
     }
     obs.soa_serial = probe.axfr->soa_serial;
-    auto zone = dns::Zone::from_axfr(probe.axfr->records, dns::Name());
+    auto zone = dns::Zone::from_axfr(std::move(probe.axfr->records), dns::Name());
     if (!zone) {
       // Corruption broke the framing itself (possible if the SOA owner name
       // got hit); report as bogus.

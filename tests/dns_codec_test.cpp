@@ -246,5 +246,58 @@ TEST(Codec, DetachedRdataDecode) {
   EXPECT_FALSE(decode_rdata(RRType::A, std::vector<uint8_t>{1, 2}).has_value());
 }
 
+// RFC 4034 §§2.1, 3.1, 5.1 and RFC 8976 §2 give the DNSKEY public key, the
+// RRSIG signature and the DS and ZONEMD digests no empty form (and the
+// master file cannot write one): the decoder refuses each when empty, as a
+// record and as detached RDATA, and takes one octet.
+// `field` is the tested field inside `rr`.
+void expect_empty_field_refused(ResourceRecord& rr, std::vector<uint8_t>& field) {
+  field = {0x5A};
+  WireWriter one_octet;
+  encode_record(one_octet, rr);
+  WireReader accepted(one_octet.data());
+  auto decoded = decode_record(accepted);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, rr);
+
+  field.clear();
+  WireWriter empty;
+  encode_record(empty, rr);
+  WireReader refused(empty.data());
+  EXPECT_FALSE(decode_record(refused).has_value());
+  EXPECT_FALSE(refused.ok());
+  EXPECT_FALSE(decode_rdata(rr.type, encode_rdata(rr.rdata, false)).has_value());
+}
+
+TEST(Codec, DecodeRefusesAnEmptyDsDigest) {
+  ResourceRecord rr{*Name::parse("com."), RRType::DS, RRClass::IN, 86400,
+                    DsData{30909, 8, 2, {}}};
+  expect_empty_field_refused(rr, std::get<DsData>(rr.rdata).digest);
+}
+
+TEST(Codec, DecodeRefusesAnEmptyDnskeyPublicKey) {
+  ResourceRecord rr{Name(), RRType::DNSKEY, RRClass::IN, 172800,
+                    DnskeyData{257, 3, 8, {}}};
+  expect_empty_field_refused(rr, std::get<DnskeyData>(rr.rdata).public_key);
+}
+
+TEST(Codec, DecodeRefusesAnEmptyRrsigSignature) {
+  RrsigData sig;
+  sig.type_covered = RRType::SOA;
+  sig.algorithm = 8;
+  sig.original_ttl = 86400;
+  sig.expiration = 1700000000;
+  sig.inception = 1690000000;
+  sig.key_tag = 20326;
+  ResourceRecord rr{Name(), RRType::RRSIG, RRClass::IN, 86400, sig};
+  expect_empty_field_refused(rr, std::get<RrsigData>(rr.rdata).signature);
+}
+
+TEST(Codec, DecodeRefusesAnEmptyZonemdDigest) {
+  ResourceRecord rr{Name(), RRType::ZONEMD, RRClass::IN, 86400,
+                    ZonemdData{2023120601, 1, 1, {}}};
+  expect_empty_field_refused(rr, std::get<ZonemdData>(rr.rdata).digest);
+}
+
 }  // namespace
 }  // namespace rootsim::dns

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "dns/axfr.h"
+#include "rss/zone_authority.h"
+#include "scenario/apply.h"
+
 namespace rootsim::dns {
 namespace {
 
@@ -241,6 +248,177 @@ TEST(Zone, ParseMasterFileJoinsASplitDigest) {
   ASSERT_NE(zonemd, nullptr);
   EXPECT_EQ(std::get<ZonemdData>(zonemd->rdatas[0]).digest,
             (std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04}));
+}
+
+// A signed zone of the paper-2023 library scenario at its SHA-384 stage:
+// apex, delegations with DS and glue, the NSEC chain and every RRSIG; fewer
+// delegations and smaller keys than a campaign zone keep the build quick.
+const Zone& library_zone() {
+  static const Zone zone = [] {
+    rss::ZoneAuthorityConfig config = scenario::paper_campaign_config().zone;
+    config.tld_count = 40;
+    config.rsa_modulus_bits = 512;
+    rss::RootCatalog catalog;
+    rss::ZoneAuthority authority(catalog, config);
+    return authority.zone_at(config.zonemd_sha384_start + 7 * 86400);
+  }();
+  return zone;
+}
+
+// The stream's first and last SOA stay in place; the records between them
+// are reordered by `reorder`.
+template <class Reorder>
+std::vector<ResourceRecord> reordered(std::vector<ResourceRecord> records,
+                                      Reorder reorder) {
+  reorder(records.begin() + 1, records.end() - 1);
+  return records;
+}
+
+TEST(Zone, FromAxfrBuildsTheSameZoneFromAnyStream) {
+  const Zone& zone = library_zone();
+  const std::vector<ResourceRecord> stream = zone.axfr_records();
+  ASSERT_GT(stream.size(), 500u);
+  // Added one record at a time.
+  Zone one_by_one{Name()};
+  for (size_t i = 0; i + 1 < stream.size(); ++i) one_by_one.add(stream[i]);
+  EXPECT_EQ(one_by_one, zone);
+  // The in-order stream, copied and moved: the same RRsets with their rdatas
+  // in the same order.
+  auto copied = Zone::from_axfr(stream, Name());
+  ASSERT_TRUE(copied.has_value());
+  EXPECT_EQ(*copied, zone);
+  EXPECT_EQ(copied->to_master_file(), zone.to_master_file());
+  auto source = stream;
+  auto moved = Zone::from_axfr(std::move(source), Name());
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(*moved, zone);
+  EXPECT_EQ(moved->to_master_file(), zone.to_master_file());
+  // Shuffled and reversed: records before the last key take the tree search.
+  auto shuffled = Zone::from_axfr(
+      reordered(stream, [](auto first, auto last) {
+        std::shuffle(first, last, std::mt19937(7));
+      }),
+      Name());
+  ASSERT_TRUE(shuffled.has_value());
+  EXPECT_EQ(*shuffled, zone);
+  auto reversed = Zone::from_axfr(
+      reordered(stream, [](auto first, auto last) { std::reverse(first, last); }),
+      Name());
+  ASSERT_TRUE(reversed.has_value());
+  EXPECT_EQ(*reversed, zone);
+  // Every record twice in a row, and the whole stream again: duplicates are
+  // dropped wherever they land.
+  std::vector<ResourceRecord> doubled{stream.front()};
+  for (size_t i = 1; i + 1 < stream.size(); ++i) {
+    doubled.push_back(stream[i]);
+    doubled.push_back(stream[i]);
+  }
+  doubled.insert(doubled.end(), stream.begin(), stream.end());
+  auto deduplicated = Zone::from_axfr(std::move(doubled), Name());
+  ASSERT_TRUE(deduplicated.has_value());
+  EXPECT_EQ(*deduplicated, zone);
+  EXPECT_EQ(deduplicated->record_count(), zone.record_count());
+}
+
+// Upper-cases every other octet of each label (a 0x20 query-name variant).
+Name mixed_case(const Name& name) {
+  std::vector<std::string> labels = name.labels();
+  for (auto& label : labels)
+    for (size_t k = 0; k < label.size(); k += 2)
+      if (label[k] >= 'a' && label[k] <= 'z') label[k] = static_cast<char>(label[k] - 32);
+  return *Name::from_labels(std::move(labels));
+}
+
+TEST(Zone, OrderedLookupsAgreeWithALinearScan) {
+  const Zone& zone = library_zone();
+  const std::vector<const RRset*> all = zone.rrsets();
+  auto scan = [&](const Name& name) {
+    std::vector<const RRset*> out;
+    for (const RRset* set : all)
+      if (set->name == name) out.push_back(set);
+    return out;
+  };
+  std::vector<Name> names;
+  for (const RRset* set : all) {
+    if (!names.empty() && names.back() == set->name) continue;
+    names.push_back(set->name);
+  }
+  const Name last_owner = names.back();
+  std::vector<Name> probes;
+  for (const Name& owner : names) {
+    probes.push_back(owner);
+    probes.push_back(mixed_case(owner));
+    // Below the owner (below a delegation for a TLD), and just after its
+    // subtree: between this owner and the next.
+    if (auto below = owner.child("below")) probes.push_back(*below);
+    if (!owner.is_root()) {
+      std::vector<std::string> labels = owner.labels();
+      labels[0] += '-';
+      if (auto after = Name::from_labels(std::move(labels))) probes.push_back(*after);
+    }
+  }
+  probes.push_back(*Name::parse("~~~~."));  // past the last owner
+  ASSERT_LT(last_owner.canonical_compare(probes.back()), 0);
+  size_t found = 0;
+  for (const Name& name : probes) {
+    SCOPED_TRACE(name.to_string());
+    const auto expected = scan(name);
+    EXPECT_EQ(zone.rrsets_at(name), expected);
+    EXPECT_EQ(zone.contains_name(name), !expected.empty());
+    found += !expected.empty();
+  }
+  // Every owner and its case variant.
+  EXPECT_EQ(found, 2 * names.size());
+}
+
+// What decodes from the wire renders to a master file that loads back. A DS
+// digest, DNSKEY key, RRSIG signature or ZONEMD digest of one octet makes
+// the round trip; an empty one has no master-file form, and the wire
+// decoder refuses it.
+TEST(Zone, DecodedZoneRoundTripsThroughItsMasterFile) {
+  Zone zone = make_mini_root();
+  const Name com = *Name::parse("com.");
+  const std::vector<ResourceRecord> short_fields = {
+      {com, RRType::DS, RRClass::IN, 86400, DsData{12345, 8, 2, {0xAB}}},
+      {Name(), RRType::DNSKEY, RRClass::IN, 172800, DnskeyData{257, 3, 8, {0x01}}},
+      {Name(), RRType::RRSIG, RRClass::IN, 86400,
+       RrsigData{RRType::SOA, 8, 0, 86400, 1700000000, 1690000000, 20326, Name(),
+                 {0x5A}}},
+      {Name(), RRType::ZONEMD, RRClass::IN, 86400,
+       ZonemdData{2023100800, 1, 1, {0x01}}},
+  };
+  for (const auto& rr : short_fields) zone.add(rr);
+  auto wire = encode_axfr_stream(zone.axfr_records(),
+                                 Question{Name(), RRType::AXFR, RRClass::IN});
+  auto parsed = decode_axfr_stream(wire);
+  ASSERT_TRUE(parsed.ok()) << *parsed.error;
+  auto received = Zone::from_axfr(std::move(parsed.records), Name());
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(*received, zone);
+  std::string error;
+  auto reloaded = Zone::parse_master_file(received->to_master_file(), &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  EXPECT_EQ(*reloaded, zone);
+
+  for (ResourceRecord rr : short_fields) {
+    std::visit(
+        [](auto& data) {
+          using T = std::decay_t<decltype(data)>;
+          if constexpr (std::is_same_v<T, DsData> || std::is_same_v<T, ZonemdData>)
+            data.digest.clear();
+          else if constexpr (std::is_same_v<T, DnskeyData>)
+            data.public_key.clear();
+          else if constexpr (std::is_same_v<T, RrsigData>)
+            data.signature.clear();
+        },
+        rr.rdata);
+    SCOPED_TRACE(record_to_string(rr));
+    Zone with_empty = make_mini_root();
+    with_empty.add(rr);
+    auto empty_wire = encode_axfr_stream(with_empty.axfr_records(),
+                                         Question{Name(), RRType::AXFR, RRClass::IN});
+    EXPECT_FALSE(decode_axfr_stream(empty_wire).ok());
+  }
 }
 
 }  // namespace

@@ -4,12 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "dns/codec.h"
 #include "util/rng.h"
 
 namespace rootsim::dnssec {
 namespace {
 
 using dns::Name;
+using Bytes = std::vector<uint8_t>;
+
+Bytes canonical_rdata(const dns::Rdata& rdata) {
+  return dns::encode_rdata(rdata, /*canonical=*/true);
+}
+
+// The canonical RDATA of `rdatas` in canonical order, as byte strings.
+std::vector<Bytes> sorted_bytes(const std::vector<dns::Rdata>& rdatas) {
+  CanonicalRdatas sorted;
+  for (const auto& rdata : rdatas) sorted.add(rdata);
+  sorted.sort();
+  std::vector<Bytes> out;
+  for (size_t i = 0; i < sorted.size(); ++i)
+    out.emplace_back(sorted[i].begin(), sorted[i].end());
+  return out;
+}
 
 TEST(Canonical, RdataEncodingIsDeterministic) {
   dns::RrsigData sig;
@@ -32,16 +51,30 @@ TEST(Canonical, SortIsStableAndIdempotent) {
   for (int i = 0; i < 30; ++i)
     rdatas.push_back(dns::AData{util::IpAddress::v4(
         static_cast<uint32_t>(rng.next()))});
-  auto once = sort_rdatas_canonically(rdatas);
-  auto twice = sort_rdatas_canonically(once);
-  EXPECT_EQ(once, twice);
-  // Sorted by canonical byte order.
-  for (size_t i = 1; i < once.size(); ++i)
-    EXPECT_LE(canonical_rdata(once[i - 1]), canonical_rdata(once[i]));
+  auto once = sorted_bytes(rdatas);
+  // Each rdata encoded once, sorted by canonical byte order.
+  std::vector<Bytes> expected;
+  for (const auto& rdata : rdatas) expected.push_back(canonical_rdata(rdata));
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(once, expected);
+  // Idempotent: the sorted rdatas sort to themselves.
+  std::vector<dns::Rdata> in_order;
+  for (const Bytes& bytes : once)
+    in_order.push_back(*dns::decode_rdata(dns::RRType::A, bytes));
+  EXPECT_EQ(sorted_bytes(in_order), once);
   // Permutation-invariant.
   auto shuffled = rdatas;
   rng.shuffle(shuffled);
-  EXPECT_EQ(sort_rdatas_canonically(shuffled), once);
+  EXPECT_EQ(sorted_bytes(shuffled), once);
+  // A reused instance starts over on clear().
+  CanonicalRdatas reused;
+  reused.add(rdatas[0]);
+  reused.clear();
+  for (const auto& rdata : shuffled) reused.add(rdata);
+  reused.sort();
+  ASSERT_EQ(reused.size(), once.size());
+  for (size_t i = 0; i < once.size(); ++i)
+    EXPECT_EQ(Bytes(reused[i].begin(), reused[i].end()), once[i]);
 }
 
 TEST(Canonical, SigningPayloadLayout) {
@@ -111,14 +144,49 @@ TEST(Canonical, PayloadChangesWithAnyField) {
 }
 
 TEST(Canonical, RecordEncodingMatchesWireLength) {
-  dns::ResourceRecord rr;
-  rr.name = *Name::parse("ruhr.");
-  rr.type = dns::RRType::NS;
-  rr.ttl = 172800;
-  rr.rdata = dns::NsData{*Name::parse("ns1.ruhr.")};
-  auto bytes = canonical_record(rr);
+  dns::RRset rrset;
+  rrset.name = *Name::parse("ruhr.");
+  rrset.type = dns::RRType::NS;
+  rrset.ttl = 172800;
+  rrset.rdatas = {dns::NsData{*Name::parse("ns1.ruhr.")}};
+  CanonicalRdatas sorted;
+  sorted.add(rrset.rdatas[0]);
+  dns::WireWriter writer;
+  put_canonical_rrs(writer, rrset, rrset.ttl, sorted);
   // owner(6) + type(2) + class(2) + ttl(4) + rdlen(2) + rdata(10).
-  EXPECT_EQ(bytes.size(), 6u + 2 + 2 + 4 + 2 + 10);
+  EXPECT_EQ(writer.size(), 6u + 2 + 2 + 4 + 2 + 10);
+}
+
+// The RRs ZONEMD hashes and signatures cover are the codec's canonical
+// records, one per rdata, in canonical RDATA order: mixed-case owners and
+// embedded names, a multi-rdata set given out of order.
+TEST(Canonical, CanonicalRrsAreTheCodecsCanonicalRecords) {
+  dns::RRset rrset;
+  rrset.name = *Name::parse("RuHr.");
+  rrset.type = dns::RRType::NS;
+  rrset.ttl = 172800;
+  for (const char* target : {"NS3.Ruhr.", "ns1.ruhr.", "a.NIC.ruhr.", "ns2.ruhr."})
+    rrset.rdatas.push_back(dns::NsData{*Name::parse(target)});
+  CanonicalRdatas sorted;
+  for (const auto& rdata : rrset.rdatas) sorted.add(rdata);
+  sorted.sort();
+  dns::WireWriter writer;
+  put_canonical_rrs(writer, rrset, 3600, sorted);
+
+  // (canonical RDATA, canonical record) per rdata, in RDATA order: RFC 4034
+  // §6.3 sorts by RDATA alone, not by the record with its RDLENGTH.
+  std::vector<std::pair<Bytes, Bytes>> records;
+  for (const auto& rdata : rrset.rdatas) {
+    dns::WireWriter one;
+    dns::encode_record_canonical(
+        one, dns::ResourceRecord{rrset.name, rrset.type, rrset.rclass, 3600, rdata});
+    records.emplace_back(canonical_rdata(rdata), one.data());
+  }
+  std::sort(records.begin(), records.end());
+  Bytes expected;
+  for (const auto& [rdata, record] : records)
+    expected.insert(expected.end(), record.begin(), record.end());
+  EXPECT_EQ(writer.data(), expected);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <thread>
 
+#include "dns/codec.h"
 #include "dnssec/canonical.h"
 #include "dnssec/signer.h"
 #include "dnssec/validator.h"
@@ -69,14 +70,19 @@ TEST(Canonical, RdataSortingIsByteOrder) {
       dns::AData{util::IpAddress::v4(10, 0, 0, 1)},
       dns::AData{util::IpAddress::v4(9, 255, 255, 255)},
   };
-  auto sorted = sort_rdatas_canonically(rdatas);
-  EXPECT_EQ(std::get<dns::AData>(sorted[0]).address.to_string(), "9.255.255.255");
-  EXPECT_EQ(std::get<dns::AData>(sorted[1]).address.to_string(), "10.0.0.1");
-  EXPECT_EQ(std::get<dns::AData>(sorted[2]).address.to_string(), "10.0.0.2");
+  CanonicalRdatas sorted;
+  for (const auto& rdata : rdatas) sorted.add(rdata);
+  sorted.sort();
+  using Bytes = std::vector<uint8_t>;
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(Bytes(sorted[0].begin(), sorted[0].end()), (Bytes{9, 255, 255, 255}));
+  EXPECT_EQ(Bytes(sorted[1].begin(), sorted[1].end()), (Bytes{10, 0, 0, 1}));
+  EXPECT_EQ(Bytes(sorted[2].begin(), sorted[2].end()), (Bytes{10, 0, 0, 2}));
 }
 
 TEST(Canonical, LowercasesEmbeddedNames) {
-  auto bytes = canonical_rdata(dns::NsData{*Name::parse("A.ROOT-SERVERS.NET.")});
+  auto bytes = dns::encode_rdata(dns::NsData{*Name::parse("A.ROOT-SERVERS.NET.")},
+                                /*canonical=*/true);
   // First label: length 1, 'a' (lowercased).
   ASSERT_GE(bytes.size(), 2u);
   EXPECT_EQ(bytes[0], 1);

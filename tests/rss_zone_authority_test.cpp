@@ -9,6 +9,8 @@
 #include <set>
 #include <thread>
 
+#include "crypto/encoding.h"
+#include "crypto/sha2.h"
 #include "dnssec/validator.h"
 
 namespace rootsim::rss {
@@ -137,6 +139,35 @@ TEST(ZoneAuthority, EveryStageValidatesAppropriately) {
     auto result = dnssec::validate_zone(authority.zone_at(t), anchors, t);
     EXPECT_TRUE(result.fully_valid());
     EXPECT_EQ(result.zonemd, dnssec::ZonemdStatus::Verified);
+  }
+}
+
+// Pins the signed zone's wire image at each ZONEMD stage: the SHA-256 of the
+// AXFR stream covers every RRSIG signing payload, the NSEC chain and the
+// ZONEMD digest, so a canonical encoder that moves one byte fails here
+// rather than only through a verdict.
+TEST(ZoneAuthority, SignedAxfrStreamsMatchRecordedDigests) {
+  RootCatalog catalog;
+  ZoneAuthority authority(catalog, fast_config());
+  struct Stage {
+    util::UnixTime when;
+    const char* sha256;
+  };
+  const Stage stages[] = {
+      // No ZONEMD.
+      {make_time(2023, 8, 1, 6, 0),
+       "c6d08b96e6d93493b2075b6102c26abb69ee13f9c15f5780ed5c53af7a0ca891"},
+      // Private-algorithm placeholder.
+      {make_time(2023, 10, 15, 6, 0),
+       "222029550abc8c2a9bdf21608c790138fe5d4bc6f2def5761c96e3b44795664f"},
+      // SHA-384.
+      {make_time(2023, 12, 10, 6, 0),
+       "6aeb01f031b327640bff993b715c1b45a36e8cc498d5d3bcabc0033b959c465b"},
+  };
+  for (const Stage& stage : stages) {
+    SCOPED_TRACE(authority.serial_at(stage.when));
+    EXPECT_EQ(crypto::to_hex(crypto::sha256(authority.axfr_stream_at(stage.when))),
+              stage.sha256);
   }
 }
 
