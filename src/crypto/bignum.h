@@ -110,11 +110,19 @@ struct FixedWindowSchedule {
 /// 2048-bit keys. A k-limb modulus runs at the smallest K >= k, zero-padded,
 /// with R = 2^(64K); padding changes the Montgomery representation, never a
 /// result. Residues are K-limb arrays on the stack, so an exponentiation
-/// allocates nothing. Each Montgomery product sweeps the 2K output columns
-/// once (finely integrated product scanning): a column's operand products
-/// and its reduction products accumulate together in 192 bits, and the
-/// column yields the next reduction word. Squarings take each cross product
-/// once, doubled. The final conditional subtraction is a mask select.
+/// allocates nothing. The portable kernel, used at every width, sweeps the
+/// 2K output columns of a product once (finely integrated product
+/// scanning): a column's operand products and its reduction products
+/// accumulate together in 192 bits, and the column yields the next
+/// reduction word. Squarings take each cross product once, doubled. The
+/// final conditional subtraction is a mask select.
+///
+/// At K = 6 and 12 (the CRT halves and full modulus of a 768-bit key, the
+/// simulated root's) an x86-64 host with BMI2 and ADX runs asm kernels
+/// instead, written with mulx and two carry chains (adcx, adox): a CIOS
+/// product, and a squaring that takes each cross product once; the host is
+/// checked once per process. Both kernels compute the exact fully reduced
+/// product, so the choice never changes a result.
 ///
 /// exp() uses a 4-bit fixed window (16-entry table, 4 squarings + one table
 /// multiply per window). Small exponents (RSA's e = 65537) skip the window

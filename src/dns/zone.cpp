@@ -116,6 +116,20 @@ bool Zone::contains_name(const Name& name) const {
   return it != sets_.end() && it->first.name == name;
 }
 
+const RRset* Zone::covering_nsec(const Name& name) const {
+  // Every key before lower_bound(name, 0) has an owner below `name`.
+  for (auto it = sets_.lower_bound(first_key(name)); it != sets_.begin();) {
+    --it;
+    if (it->first.type != RRType::NSEC) continue;
+    const auto* nsec = std::get_if<NsecData>(&it->second.rdatas.front());
+    if (!nsec) continue;
+    const bool before_next =
+        name.canonical_compare(nsec->next) < 0 || nsec->next.is_root();
+    return before_next ? &it->second : nullptr;
+  }
+  return nullptr;
+}
+
 std::vector<Name> Zone::authoritative_names() const {
   std::vector<Name> out;
   for (const auto& [key, set] : sets_) {

@@ -74,6 +74,11 @@ class Zone {
   /// True if the name exists in the zone or is a delegation owner.
   bool contains_name(const Name& name) const;
 
+  /// The NSEC RRset whose gap holds `name` (owner < name < next, the last
+  /// NSEC's gap wrapping to the apex), or nullptr. An ordered search: the
+  /// nearest NSEC owner before `name`, if its gap reaches past `name`.
+  const RRset* covering_nsec(const Name& name) const;
+
   /// Names that have authoritative data, in canonical order (for NSEC).
   std::vector<Name> authoritative_names() const;
 

@@ -27,27 +27,30 @@ Prober::Prober(const rss::ZoneAuthority& authority, const rss::RootCatalog& cata
   }
 }
 
-std::vector<dns::Question> Prober::query_list() {
-  std::vector<dns::Question> questions;
-  // ZONEMD ., NS ., NS root-servers.net (+dnssec).
-  questions.push_back({dns::Name(), dns::RRType::ZONEMD, dns::RRClass::IN});
-  questions.push_back({dns::Name(), dns::RRType::NS, dns::RRClass::IN});
-  questions.push_back({*dns::Name::parse("root-servers.net."), dns::RRType::NS,
-                       dns::RRClass::IN});
-  // The four CHAOS identity queries.
-  for (const char* qname :
-       {"hostname.bind.", "id.server.", "version.bind.", "version.server."})
-    questions.push_back({*dns::Name::parse(qname), dns::RRType::TXT,
-                         dns::RRClass::CH});
-  // A/AAAA/TXT for every root server name.
-  for (char c = 'a'; c <= 'm'; ++c) {
-    dns::Name name =
-        *dns::Name::parse(util::format("%c.root-servers.net.", c));
-    questions.push_back({name, dns::RRType::A, dns::RRClass::IN});
-    questions.push_back({name, dns::RRType::AAAA, dns::RRClass::IN});
-    questions.push_back({name, dns::RRType::TXT, dns::RRClass::IN});
-  }
-  // Total: 3 + 4 + 39 = 46; the AXFR request is the 47th query of App. F.
+const std::vector<dns::Question>& Prober::query_list() {
+  static const std::vector<dns::Question> questions = [] {
+    std::vector<dns::Question> list;
+    // ZONEMD ., NS ., NS root-servers.net (+dnssec).
+    list.push_back({dns::Name(), dns::RRType::ZONEMD, dns::RRClass::IN});
+    list.push_back({dns::Name(), dns::RRType::NS, dns::RRClass::IN});
+    list.push_back({*dns::Name::parse("root-servers.net."), dns::RRType::NS,
+                    dns::RRClass::IN});
+    // The four CHAOS identity queries.
+    for (const char* qname :
+         {"hostname.bind.", "id.server.", "version.bind.", "version.server."})
+      list.push_back({*dns::Name::parse(qname), dns::RRType::TXT,
+                      dns::RRClass::CH});
+    // A/AAAA/TXT for every root server name.
+    for (char c = 'a'; c <= 'm'; ++c) {
+      dns::Name name =
+          *dns::Name::parse(util::format("%c.root-servers.net.", c));
+      list.push_back({name, dns::RRType::A, dns::RRClass::IN});
+      list.push_back({name, dns::RRType::AAAA, dns::RRClass::IN});
+      list.push_back({name, dns::RRType::TXT, dns::RRClass::IN});
+    }
+    // Total: 3 + 4 + 39 = 46; the AXFR request is the 47th query of App. F.
+    return list;
+  }();
   return questions;
 }
 

@@ -131,8 +131,9 @@ class Prober {
   /// The transport every exchange of this prober goes through.
   const netsim::Transport& transport() const { return transport_; }
 
-  /// The 47-query list of Appendix F for one address.
-  static std::vector<dns::Question> query_list();
+  /// The 46 questions of Appendix F's script (the AXFR request is its 47th
+  /// query), the same for every address: built once per process.
+  static const std::vector<dns::Question>& query_list();
 
  private:
   const rss::ZoneAuthority* authority_;

@@ -81,6 +81,17 @@ dns::Message RootServerInstance::answer_standard(const dns::Message& query,
                           question);
 }
 
+namespace {
+
+// Appends an RRset's records to a message section, one copy of each rdata.
+void append_rrset(std::vector<dns::ResourceRecord>& section,
+                  const dns::RRset& set) {
+  for (const auto& rdata : set.rdatas)
+    section.push_back({set.name, set.type, set.rclass, set.ttl, rdata});
+}
+
+}  // namespace
+
 dns::Message answer_from_zone(const dns::Zone& zone, const dns::Message& query,
                               const dns::Question& question) {
   dns::Message response;
@@ -108,7 +119,7 @@ dns::Message answer_from_zone(const dns::Zone& zone, const dns::Message& query,
     bool delegation_data =
         !(question.qname == zone.origin()) && question.qtype == dns::RRType::NS;
     response.aa = !delegation_data;
-    for (const auto& rr : set->to_records()) response.answers.push_back(rr);
+    append_rrset(response.answers, *set);
     attach_rrsigs(response.answers, question.qname, question.qtype);
     return response;
   }
@@ -119,19 +130,16 @@ dns::Message answer_from_zone(const dns::Zone& zone, const dns::Message& query,
     if (delegation && !(question.qname == zone.origin())) {
       // Referral.
       response.aa = false;
-      for (const auto& rr : delegation->to_records())
-        response.authority.push_back(rr);
+      append_rrset(response.authority, *delegation);
       const dns::RRset* ds = zone.find(question.qname, dns::RRType::DS);
-      if (ds)
-        for (const auto& rr : ds->to_records()) response.authority.push_back(rr);
+      if (ds) append_rrset(response.authority, *ds);
       attach_rrsigs(response.authority, question.qname, dns::RRType::DS);
       return response;
     }
     // NODATA: SOA in authority.
     response.aa = true;
     const dns::RRset* soa = zone.find(zone.origin(), dns::RRType::SOA);
-    if (soa)
-      for (const auto& rr : soa->to_records()) response.authority.push_back(rr);
+    if (soa) append_rrset(response.authority, *soa);
     attach_rrsigs(response.authority, zone.origin(), dns::RRType::SOA);
     return response;
   }
@@ -142,8 +150,7 @@ dns::Message answer_from_zone(const dns::Zone& zone, const dns::Message& query,
     const dns::RRset* delegation = zone.find(cut, dns::RRType::NS);
     if (delegation) {
       response.aa = false;
-      for (const auto& rr : delegation->to_records())
-        response.authority.push_back(rr);
+      append_rrset(response.authority, *delegation);
       return response;
     }
     cut = cut.parent();
@@ -152,30 +159,13 @@ dns::Message answer_from_zone(const dns::Zone& zone, const dns::Message& query,
   response.aa = true;
   response.rcode = dns::Rcode::NxDomain;
   const dns::RRset* soa = zone.find(zone.origin(), dns::RRType::SOA);
-  if (soa)
-    for (const auto& rr : soa->to_records()) response.authority.push_back(rr);
+  if (soa) append_rrset(response.authority, *soa);
   attach_rrsigs(response.authority, zone.origin(), dns::RRType::SOA);
   // RFC 4035 §3.1.3.2: prove the name's nonexistence with the NSEC record
   // covering the gap the qname falls into (signed zones only).
   if (want_dnssec) {
-    const dns::RRset* covering = nullptr;
-    for (const dns::RRset* set : zone.rrsets()) {
-      if (set->type != dns::RRType::NSEC) continue;
-      const auto* nsec = std::get_if<dns::NsecData>(&set->rdatas.front());
-      if (!nsec) continue;
-      // Covers qname iff owner < qname < next (with the last NSEC wrapping
-      // around to the apex).
-      bool after_owner = set->name.canonical_compare(question.qname) < 0;
-      bool before_next = question.qname.canonical_compare(nsec->next) < 0 ||
-                         nsec->next.is_root();
-      if (after_owner && before_next) {
-        covering = set;
-        break;
-      }
-    }
-    if (covering) {
-      for (const auto& rr : covering->to_records())
-        response.authority.push_back(rr);
+    if (const dns::RRset* covering = zone.covering_nsec(question.qname)) {
+      append_rrset(response.authority, *covering);
       attach_rrsigs(response.authority, covering->name, dns::RRType::NSEC);
     }
   }

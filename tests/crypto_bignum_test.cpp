@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+
+#include "crypto/montgomery_kernels.h"
 #include "util/rng.h"
 
 namespace rootsim::crypto {
@@ -165,7 +168,9 @@ TEST(BigNum, MontgomeryMatchesBasicModPow) {
   // Property test: the fixed-width Montgomery kernel must agree with the
   // square-and-multiply oracle at every limb count it serves, including
   // the counts that run zero-padded at the next wider kernel (5, 7, 9-11,
-  // 13-15, 17-23, 25-31 limbs).
+  // 13-15, 17-23, 25-31 limbs). On a host with BMI2 and ADX the counts 5-6
+  // and 9-12 run the ADX kernel and the rest the portable one, so the test
+  // crosses both paths.
   util::Rng rng(7);
   const size_t kMaxLimbs = 32;  // the widest kernel: 2048-bit moduli
   for (int i = 0; i < 150; ++i) {
@@ -228,6 +233,122 @@ TEST(BigNum, MontgomeryMatchesBasicModPow) {
   const BigNum base = random_limbs(rng, kMaxLimbs);
   const BigNum e = random_limbs(rng, 2);
   EXPECT_EQ(base.mod_pow(e, wide), base.mod_pow_basic(e, wide));
+}
+
+// The two Montgomery kernels at the widths that have both. Each product is
+// also held to BigNum arithmetic, a * b * R^-1 mod n.
+template <size_t K>
+montgomery::Limbs<K> to_limbs(const BigNum& x) {
+  const std::vector<uint8_t> bytes = x.to_bytes_padded(8 * K);
+  montgomery::Limbs<K> out{};
+  for (size_t i = 0; i < 8 * K; ++i)
+    out[(8 * K - 1 - i) / 8] |= uint64_t{bytes[i]} << (8 * ((8 * K - 1 - i) % 8));
+  return out;
+}
+
+template <size_t K>
+BigNum from_limbs(const montgomery::Limbs<K>& limbs) {
+  std::vector<uint8_t> bytes(8 * K);
+  for (size_t i = 0; i < 8 * K; ++i)
+    bytes[i] = static_cast<uint8_t>(limbs[(8 * K - 1 - i) / 8] >>
+                                    (8 * ((8 * K - 1 - i) % 8)));
+  return BigNum::from_bytes(bytes);
+}
+
+template <size_t K>
+void expect_kernels_agree(const BigNum& n, const BigNum& a, const BigNum& b,
+                          const BigNum& r_inv) {
+  using montgomery::Kernel;
+  const auto nl = to_limbs<K>(n), al = to_limbs<K>(a), bl = to_limbs<K>(b);
+  const BigNum want_mul = (a * b * r_inv) % n;
+  const BigNum want_sqr = (a * a * r_inv) % n;
+  for (Kernel kernel : {Kernel::portable, Kernel::adx}) {
+    SCOPED_TRACE(kernel == Kernel::adx ? "adx" : "portable");
+    SCOPED_TRACE("a=" + a.to_hex() + " b=" + b.to_hex());
+    montgomery::Limbs<K> out{};
+    montgomery::mul<K>(kernel, out, al, bl, nl);
+    EXPECT_EQ(from_limbs<K>(out), want_mul);
+    montgomery::sqr<K>(kernel, out, al, nl);
+    EXPECT_EQ(from_limbs<K>(out), want_sqr);
+    // out aliasing a, then b, then both operands one object.
+    auto x = al;
+    montgomery::mul<K>(kernel, x, x, bl, nl);
+    EXPECT_EQ(from_limbs<K>(x), want_mul);
+    x = bl;
+    montgomery::mul<K>(kernel, x, al, x, nl);
+    EXPECT_EQ(from_limbs<K>(x), want_mul);
+    x = al;
+    montgomery::mul<K>(kernel, out, x, x, nl);
+    EXPECT_EQ(from_limbs<K>(out), want_sqr);
+    montgomery::sqr<K>(kernel, x, x, nl);
+    EXPECT_EQ(from_limbs<K>(x), want_sqr);
+  }
+}
+
+// A chain of products fed back into the kernels, as an exponentiation does:
+// both kernels must walk the same residues step by step.
+template <size_t K>
+void expect_chains_agree(const BigNum& n, const BigNum& start,
+                         const BigNum& other) {
+  using montgomery::Kernel;
+  const auto nl = to_limbs<K>(n), y = to_limbs<K>(other);
+  auto p = to_limbs<K>(start), q = p;
+  for (int step = 0; step < 64; ++step) {
+    if (step % 5 == 4) {
+      montgomery::mul<K>(Kernel::portable, p, p, y, nl);
+      montgomery::mul<K>(Kernel::adx, q, q, y, nl);
+    } else {
+      montgomery::sqr<K>(Kernel::portable, p, p, nl);
+      montgomery::sqr<K>(Kernel::adx, q, q, nl);
+    }
+    ASSERT_EQ(p, q) << "step " << step << " n=" << n.to_hex();
+  }
+}
+
+template <size_t K>
+void cross_check_modulus(util::Rng& rng, const BigNum& n) {
+  const size_t limbs = (n.bit_length() + 63) / 64;
+  SCOPED_TRACE("K=" + std::to_string(K) + " limbs=" + std::to_string(limbs) +
+               " n=" + n.to_hex());
+  const BigNum r_inv = ((BigNum(1) << (64 * K)) % n).mod_inverse(n);
+  ASSERT_FALSE(r_inv.is_zero());
+  const BigNum n1 = n - BigNum(1);
+  for (const BigNum& a : {BigNum(), BigNum(1), n1})
+    for (const BigNum& b : {BigNum(), BigNum(1), n1})
+      expect_kernels_agree<K>(n, a, b, r_inv);
+  for (int i = 0; i < 24; ++i) {
+    const BigNum a = random_limbs(rng, limbs) % n;
+    const BigNum b = random_limbs(rng, limbs) % n;
+    expect_kernels_agree<K>(n, a, b, r_inv);
+    expect_kernels_agree<K>(n, a, n1, r_inv);
+  }
+  expect_chains_agree<K>(n, random_limbs(rng, limbs) % n, n1);
+  expect_chains_agree<K>(n, n1, random_limbs(rng, limbs) % n);
+}
+
+TEST(BigNum, AdxKernelMatchesPortableKernel) {
+  if (!montgomery::adx_kernel_available())
+    GTEST_SKIP() << "no ADX kernel here (not x86-64 ELF, or the host lacks "
+                    "BMI2/ADX): every width runs the portable kernel";
+  std::cout << "[ kernel   ] ADX at 6 and 12 limbs, portable elsewhere\n";
+  util::Rng rng(11);
+  const uint64_t kAllOnes = ~uint64_t{0};
+  const uint64_t kTopBit = uint64_t{1} << 63;
+  // Top limb 2^64-1 puts n just below R, where the row's top word and the
+  // final subtraction are busiest; a top limb with only its top bit set,
+  // random top limbs and top limb 1 spread n down to R / 2^63. The 5- and
+  // 9-to-11-limb moduli run zero-padded at widths 6 and 12.
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t top : {kAllOnes, kTopBit, kTopBit | 1, uint64_t{0}, uint64_t{1}}) {
+      cross_check_modulus<6>(rng, odd_modulus(rng, 6, top));
+      cross_check_modulus<6>(rng, odd_modulus(rng, 5, top));
+      for (size_t limbs : {12, 11, 10, 9})
+        cross_check_modulus<12>(rng, odd_modulus(rng, limbs, top));
+    }
+  }
+  // n = R - 1, the largest odd modulus at each width.
+  cross_check_modulus<6>(rng, (BigNum(1) << 384) - BigNum(1));
+  cross_check_modulus<12>(rng, (BigNum(1) << 768) - BigNum(1));
 }
 
 TEST(BigNum, MontgomeryEdgeCases) {
